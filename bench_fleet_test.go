@@ -1,8 +1,7 @@
 package spotverse
 
-// Fleet-scale benchmarks: the sharded fleet engine (RunFleetSharded)
-// and the flat batched FleetState path (RunFleet) against the
-// per-workload path (Run) on the identical configuration —
+// Fleet-scale benchmarks: the fleet engine (RunFleetSharded) against
+// the per-workload path (Run) on the identical configuration —
 // single-region arm, standard workloads, 14-day horizon, seed 42. Two
 // metrics matter:
 //
@@ -29,29 +28,6 @@ import (
 	"spotverse/internal/strategy"
 	"spotverse/internal/workload"
 )
-
-// runFleetBench executes one RunFleet of n standard workloads and
-// returns the environment and result (kept reachable by retention
-// measurement).
-func runFleetBench(n int) (*experiment.Env, *experiment.FleetResult, error) {
-	env := experiment.NewEnv(benchSeed)
-	single, err := baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, experiment.BaselineRegionM5XLarge)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := workload.GenerateFleet(simclock.Stream(benchSeed, "wl-standard"),
-		workload.GenOptions{Kind: workload.KindStandard, Count: n})
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := experiment.RunFleet(env, experiment.FleetRunConfig{
-		Fleet:           f,
-		Strategy:        single,
-		InstanceType:    catalog.M5XLarge,
-		AllowIncomplete: true,
-	})
-	return env, res, err
-}
 
 // runLegacyBench executes the identical run on the per-workload path.
 func runLegacyBench(n int) (*experiment.Env, *experiment.Result, error) {
@@ -96,26 +72,6 @@ func retainedPerWorkload(b *testing.B, n int, run func() (any, any, error)) floa
 		retained = 0
 	}
 	return retained / float64(n)
-}
-
-func benchFleetPath(b *testing.B, n int) {
-	var last *experiment.FleetResult
-	for i := 0; i < b.N; i++ {
-		_, res, err := runFleetBench(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	perOp := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(float64(n)/perOp, "workloads/s")
-	b.ReportMetric(retainedPerWorkload(b, n, func() (any, any, error) {
-		env, res, err := runFleetBench(n)
-		return env, res, err
-	}), "retained_B/wl")
-	b.ReportMetric(float64(last.Interruptions), "interruptions")
-	b.ReportMetric(float64(last.Completed), "completed")
 }
 
 func benchLegacyPath(b *testing.B, n int) {
@@ -179,8 +135,6 @@ func benchShardedPath(b *testing.B, n, shards int) {
 	b.ReportMetric(float64(last.Completed), "completed")
 }
 
-func BenchmarkFleetPath1k(b *testing.B)   { benchFleetPath(b, 1000) }
-func BenchmarkFleetPath10k(b *testing.B)  { benchFleetPath(b, 10000) }
 func BenchmarkLegacyPath1k(b *testing.B)  { benchLegacyPath(b, 1000) }
 func BenchmarkLegacyPath10k(b *testing.B) { benchLegacyPath(b, 10000) }
 
@@ -234,54 +188,18 @@ func TestFleetShardedAllocBudget(t *testing.T) {
 	}
 }
 
-// TestFleetShardedThroughput pins that sharding never costs throughput:
-// the sharded path at one shard must stay within 25%% of the PR 8
-// RunFleet path on the identical cell (best of two, same treatment for
-// both paths). In practice it is faster — the lean notice path and
-// pooled fulfill buckets cut per-event work — but the gate only guards
-// against regression, leaving headroom for noisy CI boxes.
-func TestFleetShardedThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput check runs full 10k simulations")
-	}
-	const n = 10000
-	if _, err := runShardedBench(100, 1); err != nil {
-		t.Fatal(err)
-	}
-	timeIt := func(run func() error) float64 {
-		best := 0.0
-		for i := 0; i < 2; i++ {
-			start := time.Now()
-			if err := run(); err != nil {
-				t.Fatal(err)
-			}
-			if sec := time.Since(start).Seconds(); i == 0 || sec < best {
-				best = sec
-			}
-		}
-		return best
-	}
-	legacySec := timeIt(func() error { _, _, err := runFleetBench(n); return err })
-	shardedSec := timeIt(func() error { _, err := runShardedBench(n, 1); return err })
-	ratio := shardedSec / legacySec
-	t.Logf("n=%d legacy RunFleet %.2fs | sharded(1) %.2fs | ratio %.2fx", n, legacySec, shardedSec, ratio)
-	if ratio > 1.25 {
-		t.Errorf("sharded path at 1 shard took %.2fx the RunFleet wall clock, want <= 1.25x", ratio)
-	}
-}
-
 // TestFleetSpeedupAndRetention is the acceptance check behind the
-// benchmarks: at N=10k the fleet path must be at least 5x faster and
-// retain at least 5x fewer bytes per workload than the per-workload
-// path. It runs each path once, so it is cheap enough for the ordinary
-// test suite while pinning the regression bar.
+// benchmarks: at N=10k the fleet engine on one shard must be at least
+// 5x faster and retain at least 5x fewer bytes per workload than the
+// per-workload path. It runs each path twice, so it is cheap enough for
+// the ordinary test suite while pinning the regression bar.
 func TestFleetSpeedupAndRetention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet speedup check runs full 10k simulations")
 	}
 	const n = 10000
 	// Warm the shared market snapshot so retention deltas exclude it.
-	if _, _, err := runFleetBench(100); err != nil {
+	if _, err := runShardedBench(100, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -321,8 +239,8 @@ func TestFleetSpeedupAndRetention(t *testing.T) {
 		return env, res, err
 	})
 	fleetSec, fleetRet := measure(func() (any, any, error) {
-		env, res, err := runFleetBench(n)
-		return env, res, err
+		res, err := runShardedBench(n, 1)
+		return nil, res, err
 	})
 
 	speedup := slowSec / fleetSec

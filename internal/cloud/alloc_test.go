@@ -18,7 +18,7 @@ func TestFleetSweepAllocFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")
 	}
 	eng, p := newProvider(7)
-	p.EnableFleetMode()
+	p.EnableFleetMode(eng.Now().Add(30 * 24 * time.Hour))
 	region := catalog.Region("eu-north-1")
 	// Launches in the region fail for a week: every request stays open
 	// and every sweep iteration takes the failed-roll early return.

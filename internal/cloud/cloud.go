@@ -116,11 +116,6 @@ type Instance struct {
 	// Tag is an opaque caller label (the workload the instance serves).
 	Tag string
 
-	// seq is the provider-wide allocation counter behind the ID; fleet
-	// mode uses it to keep cost summation in ID order after the record
-	// itself is released.
-	seq int
-
 	noticeEv      *simclock.Event
 	termEv        *simclock.Event
 	priceNoticeEv *simclock.Event
@@ -173,24 +168,23 @@ type Provider struct {
 	seq       int
 
 	// Fleet mode (EnableFleetMode): bounded-retention bookkeeping for
-	// 10k-100k workload runs. Nil/false on the default path, which stays
-	// byte-identical.
-	fleet      bool
-	fulfillAt  map[int64][]*SpotRequest
-	fulfillCb  func()
-	bucketPool [][]*SpotRequest
-	batchFired uint64
-	open       []*SpotRequest
-	retired    []retiredCost
-	crossCache map[crossKey]crossState
-
-	// tagRand, when set (sharded fleet runs), resolves a workload tag to
-	// that workload's private random stream; nil falls back to the
-	// provider-wide sequential stream. eventHorizonNs, when non-zero,
-	// lets the provider skip scheduling events that could never fire
-	// because the caller stops the run exactly at that instant.
-	tagRand        func(tag string) *simclock.SplitMix64
+	// 10k-100k workload runs. Nil/zero on the default path, which stays
+	// byte-identical. eventHorizonNs is the instant the fleet driver
+	// stops the run at; events due at or after it are never scheduled.
+	fleet          bool
+	fulfillAt      map[int64][]*SpotRequest
+	fulfillCb      func()
+	bucketPool     [][]*SpotRequest
+	batchFired     uint64
+	open           []*SpotRequest
+	crossCache     map[crossKey]crossState
 	eventHorizonNs int64
+
+	// tagRand, when set (SetWorkloadRand), resolves a workload tag to
+	// that workload's private random stream; nil falls back to the
+	// provider-wide sequential stream. It only chooses where draws come
+	// from: it never switches the provider's mode.
+	tagRand func(tag string) *simclock.SplitMix64
 
 	// idBuf is the reused scratch for instance/request ID formatting.
 	idBuf []byte
@@ -249,10 +243,10 @@ func (p *Provider) gateCheck(t catalog.InstanceType, r catalog.Region) error {
 	return p.launchGate(t, r)
 }
 
-func (p *Provider) nextInstanceID() (InstanceID, int) {
+func (p *Provider) nextInstanceID() InstanceID {
 	p.seq++
 	p.idBuf = appendSeqID(p.idBuf[:0], "i", p.seq)
-	return InstanceID(p.idBuf), p.seq
+	return InstanceID(p.idBuf)
 }
 
 func (p *Provider) nextRequestID() RequestID {
@@ -303,10 +297,8 @@ func (p *Provider) RunOnDemand(t catalog.InstanceType, r catalog.Region, tag str
 	} else {
 		az = zones[p.rng.Intn(len(zones))]
 	}
-	id, seq := p.nextInstanceID()
 	inst := &Instance{
-		ID:         id,
-		seq:        seq,
+		ID:         p.nextInstanceID(),
 		Type:       t,
 		Region:     r,
 		AZ:         az,
@@ -357,20 +349,18 @@ func (p *Provider) RequestSpotWithBid(t catalog.InstanceType, r catalog.Region, 
 		Tag:         tag,
 		MaxPriceUSD: maxPriceUSD,
 	}
-	if p.tagRand != nil {
-		// Sharded fleet drivers never address a request by ID (no
-		// Request lookups, no CancelRequest), so skip materializing the
-		// ID string and the registry insert — one request per launch
-		// attempt makes this a measurable share of the hot loop. The
-		// sequence number still advances so instance IDs keep the exact
-		// numbering of the unsharded paths.
+	if p.fleet {
+		// Fleet drivers never address a request by ID (no Request
+		// lookups, no CancelRequest), so skip materializing the ID string
+		// and the registry insert — one request per launch attempt makes
+		// this a measurable share of the hot loop. The open index alone
+		// feeds the retry sweep. The sequence number still advances so
+		// instance IDs keep the default path's exact numbering.
 		p.seq++
+		p.open = append(p.open, req)
 	} else {
 		req.ID = p.nextRequestID()
 		p.requests[req.ID] = req
-	}
-	if p.fleet {
-		p.open = append(p.open, req)
 	}
 	p.evaluate(req)
 	return req, nil
@@ -429,10 +419,8 @@ func (p *Provider) fulfill(req *SpotRequest) {
 		// a sweep finds the price back under it.
 		return
 	}
-	id, seq := p.nextInstanceID()
 	inst := &Instance{
-		ID:         id,
-		seq:        seq,
+		ID:         p.nextInstanceID(),
 		Type:       req.Type,
 		Region:     req.Region,
 		AZ:         az,
@@ -445,11 +433,6 @@ func (p *Provider) fulfill(req *SpotRequest) {
 	p.instances[inst.ID] = inst
 	req.State = RequestActive
 	req.Instance = inst.ID
-	if p.fleet {
-		// The request is resolved; release the record so retention stays
-		// proportional to open requests, not requests-ever-filed.
-		delete(p.requests, req.ID)
-	}
 	p.scheduleInterruption(inst)
 	p.schedulePriceInterruption(inst)
 	p.notifyLaunch(inst)
@@ -477,7 +460,7 @@ func (p *Provider) schedulePriceInterruption(inst *Instance) {
 	if noticeAt.Before(now) {
 		noticeAt = now
 	}
-	if p.tagRand == nil || len(p.noticeSubs) > 0 {
+	if !p.fleet || len(p.noticeSubs) > 0 {
 		if p.pastEventHorizon(noticeAt) {
 			return
 		}
@@ -494,9 +477,9 @@ func (p *Provider) schedulePriceInterruption(inst *Instance) {
 		}
 		inst.priceNoticeEv = ev
 	}
-	// Sharded fleet drivers (tagRand set, no notice subscribers) skip
-	// the price-notice event above entirely — with nobody listening it
-	// would fire into a void — and schedule only the reclaim.
+	// Fleet drivers without notice subscribers skip the price-notice
+	// event above entirely — with nobody listening it would fire into a
+	// void — and schedule only the reclaim.
 	if p.pastEventHorizon(at) {
 		return
 	}
@@ -564,62 +547,34 @@ func (p *Provider) scheduleInterruption(inst *Instance) {
 		noticeAt = 0
 	}
 	now := p.eng.Now()
-	reclaimAt := now.Add(ttl)
-	if p.tagRand != nil && len(p.noticeSubs) == 0 {
-		// Sharded fleet drivers register no notice subscribers, so the
-		// notice event would fire into a void purely to schedule the
-		// reclaim. Schedule the reclaim directly instead — it fires
-		// under exactly the same condition (reclaim instant before the
-		// event horizon), but the notice Event, its closure, and its
-		// firing all disappear from the hot loop.
-		if p.pastEventHorizon(reclaimAt) {
+	if p.fleet && len(p.noticeSubs) == 0 {
+		// Fleet drivers register no notice subscribers, so the notice
+		// event would fire into a void. Schedule the reclaim alone — the
+		// notice Event, its closure, and its firing all disappear from
+		// the hot loop.
+		if p.pastEventHorizon(now.Add(ttl)) {
 			return
 		}
-		inst.termEv = p.eng.ScheduleAfter(ttl, "spot-reclaim", func() {
+	} else {
+		if p.pastEventHorizon(now.Add(noticeAt)) {
+			return // neither notice nor reclaim can fire before the hard stop
+		}
+		inst.noticeEv = p.eng.ScheduleAfter(noticeAt, "spot-notice", func() {
 			if inst.State != StateRunning {
 				return
 			}
-			inst.Reason = ReasonCapacity
-			p.finalize(inst, true)
+			for _, fn := range p.noticeSubs {
+				fn(inst)
+			}
 		})
-		return
 	}
-	if p.pastEventHorizon(now.Add(noticeAt)) {
-		return // neither notice nor reclaim can fire before the hard stop
-	}
-	inst.noticeEv = p.eng.ScheduleAfter(noticeAt, "spot-notice", func() {
+	inst.termEv = p.eng.ScheduleAfter(ttl, "spot-reclaim", func() {
 		if inst.State != StateRunning {
 			return
 		}
-		for _, fn := range p.noticeSubs {
-			fn(inst)
-		}
-		if p.fleet && inst.State == StateRunning && !p.pastEventHorizon(reclaimAt) {
-			// Fleet mode defers the reclaim event until its notice has
-			// fired: most instances complete first and cancel the notice,
-			// so the reclaim Event (and its closure, built lazily here)
-			// is never allocated and the queue stays one entry per
-			// at-risk instance, not two. Reclaim instants are continuous
-			// hazard draws, so the later seq cannot reorder against any
-			// same-instant event.
-			inst.termEv, _ = p.eng.ScheduleAt(reclaimAt, "spot-reclaim", func() {
-				if inst.State != StateRunning {
-					return
-				}
-				inst.Reason = ReasonCapacity
-				p.finalize(inst, true)
-			})
-		}
+		inst.Reason = ReasonCapacity
+		p.finalize(inst, true)
 	})
-	if !p.fleet {
-		inst.termEv = p.eng.ScheduleAfter(ttl, "spot-reclaim", func() {
-			if inst.State != StateRunning {
-				return
-			}
-			inst.Reason = ReasonCapacity
-			p.finalize(inst, true)
-		})
-	}
 }
 
 // Terminate ends an instance at the caller's request.
@@ -656,10 +611,8 @@ func (p *Provider) finalize(inst *Instance, interrupted bool) {
 		fn(inst, interrupted)
 	}
 	if p.fleet {
-		// Keep only the (seq, cost) pair the total-cost sum needs and
-		// release the record: fleet retention is O(running), not
-		// O(instances-ever-launched).
-		p.retired = append(p.retired, retiredCost{seq: inst.seq, cost: inst.CostUSD})
+		// Subscribers have seen the final cost; release the record so
+		// fleet retention is O(running), not O(instances-ever-launched).
 		delete(p.instances, inst.ID)
 	}
 }
@@ -707,22 +660,14 @@ func (p *Provider) AccruedCost(id InstanceID) (float64, error) {
 }
 
 // CancelRequest cancels an open spot request; active requests are left
-// untouched (the instance keeps running). In fleet mode resolved
-// requests are released as they settle, so cancelling an ID the
-// provider no longer tracks is a no-op rather than an error.
+// untouched (the instance keeps running).
 func (p *Provider) CancelRequest(id RequestID) error {
 	req, ok := p.requests[id]
 	if !ok {
-		if p.fleet {
-			return nil
-		}
 		return fmt.Errorf("cancel %s: %w", id, ErrNotFound)
 	}
 	if req.State == RequestOpen {
 		req.State = RequestCancelled
-		if p.fleet {
-			delete(p.requests, id)
-		}
 	}
 	return nil
 }
@@ -801,11 +746,10 @@ func (p *Provider) AllInstances() []*Instance {
 
 // TotalInstanceCost sums accrued cost over all instances (running ones
 // billed to the current instant). Summation follows instance-ID order so
-// the floating-point result is deterministic.
+// the floating-point result is deterministic. Fleet mode releases
+// terminated instances, so there the sum covers live ones only: fleet
+// drivers take each instance's final cost from OnTerminate instead.
 func (p *Provider) TotalInstanceCost() float64 {
-	if p.fleet {
-		return p.fleetTotalCost()
-	}
 	var sum float64
 	for _, inst := range p.AllInstances() {
 		if inst.State == StateTerminated {

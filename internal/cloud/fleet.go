@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"sort"
 	"time"
 
 	"spotverse/internal/catalog"
@@ -9,43 +8,32 @@ import (
 	"spotverse/internal/simclock"
 )
 
-// retiredCost is what fleet mode keeps of a terminated instance: its
-// allocation sequence (so the total-cost sum can stay in ID order) and
-// its final cost.
-type retiredCost struct {
-	seq  int
-	cost float64
-}
-
 // EnableFleetMode switches the provider into bounded-retention,
-// batch-scheduling operation for fleet-scale runs:
+// batch-scheduling operation for fleet-scale runs that stop at horizon:
 //
 //   - Open spot requests are tracked in an index, so the 15-minute
 //     retry sweep is O(open requests) instead of scanning every request
-//     ever filed.
-//   - Resolved requests (fulfilled or cancelled) and terminated
-//     instances are released as they settle; only a (seq, cost) pair
-//     survives per terminated instance, keeping retention proportional
-//     to what is running, not to run history.
+//     ever filed. Requests get no ID and no registry entry: fleet
+//     drivers never look one up or cancel one.
+//   - Terminated instances are released as they settle, keeping
+//     retention proportional to what is running, not to run history.
+//     Subscribers see each instance's final cost through OnTerminate;
+//     TotalInstanceCost covers live instances only.
 //   - Fulfill callbacks are batched into pooled per-instant buckets: a
 //     sweep wave fulfilling thousands of requests 45 seconds later
 //     costs one heap entry (and no per-request closure), not thousands.
+//   - With no notice subscriber, interruption and price-crossing
+//     notices are not scheduled at all; only the reclaims are.
+//   - Events due at or after horizon are never scheduled. The caller
+//     must stop driving the engine at exactly that instant; loops that
+//     stop on the first event after a horizon must not use fleet mode.
 //
-// Observable behavior is unchanged — the sweep evaluates requests in
-// the same ID order, batched fulfills fire in the same order as
-// individually-scheduled ones, and TotalInstanceCost sums in the same
-// ID order — so runs are bit-identical to the default path. The
-// differences are in what the provider retains: AllInstances and
-// Instance only cover running (plus not-yet-released) records, and
-// Request no longer resolves settled requests. Callers that need full
-// history (the per-workload experiment path) simply leave fleet mode
-// off. Enable before filing any work; flipping modes mid-run is not
-// supported.
-func (p *Provider) EnableFleetMode() {
-	if p.fleet {
-		return
-	}
+// Every draw and every launch happens in the default path's order, so
+// a workload's trajectory is unchanged. Enable before filing any work;
+// flipping modes mid-run is not supported.
+func (p *Provider) EnableFleetMode(horizon time.Time) {
 	p.fleet = true
+	p.eventHorizonNs = horizon.UnixNano()
 	p.fulfillAt = make(map[int64][]*SpotRequest)
 	p.fulfillCb = p.fireFulfills
 	p.crossCache = make(map[crossKey]crossState)
@@ -58,25 +46,11 @@ func (p *Provider) EnableFleetMode() {
 // provider-wide sequential "cloud" stream. A workload's draw sequence
 // then depends only on its own simulated history, which is what lets a
 // sharded fleet run produce bit-identical trajectories at any shard
-// count. A nil resolver (or a nil stream for a tag) falls back to the
-// sequential stream. Install before filing any work.
+// count, and lets a default-mode run reproduce them. A nil resolver (or
+// a nil stream for a tag) falls back to the sequential stream. Install
+// before filing any work.
 func (p *Provider) SetWorkloadRand(fn func(tag string) *simclock.SplitMix64) {
 	p.tagRand = fn
-}
-
-// SetEventHorizon declares that the caller stops driving the engine at
-// exactly t: events due at or after t can never fire, so the provider
-// skips scheduling them at all (interruption notices and reclaims,
-// price-crossing events, batched fulfills). Callers whose run can
-// execute events past t — the default experiment loops, which stop on
-// the first event *after* the horizon — must not set this. Zero clears
-// it.
-func (p *Provider) SetEventHorizon(t time.Time) {
-	if t.IsZero() {
-		p.eventHorizonNs = 0
-		return
-	}
-	p.eventHorizonNs = t.UnixNano()
 }
 
 // pastEventHorizon reports whether an event due at t could never fire
@@ -198,9 +172,6 @@ func (p *Provider) cachedPriceCross(inst *Instance, series market.PriceSeries, f
 	return time.Time{}, false
 }
 
-// FleetMode reports whether EnableFleetMode was called.
-func (p *Provider) FleetMode() bool { return p.fleet }
-
 // evaluateOpenIndexed is the fleet-mode retry sweep. The open index is
 // append-ordered, and request IDs are fixed-width and monotonic, so
 // index order equals the sorted-ID order of the default sweep. Settled
@@ -224,25 +195,4 @@ func (p *Provider) evaluateOpenIndexed() int {
 	}
 	p.open = live
 	return n
-}
-
-// fleetTotalCost merges retired (seq, cost) pairs with still-live
-// instances and sums in allocation order, reproducing the default
-// path's ID-ordered float summation exactly.
-func (p *Provider) fleetTotalCost() float64 {
-	entries := make([]retiredCost, 0, len(p.retired)+len(p.instances))
-	entries = append(entries, p.retired...)
-	for _, inst := range p.instances {
-		cost := inst.CostUSD
-		if inst.State != StateTerminated {
-			cost = p.costBetween(inst, inst.LaunchedAt, p.eng.Now())
-		}
-		entries = append(entries, retiredCost{seq: inst.seq, cost: cost})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	var sum float64
-	for _, e := range entries {
-		sum += e.cost
-	}
-	return sum
 }

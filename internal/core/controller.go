@@ -61,7 +61,7 @@ type Controller struct {
 	// events into its own pending copies instead of sharing the
 	// primary's, and never re-records entries the primary journaled.
 	rival bool
-	// stopped gates every entry point once the incarnation is retired;
+	// stopped gates every entry point once the incarnation is shut down;
 	// CloudWatch has no per-schedule stop, so the sweep checks it too.
 	stopped bool
 

@@ -1,111 +1,131 @@
 package experiment
 
 import (
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"spotverse/internal/baselines"
 	"spotverse/internal/catalog"
-	"spotverse/internal/core"
 	"spotverse/internal/simclock"
 	"spotverse/internal/strategy"
 	"spotverse/internal/workload"
 )
 
-// fleetGoldenArm names one strategy configuration the fleet path must
-// reproduce bit-for-bit.
+// fleetGoldenArm names one strategy configuration the fleet engine must
+// reproduce bit-for-bit against Run.
 type fleetGoldenArm struct {
-	name         string
-	kind         workload.Kind
-	disableSweep bool
-	build        func(env *Env) (strategy.Strategy, error)
+	name  string
+	build func(env *Env) (strategy.Strategy, error)
 }
 
 func fleetGoldenArms(seed int64) []fleetGoldenArm {
 	return []fleetGoldenArm{
-		{name: "single-region", kind: workload.KindStandard, build: func(env *Env) (strategy.Strategy, error) {
+		{name: "single-region", build: func(env *Env) (strategy.Strategy, error) {
 			return baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, BaselineRegionM5XLarge)
 		}},
-		{name: "on-demand", kind: workload.KindStandard, build: func(env *Env) (strategy.Strategy, error) {
+		{name: "on-demand", build: func(env *Env) (strategy.Strategy, error) {
 			return baselines.NewOnDemand(env.Catalog(), catalog.M5XLarge)
 		}},
-		{name: "skypilot", kind: workload.KindStandard, build: func(env *Env) (strategy.Strategy, error) {
+		{name: "skypilot", build: func(env *Env) (strategy.Strategy, error) {
 			return baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
 		}},
-		{name: "naive-multi-region", kind: workload.KindStandard, build: func(env *Env) (strategy.Strategy, error) {
+		{name: "naive-multi-region", build: func(env *Env) (strategy.Strategy, error) {
 			return baselines.NewNaiveMultiRegion(env.Catalog(), catalog.M5XLarge, MotivationRegions, seed)
 		}},
-		{name: "spotverse-core", kind: workload.KindStandard, disableSweep: true, build: func(env *Env) (strategy.Strategy, error) {
-			return newSpotVerse(env, core.Config{
-				InstanceType:     catalog.M5XLarge,
-				Threshold:        5,
-				FixedStartRegion: BaselineRegionM5XLarge,
-				Seed:             seed,
-			})
-		}},
-		{name: "single-region-checkpoint", kind: workload.KindCheckpoint, build: func(env *Env) (strategy.Strategy, error) {
-			return baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, BaselineRegionM5XLarge)
-		}},
-		{name: "skypilot-checkpoint", kind: workload.KindCheckpoint, build: func(env *Env) (strategy.Strategy, error) {
-			return baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
-		}},
 	}
 }
 
-func fleetGenOptions(kind workload.Kind, n int) (string, workload.GenOptions) {
-	if kind == workload.KindCheckpoint {
-		return "wl-checkpoint", workload.GenOptions{
-			Kind:           workload.KindCheckpoint,
-			Count:          n,
-			ResumeOverhead: 15 * time.Minute,
-		}
-	}
-	return "wl-standard", workload.GenOptions{Kind: workload.KindStandard, Count: n}
+func goldenGenOptions(n int) workload.GenOptions {
+	return workload.GenOptions{Kind: workload.KindStandard, Count: n}
 }
 
-func runGoldenSlow(t *testing.T, seed int64, arm fleetGoldenArm, n int) *Result {
+// tagIndex recovers a workload's global index from its ID or instance
+// tag ("<prefix>-<index>").
+func tagIndex(t *testing.T, tag string) int {
+	t.Helper()
+	i, err := strconv.Atoi(tag[strings.LastIndexByte(tag, '-')+1:])
+	if err != nil {
+		t.Fatalf("tag %q carries no workload index: %v", tag, err)
+	}
+	return i
+}
+
+// goldenRun is what the per-workload path exposes for the comparison:
+// its Result, plus the per-workload data the fleet engine reduces in
+// global-index order.
+type goldenRun struct {
+	res *Result
+	// completedAt[i] is workload i's completion instant (zero when it
+	// never completed).
+	completedAt []time.Time
+	// costs are every instance's final cost, stable-sorted by the global
+	// index of the workload it served.
+	costs []float64
+}
+
+// runGoldenRun runs n standard workloads through Run with the fleet
+// engine's per-workload SplitMix64 streams installed on the provider,
+// so every draw a workload's trajectory takes matches the fleet run's.
+func runGoldenRun(t *testing.T, seed int64, arm fleetGoldenArm, n int) goldenRun {
 	t.Helper()
 	env := NewEnv(seed)
 	strat, err := arm.build(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, opts := fleetGenOptions(arm.kind, n)
-	ws, err := workload.Generate(simclock.Stream(seed, stream), opts)
+	ws, err := workload.Generate(simclock.Stream(seed, "wl-standard"), goldenGenOptions(n))
 	if err != nil {
 		t.Fatal(err)
 	}
+	family := simclock.SplitMixFamily(seed, splitmixFleetStream)
+	rngs := make([]simclock.SplitMix64, n)
+	streams := make(map[string]*simclock.SplitMix64, n)
+	for i, w := range ws {
+		rngs[i] = simclock.SplitMixAt(family, tagIndex(t, w.Spec.ID))
+		streams[w.Spec.ID] = &rngs[i]
+	}
+	env.Provider.SetWorkloadRand(func(tag string) *simclock.SplitMix64 { return streams[tag] })
+
 	res, err := Run(env, RunConfig{
 		Workloads:       ws,
 		Strategy:        strat,
 		InstanceType:    catalog.M5XLarge,
-		DisableSweep:    arm.disableSweep,
 		AllowIncomplete: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+
+	out := goldenRun{res: res, completedAt: make([]time.Time, n)}
+	for _, w := range ws {
+		if w.Completed {
+			out.completedAt[tagIndex(t, w.Spec.ID)] = w.CompletedAt
+		}
+	}
+	insts := env.Provider.AllInstances() // instance-ID order
+	sort.SliceStable(insts, func(i, j int) bool { return tagIndex(t, insts[i].Tag) < tagIndex(t, insts[j].Tag) })
+	for _, inst := range insts {
+		out.costs = append(out.costs, inst.CostUSD)
+	}
+	return out
 }
 
 func runGoldenFleet(t *testing.T, seed int64, arm fleetGoldenArm, n int) *FleetResult {
 	t.Helper()
-	env := NewEnv(seed)
-	strat, err := arm.build(env)
+	f, err := workload.GenerateFleet(simclock.Stream(seed, "wl-standard"), goldenGenOptions(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, opts := fleetGenOptions(arm.kind, n)
-	f, err := workload.GenerateFleet(simclock.Stream(seed, stream), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunFleet(env, FleetRunConfig{
+	res, err := RunFleetSharded(seed, FleetShardedConfig{
 		Fleet:           f,
-		Strategy:        strat,
+		NewStrategy:     arm.build,
 		InstanceType:    catalog.M5XLarge,
-		DisableSweep:    arm.disableSweep,
 		AllowIncomplete: true,
+		Shards:          1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,87 +151,100 @@ func intervalHistogram(stamps []time.Time, start time.Time, interval time.Durati
 }
 
 // TestFleetPathBitIdenticalToSlowPath is the golden equivalence test:
-// at N=20, for every strategy arm, the batched struct-of-arrays fleet
-// path must agree with the per-workload path on every headline metric
-// to the exact bit, and its streamed histograms must equal histograms
-// derived from the slow path's retained stamps.
+// for every stateless strategy arm, the fleet engine (RunFleetSharded)
+// must agree with the per-workload path (Run, given the same
+// per-workload streams) on every result field Run can reproduce, to
+// the exact bit. Floats are re-summed from Run's per-workload data in
+// global-index order — the order the shard merge sums in. Run's
+// CloudWatch-billed sweep has no counterpart on the fleet engine, so
+// ServiceCostUSD is the one field left out.
 func TestFleetPathBitIdenticalToSlowPath(t *testing.T) {
-	const seed, n = 42, 20
+	const seed = 42
 	for _, arm := range fleetGoldenArms(seed) {
 		arm := arm
 		t.Run(arm.name, func(t *testing.T) {
-			slow := runGoldenSlow(t, seed, arm, n)
-			fleet := runGoldenFleet(t, seed, arm, n)
-
-			if fleet.Completed != slow.Completed {
-				t.Errorf("Completed = %d, slow %d", fleet.Completed, slow.Completed)
-			}
-			if fleet.Interruptions != slow.Interruptions {
-				t.Errorf("Interruptions = %d, slow %d", fleet.Interruptions, slow.Interruptions)
-			}
-			if fleet.OnDemandLaunches != slow.OnDemandLaunches {
-				t.Errorf("OnDemandLaunches = %d, slow %d", fleet.OnDemandLaunches, slow.OnDemandLaunches)
-			}
-			if fleet.DuplicateRelaunches != slow.DuplicateRelaunches {
-				t.Errorf("DuplicateRelaunches = %d, slow %d", fleet.DuplicateRelaunches, slow.DuplicateRelaunches)
-			}
-			if fleet.MakespanHours != slow.MakespanHours {
-				t.Errorf("MakespanHours = %v, slow %v (must be bit-identical)", fleet.MakespanHours, slow.MakespanHours)
-			}
-			if fleet.MeanCompletionHours != slow.MeanCompletionHours {
-				t.Errorf("MeanCompletionHours = %v, slow %v (must be bit-identical)", fleet.MeanCompletionHours, slow.MeanCompletionHours)
-			}
-			if fleet.InstanceCostUSD != slow.InstanceCostUSD {
-				t.Errorf("InstanceCostUSD = %v, slow %v (must be bit-identical)", fleet.InstanceCostUSD, slow.InstanceCostUSD)
-			}
-			if fleet.ServiceCostUSD != slow.ServiceCostUSD {
-				t.Errorf("ServiceCostUSD = %v, slow %v (must be bit-identical)", fleet.ServiceCostUSD, slow.ServiceCostUSD)
-			}
-			if fleet.TotalCostUSD != slow.TotalCostUSD {
-				t.Errorf("TotalCostUSD = %v, slow %v (must be bit-identical)", fleet.TotalCostUSD, slow.TotalCostUSD)
-			}
-			for r, want := range slow.LaunchesByRegion {
-				if got := fleet.LaunchesByRegion[r]; got != want {
-					t.Errorf("LaunchesByRegion[%s] = %d, slow %d", r, got, want)
-				}
-			}
-			if len(fleet.LaunchesByRegion) != len(slow.LaunchesByRegion) {
-				t.Errorf("LaunchesByRegion has %d regions, slow %d", len(fleet.LaunchesByRegion), len(slow.LaunchesByRegion))
-			}
-			for r, want := range slow.InterruptionsByRegion {
-				if got := fleet.InterruptionsByRegion[r]; got != want {
-					t.Errorf("InterruptionsByRegion[%s] = %d, slow %d", r, got, want)
-				}
-			}
-
-			buckets := len(fleet.CompletionsPerInterval)
-			wantCompl := intervalHistogram(slow.CompletionStamps, slow.Start, fleet.Interval, buckets)
-			for i := range wantCompl {
-				if fleet.CompletionsPerInterval[i] != wantCompl[i] {
-					t.Errorf("CompletionsPerInterval[%d] = %d, slow-derived %d", i, fleet.CompletionsPerInterval[i], wantCompl[i])
-				}
-			}
-			wantIntr := intervalHistogram(slow.InterruptionStamps, slow.Start, fleet.Interval, buckets)
-			for i := range wantIntr {
-				if fleet.InterruptionsPerInterval[i] != wantIntr[i] {
-					t.Errorf("InterruptionsPerInterval[%d] = %d, slow-derived %d", i, fleet.InterruptionsPerInterval[i], wantIntr[i])
-				}
+			for _, n := range []int{20, 200} {
+				n := n
+				t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+					compareGolden(t, runGoldenRun(t, seed, arm, n), runGoldenFleet(t, seed, arm, n))
+				})
 			}
 		})
 	}
 }
 
-// TestRunFleetRejectsEmpty pins the validation errors.
-func TestRunFleetRejectsEmpty(t *testing.T) {
-	env := NewEnv(1)
-	if _, err := RunFleet(env, FleetRunConfig{}); err == nil {
-		t.Fatal("empty config accepted")
+func compareGolden(t *testing.T, slow goldenRun, fleet *FleetResult) {
+	t.Helper()
+	want := slow.res
+	if want.Completed == 0 {
+		t.Fatal("the per-workload run completed nothing; the comparison would be vacuous")
 	}
-	f, err := workload.GenerateFleet(simclock.Stream(1, "wl"), workload.GenOptions{Kind: workload.KindStandard, Count: 1})
-	if err != nil {
-		t.Fatal(err)
+	if fleet.Completed != want.Completed {
+		t.Errorf("Completed = %d, slow %d", fleet.Completed, want.Completed)
 	}
-	if _, err := RunFleet(env, FleetRunConfig{Fleet: f}); err == nil {
-		t.Fatal("nil strategy accepted")
+	if fleet.Workloads != want.Workloads || fleet.StrategyName != want.StrategyName || !fleet.Start.Equal(want.Start) {
+		t.Errorf("header = (%d, %q, %v), slow (%d, %q, %v)",
+			fleet.Workloads, fleet.StrategyName, fleet.Start, want.Workloads, want.StrategyName, want.Start)
+	}
+	if fleet.Interruptions != want.Interruptions {
+		t.Errorf("Interruptions = %d, slow %d", fleet.Interruptions, want.Interruptions)
+	}
+	if fleet.OnDemandLaunches != want.OnDemandLaunches {
+		t.Errorf("OnDemandLaunches = %d, slow %d", fleet.OnDemandLaunches, want.OnDemandLaunches)
+	}
+	if fleet.DuplicateRelaunches != want.DuplicateRelaunches {
+		t.Errorf("DuplicateRelaunches = %d, slow %d", fleet.DuplicateRelaunches, want.DuplicateRelaunches)
+	}
+	compareRegions(t, "LaunchesByRegion", fleet.LaunchesByRegion, want.LaunchesByRegion)
+	compareRegions(t, "InterruptionsByRegion", fleet.InterruptionsByRegion, want.InterruptionsByRegion)
+	if fleet.MakespanHours != want.MakespanHours {
+		t.Errorf("MakespanHours = %v, slow %v (must be bit-identical)", fleet.MakespanHours, want.MakespanHours)
+	}
+
+	var sum float64
+	for _, at := range slow.completedAt {
+		if !at.IsZero() {
+			sum += at.Sub(want.Start).Hours()
+		}
+	}
+	if mean := sum / float64(want.Completed); fleet.MeanCompletionHours != mean {
+		t.Errorf("MeanCompletionHours = %v, slow re-summed %v (must be bit-identical)", fleet.MeanCompletionHours, mean)
+	}
+	var cost float64
+	for _, c := range slow.costs {
+		cost += c
+	}
+	if fleet.InstanceCostUSD != cost {
+		t.Errorf("InstanceCostUSD = %v, slow re-summed %v (must be bit-identical)", fleet.InstanceCostUSD, cost)
+	}
+	if fleet.ServiceCostUSD != 0 || fleet.TotalCostUSD != fleet.InstanceCostUSD {
+		t.Errorf("ServiceCostUSD = %v, TotalCostUSD = %v; the fleet engine bills no service", fleet.ServiceCostUSD, fleet.TotalCostUSD)
+	}
+
+	buckets := len(fleet.CompletionsPerInterval)
+	compareBuckets(t, "CompletionsPerInterval", fleet.CompletionsPerInterval,
+		intervalHistogram(want.CompletionStamps, want.Start, fleet.Interval, buckets))
+	compareBuckets(t, "InterruptionsPerInterval", fleet.InterruptionsPerInterval,
+		intervalHistogram(want.InterruptionStamps, want.Start, fleet.Interval, buckets))
+}
+
+func compareRegions(t *testing.T, name string, got, want map[catalog.Region]int) {
+	t.Helper()
+	for r, w := range want {
+		if got[r] != w {
+			t.Errorf("%s[%s] = %d, slow %d", name, r, got[r], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s has %d regions, slow %d", name, len(got), len(want))
+	}
+}
+
+func compareBuckets(t *testing.T, name string, got, want []int) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s[%d] = %d, slow-derived %d", name, i, got[i], want[i])
+		}
 	}
 }

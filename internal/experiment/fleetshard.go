@@ -16,11 +16,49 @@ import (
 	"spotverse/internal/workload"
 )
 
-// ErrCheckpointSharded rejects checkpoint fleets on the sharded path:
-// checkpoint runs write through the shared Dynamo/S3 stores, whose
-// billing and retry behaviour couple workloads across shard boundaries.
-// They stay on RunFleet.
-var ErrCheckpointSharded = fmt.Errorf("experiment: checkpoint fleets are not shardable; use RunFleet")
+// DefaultFleetInterval is the bucket width of the streaming completion
+// and interruption histograms.
+const DefaultFleetInterval = time.Hour
+
+// FleetResult aggregates one fleet run. Headline metrics carry the
+// same values the per-workload Result would report; per-workload
+// series are replaced by fixed-interval aggregates, so the result is
+// O(horizon/interval) regardless of fleet size.
+type FleetResult struct {
+	StrategyName string
+	InstanceType catalog.InstanceType
+	Workloads    int
+	Completed    int
+
+	Interruptions         int
+	InterruptionsByRegion map[catalog.Region]int
+
+	MakespanHours       float64
+	MeanCompletionHours float64
+
+	LaunchesByRegion map[catalog.Region]int
+	OnDemandLaunches int
+
+	InstanceCostUSD float64
+	ServiceCostUSD  float64
+	TotalCostUSD    float64
+
+	Start time.Time
+
+	DuplicateRelaunches int
+
+	// Interval is the histogram bucket width; bucket i counts events in
+	// [Start+i*Interval, Start+(i+1)*Interval), with the final bucket
+	// absorbing anything at or past the horizon.
+	Interval                 time.Duration
+	CompletionsPerInterval   []int
+	InterruptionsPerInterval []int
+
+	// PeakRunning is the high-water mark of concurrently running
+	// registered instances; EventsFired counts engine events executed.
+	PeakRunning int
+	EventsFired uint64
+}
 
 // splitmixFleetStream names the per-workload draw family. Workload i's
 // trajectory draws come from SplitMixAt(SplitMixFamily(seed, name), i),
@@ -28,12 +66,12 @@ var ErrCheckpointSharded = fmt.Errorf("experiment: checkpoint fleets are not sha
 // property that makes shard boundaries invisible.
 const splitmixFleetStream = "fleet-wl"
 
-// FleetShardedConfig parameterises a sharded fleet run. It mirrors
-// FleetRunConfig for the standard-workload fleet sweep, with two
-// deliberate differences: the strategy is built per shard (each shard
-// owns an Env, and strategies hold an engine/market handle), and the
-// checkpoint/sweep options are absent — the sharded driver always runs
-// its own per-shard sweep, and checkpoint fleets are rejected.
+// FleetShardedConfig parameterises a fleet run. It mirrors RunConfig
+// minus what is inherently per-workload (the structured Timeline, the
+// checkpoint and durability options), with two deliberate
+// differences: the strategy is built per shard (each shard owns an Env,
+// and strategies hold an engine/market handle), and there is no sweep
+// option — the driver always runs its own per-shard sweep.
 type FleetShardedConfig struct {
 	// Fleet holds the workloads in struct-of-arrays form (mutated by the
 	// run).
@@ -73,21 +111,20 @@ type FleetShardedConfig struct {
 // pure function of (seed, global index, market) — so the output is
 // byte-identical at any shard count and any worker count.
 //
-// The one intentional difference from RunFleet: the 15-minute open-
-// request sweep is self-scheduled on each shard engine rather than
-// billed through CloudWatch, because per-shard tick counts vary with
-// the shard count and their billing would leak into ServiceCostUSD.
-// Standard-kind fleets use no other billed service, so ServiceCostUSD
-// is zero on this path.
+// For the stateless baseline arms, with the same per-workload streams
+// installed on Run's provider (cloud.SetWorkloadRand), every trajectory
+// equals Run's; the golden test pins that. The one intentional difference from Run: the
+// 15-minute open-request sweep is self-scheduled on each shard engine
+// rather than billed through CloudWatch, because per-shard tick counts
+// vary with the shard count and their billing would leak into
+// ServiceCostUSD. Standard workloads use no other billed service, so
+// ServiceCostUSD is zero on this path.
 func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 	if cfg.Fleet == nil || cfg.Fleet.Len() == 0 {
 		return nil, ErrNoWorkloads
 	}
 	if cfg.NewStrategy == nil {
 		return nil, ErrNoStrategy
-	}
-	if cfg.Fleet.Kind == workload.KindCheckpoint {
-		return nil, ErrCheckpointSharded
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -160,11 +197,12 @@ type indexedCost struct {
 	usd  float64
 }
 
-// shardDriver drives one shard's engine. It is fleetDriver specialised
-// to standard workloads, with the per-launch closure allocations hoisted
-// into per-workload caches: completion and relaunch closures capture
-// only the dense index and read the driver's current state when they
-// fire.
+// shardDriver drives one shard's engine. It is the struct-of-arrays
+// counterpart of driver: every per-workload map becomes a slice indexed
+// by dense workload index, and the per-launch closure allocations are
+// hoisted into per-workload caches — completion and relaunch closures
+// capture only the dense index and read the driver's current state when
+// they fire.
 type shardDriver struct {
 	env   *Env
 	cfg   *FleetShardedConfig
@@ -180,7 +218,6 @@ type shardDriver struct {
 	ids []string
 
 	activeInst   []cloud.InstanceID
-	runStartNs   []int64
 	completionEv []*simclock.Event
 
 	// rngs are the per-workload draw streams the provider resolves
@@ -223,8 +260,7 @@ func runFleetShardLabeled(seed int64, family uint64, cfg *FleetShardedConfig, f 
 	}
 
 	prov := env.Provider
-	prov.EnableFleetMode()
-	prov.SetEventHorizon(horizon)
+	prov.EnableFleetMode(horizon)
 
 	n := f.Len()
 	buckets := int(cfg.Horizon/cfg.Interval) + 1
@@ -243,7 +279,6 @@ func runFleetShardLabeled(seed int64, family uint64, cfg *FleetShardedConfig, f 
 		start:        start,
 		ids:          make([]string, n),
 		activeInst:   make([]cloud.InstanceID, n),
-		runStartNs:   make([]int64, n),
 		completionEv: make([]*simclock.Event, n),
 		rngs:         make([]simclock.SplitMix64, n),
 		compFns:      make([]func(), n),
@@ -419,7 +454,6 @@ func (d *shardDriver) onLaunch(inst *cloud.Instance) {
 	}
 	now := d.env.Engine.Now()
 	d.activeInst[idx] = inst.ID
-	d.runStartNs[idx] = now.UnixNano()
 	d.out.launchNs = append(d.out.launchNs, now.UnixNano())
 	d.out.launchesByRegion[inst.Region]++
 	if inst.Lifecycle == cloud.LifecycleOnDemand {
@@ -469,8 +503,7 @@ func (d *shardDriver) onTerminate(inst *cloud.Instance, interrupted bool) {
 	d.out.interruptions++
 	d.out.interruptionsByRegion[inst.Region]++
 	d.out.interruptionsPerInterval[d.bucket(now)]++
-	startAt := time.Unix(0, d.runStartNs[idx]).UTC()
-	_ = d.f.CreditProgress(idx, now.Sub(startAt))
+	d.f.RecordInterruption(idx)
 	if ev := d.completionEv[idx]; ev != nil {
 		ev.Cancel()
 		d.completionEv[idx] = nil

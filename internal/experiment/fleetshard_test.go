@@ -114,25 +114,6 @@ func TestFleetShardedWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestFleetShardedRejectsCheckpoint pins the scope boundary: checkpoint
-// fleets couple workloads through shared stores and stay on RunFleet.
-func TestFleetShardedRejectsCheckpoint(t *testing.T) {
-	f, err := workload.GenerateFleet(simclock.Stream(FleetSeed, "wl-ckpt"),
-		workload.GenOptions{Kind: workload.KindCheckpoint, Count: 4, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunFleetSharded(FleetSeed, FleetShardedConfig{
-		Fleet:        f,
-		NewStrategy:  fleetArms()[0].build,
-		InstanceType: catalog.M5XLarge,
-		Shards:       2,
-	})
-	if !errors.Is(err, ErrCheckpointSharded) {
-		t.Fatalf("checkpoint fleet: err = %v, want ErrCheckpointSharded", err)
-	}
-}
-
 // TestFleetShardedValidation covers the remaining argument checks.
 func TestFleetShardedValidation(t *testing.T) {
 	if _, err := RunFleetSharded(1, FleetShardedConfig{NewStrategy: fleetArms()[0].build}); !errors.Is(err, ErrNoWorkloads) {

@@ -8,24 +8,25 @@ import (
 	"spotverse/internal/simclock"
 )
 
+// ErrCheckpointFleet rejects checkpoint workloads in GenerateFleet:
+// fleets hold standard workloads only. Checkpoint workloads run on the
+// per-workload path.
+var ErrCheckpointFleet = errors.New("workload: fleets hold standard workloads only")
+
 // FleetState is the struct-of-arrays counterpart of []*State for
-// fleet-scale runs. A 100k-workload fleet as individual *State values
-// costs one allocation, one ID string, and a copy of the mostly-uniform
-// Spec per workload, and every access chases a pointer the GC must
-// scan. FleetState keeps the uniform spec fields once and the
-// per-workload progress counters in parallel slices indexed by dense
-// workload index, so the whole fleet is a handful of flat allocations
-// with no interior pointers.
+// fleet-scale runs of standard workloads. A 100k-workload fleet as
+// individual *State values costs one allocation, one ID string, and a
+// copy of the mostly-uniform Spec per workload, and every access chases
+// a pointer the GC must scan. FleetState keeps the shared ID prefix
+// once and the per-workload progress counters in parallel slices
+// indexed by dense workload index, so the whole fleet is a handful of
+// flat allocations with no interior pointers.
 //
-// Per-index methods mirror State's semantics exactly — the experiment
-// fleet driver must be bit-identical to the per-workload path.
+// Per-index methods mirror State's semantics for KindStandard exactly —
+// the fleet engine must be bit-identical to the per-workload path.
 type FleetState struct {
-	// Uniform spec header, shared by every workload in the fleet.
-	Kind           Kind
-	Shards         int
-	DatasetBytes   int64
-	ResumeOverhead time.Duration
-	IDPrefix       string
+	// IDPrefix is shared by every workload in the fleet.
+	IDPrefix string
 
 	// Base is the global index of column slot 0. It is zero for a fleet
 	// built by GenerateFleet and non-zero for Shard views, whose IDs
@@ -34,10 +35,8 @@ type FleetState struct {
 
 	// Per-workload columns, indexed by dense workload index.
 	Durations     []time.Duration
-	ShardsDone    []int32
 	Attempts      []int32
 	Interruptions []int32
-	Recomputed    []int32
 	Completed     []bool
 	// CompletedAtNanos is UnixNano of completion; meaningful only when
 	// Completed[i].
@@ -109,65 +108,23 @@ func ShardBounds(n, count, k int) (lo, hi int) {
 // fleet-global index.
 func (f *FleetState) Shard(lo, hi int) *FleetState {
 	return &FleetState{
-		Kind:             f.Kind,
-		Shards:           f.Shards,
-		DatasetBytes:     f.DatasetBytes,
-		ResumeOverhead:   f.ResumeOverhead,
 		IDPrefix:         f.IDPrefix,
 		Base:             f.Base + lo,
 		Durations:        f.Durations[lo:hi:hi],
-		ShardsDone:       f.ShardsDone[lo:hi:hi],
 		Attempts:         f.Attempts[lo:hi:hi],
 		Interruptions:    f.Interruptions[lo:hi:hi],
-		Recomputed:       f.Recomputed[lo:hi:hi],
 		Completed:        f.Completed[lo:hi:hi],
 		CompletedAtNanos: f.CompletedAtNanos[lo:hi:hi],
 	}
 }
 
-// Spec materializes workload i's full Spec, for interop with code that
-// wants the per-workload representation.
-func (f *FleetState) Spec(i int) Spec {
-	return Spec{
-		ID:             f.ID(i),
-		Kind:           f.Kind,
-		Duration:       f.Durations[i],
-		Shards:         f.Shards,
-		DatasetBytes:   f.DatasetBytes,
-		ResumeOverhead: f.ResumeOverhead,
-	}
-}
-
-// ShardDuration is the compute time per shard of workload i.
-func (f *FleetState) ShardDuration(i int) time.Duration {
-	n := f.Shards
-	if f.Kind != KindCheckpoint || n < 1 {
-		n = 1
-	}
-	return f.Durations[i] / time.Duration(n)
-}
-
-// Remaining is the compute time workload i still needs, excluding
-// resume overhead.
-func (f *FleetState) Remaining(i int) time.Duration {
+// AttemptDuration is the time workload i's next attempt needs: its full
+// duration, since a standard workload restarts from zero.
+func (f *FleetState) AttemptDuration(i int) time.Duration {
 	if f.Completed[i] {
 		return 0
 	}
-	if f.Kind == KindCheckpoint {
-		left := f.Shards - int(f.ShardsDone[i])
-		return time.Duration(left) * f.ShardDuration(i)
-	}
 	return f.Durations[i]
-}
-
-// AttemptDuration is the time workload i's next attempt needs:
-// remaining work plus resume overhead on resumed checkpoint attempts.
-func (f *FleetState) AttemptDuration(i int) time.Duration {
-	d := f.Remaining(i)
-	if f.Kind == KindCheckpoint && f.Attempts[i] > 0 {
-		d += f.ResumeOverhead
-	}
-	return d
 }
 
 // BeginAttempt records an instance launch for workload i.
@@ -179,44 +136,10 @@ func (f *FleetState) BeginAttempt(i int) error {
 	return nil
 }
 
-// ShardsAt previews how many whole shards workload i's current attempt
-// has finished after elapsed compute time, without mutating state.
-func (f *FleetState) ShardsAt(i int, elapsed time.Duration) int {
-	if f.Kind != KindCheckpoint || elapsed <= 0 {
-		return 0
-	}
-	if f.Attempts[i] > 1 {
-		elapsed -= f.ResumeOverhead
-		if elapsed < 0 {
-			elapsed = 0
-		}
-	}
-	banked := int(elapsed / f.ShardDuration(i))
-	if maxLeft := f.Shards - int(f.ShardsDone[i]); banked > maxLeft {
-		banked = maxLeft
-	}
-	return banked
-}
-
-// CreditProgress accounts an interrupted attempt of workload i that
-// computed for elapsed time, returning the newly banked shard count.
-func (f *FleetState) CreditProgress(i int, elapsed time.Duration) int {
+// RecordInterruption accounts an interrupted attempt of workload i. A
+// standard workload banks no progress.
+func (f *FleetState) RecordInterruption(i int) {
 	f.Interruptions[i]++
-	banked := f.ShardsAt(i, elapsed)
-	f.ShardsDone[i] += int32(banked)
-	return banked
-}
-
-// DropShards rolls back n banked shards of workload i.
-func (f *FleetState) DropShards(i, n int) {
-	if f.Completed[i] || n <= 0 {
-		return
-	}
-	if n > int(f.ShardsDone[i]) {
-		n = int(f.ShardsDone[i])
-	}
-	f.ShardsDone[i] -= int32(n)
-	f.Recomputed[i] += int32(n)
 }
 
 // MarkComplete finalises workload i.
@@ -226,45 +149,27 @@ func (f *FleetState) MarkComplete(i int, at time.Time) error {
 	}
 	f.Completed[i] = true
 	f.CompletedAtNanos[i] = at.UnixNano()
-	if f.Kind == KindCheckpoint {
-		f.ShardsDone[i] = int32(f.Shards)
-	}
 	return nil
 }
 
-// CheckpointBytes is the data volume per checkpoint upload, uniform
-// across the fleet.
-func (f *FleetState) CheckpointBytes() int64 {
-	if f.Kind != KindCheckpoint || f.Shards == 0 {
-		return 0
-	}
-	return f.DatasetBytes / int64(f.Shards)
-}
-
-// GenerateFleet builds a reproducible fleet. It consumes the RNG
-// stream exactly as Generate does — one Float64 per workload whenever
-// the duration range is non-degenerate — so a fleet and a []*State set
-// generated from the same seed describe identical workloads.
+// GenerateFleet builds a reproducible fleet of standard workloads. It
+// consumes the RNG stream exactly as Generate does — one Float64 per
+// workload whenever the duration range is non-degenerate — so a fleet
+// and a []*State set generated from the same seed describe identical
+// workloads. Checkpoint kinds are rejected with ErrCheckpointFleet.
 func GenerateFleet(rng *simclock.RNG, opts GenOptions) (*FleetState, error) {
 	if opts.Count <= 0 {
 		return nil, errors.New("workload: count must be positive")
 	}
-	opts = opts.normalized()
-	shards := 1
 	if opts.Kind == KindCheckpoint {
-		shards = opts.Shards
+		return nil, ErrCheckpointFleet
 	}
+	opts = opts.normalized()
 	f := &FleetState{
-		Kind:             opts.Kind,
-		Shards:           shards,
-		DatasetBytes:     opts.DatasetBytes,
-		ResumeOverhead:   opts.ResumeOverhead,
 		IDPrefix:         opts.IDPrefix,
 		Durations:        make([]time.Duration, opts.Count),
-		ShardsDone:       make([]int32, opts.Count),
 		Attempts:         make([]int32, opts.Count),
 		Interruptions:    make([]int32, opts.Count),
-		Recomputed:       make([]int32, opts.Count),
 		Completed:        make([]bool, opts.Count),
 		CompletedAtNanos: make([]int64, opts.Count),
 	}
@@ -274,13 +179,12 @@ func GenerateFleet(rng *simclock.RNG, opts GenOptions) (*FleetState, error) {
 			span := opts.MaxDuration - opts.MinDuration
 			dur += time.Duration(rng.Float64() * float64(span))
 		}
-		f.Durations[i] = dur
-		// The checks are Spec.Validate's, inlined so the happy path does
-		// not materialize an ID string per workload; the error path
-		// reproduces Validate's exact error.
-		if dur <= 0 || (f.Kind == KindCheckpoint && f.Shards < 2) {
-			return nil, f.Spec(i).Validate()
+		if dur <= 0 {
+			// Spec.Validate's error, without materializing an ID string
+			// per workload on the happy path.
+			return nil, fmt.Errorf("workload %q: %w", f.ID(i), ErrBadDuration)
 		}
+		f.Durations[i] = dur
 	}
 	return f, nil
 }

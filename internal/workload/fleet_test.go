@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -9,25 +10,26 @@ import (
 
 // TestGenerateFleetMatchesGenerate pins the RNG contract: a fleet and a
 // per-workload set built from the same seed must describe identical
-// specs, for both kinds.
+// workloads.
 func TestGenerateFleetMatchesGenerate(t *testing.T) {
-	for _, kind := range []Kind{KindStandard, KindCheckpoint} {
-		opts := GenOptions{Kind: kind, Count: 25}
-		states, err := Generate(simclock.Stream(7, "wl"), opts)
-		if err != nil {
-			t.Fatal(err)
+	opts := GenOptions{Kind: KindStandard, Count: 25}
+	states, err := Generate(simclock.Stream(7, "wl"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := GenerateFleet(simclock.Stream(7, "wl"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fleet.Len() != len(states) {
+		t.Fatalf("fleet len %d, want %d", fleet.Len(), len(states))
+	}
+	for i, st := range states {
+		if got, want := fleet.ID(i), st.Spec.ID; got != want {
+			t.Fatalf("ID(%d) = %q, want %q", i, got, want)
 		}
-		fleet, err := GenerateFleet(simclock.Stream(7, "wl"), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fleet.Len() != len(states) {
-			t.Fatalf("%v: fleet len %d, want %d", kind, fleet.Len(), len(states))
-		}
-		for i, st := range states {
-			if got, want := fleet.Spec(i), st.Spec; got != want {
-				t.Fatalf("%v: spec[%d] = %+v, want %+v", kind, i, got, want)
-			}
+		if got, want := fleet.Durations[i], st.Spec.Duration; got != want {
+			t.Fatalf("Durations[%d] = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -36,7 +38,7 @@ func TestGenerateFleetMatchesGenerate(t *testing.T) {
 // *State values through the same scripted attempt/interrupt/complete
 // sequence and asserts every observable agrees at every step.
 func TestFleetStateMirrorsState(t *testing.T) {
-	opts := GenOptions{Kind: KindCheckpoint, Count: 8, Shards: 10}
+	opts := GenOptions{Kind: KindStandard, Count: 8}
 	states, err := Generate(simclock.Stream(11, "wl"), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -49,20 +51,14 @@ func TestFleetStateMirrorsState(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for i, st := range states {
-			if got, want := fleet.Remaining(i), st.Remaining(); got != want {
-				t.Fatalf("%s: Remaining[%d] = %v, want %v", step, i, got, want)
-			}
 			if got, want := fleet.AttemptDuration(i), st.AttemptDuration(); got != want {
 				t.Fatalf("%s: AttemptDuration[%d] = %v, want %v", step, i, got, want)
 			}
-			if got, want := int(fleet.ShardsDone[i]), st.ShardsDone; got != want {
-				t.Fatalf("%s: ShardsDone[%d] = %d, want %d", step, i, got, want)
+			if got, want := int(fleet.Attempts[i]), st.Attempts; got != want {
+				t.Fatalf("%s: Attempts[%d] = %d, want %d", step, i, got, want)
 			}
 			if got, want := int(fleet.Interruptions[i]), st.Interruptions; got != want {
 				t.Fatalf("%s: Interruptions[%d] = %d, want %d", step, i, got, want)
-			}
-			if got, want := int(fleet.Recomputed[i]), st.Recomputed; got != want {
-				t.Fatalf("%s: Recomputed[%d] = %d, want %d", step, i, got, want)
 			}
 			if got, want := fleet.Completed[i], st.Completed; got != want {
 				t.Fatalf("%s: Completed[%d] = %v, want %v", step, i, got, want)
@@ -81,19 +77,16 @@ func TestFleetStateMirrorsState(t *testing.T) {
 	}
 	check("after first attempt")
 
-	// Interrupt each workload partway: enough elapsed compute for a few
-	// shards, varied per index.
+	// Interrupt each workload partway: a standard workload banks
+	// nothing, whatever it computed.
 	for i, st := range states {
-		elapsed := time.Duration(i+1) * st.Spec.ShardDuration()
-		a := st.CreditProgress(elapsed)
-		b := fleet.CreditProgress(i, elapsed)
-		if a != b {
-			t.Fatalf("CreditProgress[%d] banked %d (fleet) vs %d (state)", i, b, a)
+		if banked := st.CreditProgress(time.Duration(i+1) * time.Hour); banked != 0 {
+			t.Fatalf("standard workload %d banked %d shards", i, banked)
 		}
+		fleet.RecordInterruption(i)
 	}
 	check("after interruption")
 
-	// Resumed attempt: resume overhead applies now (Attempts > 0 / > 1).
 	for i, st := range states {
 		if err := st.BeginAttempt(); err != nil {
 			t.Fatal(err)
@@ -101,22 +94,8 @@ func TestFleetStateMirrorsState(t *testing.T) {
 		if err := fleet.BeginAttempt(i); err != nil {
 			t.Fatal(err)
 		}
-		// ShardsAt preview must agree, including the overhead deduction.
-		elapsed := st.Spec.ResumeOverhead + 2*st.Spec.ShardDuration() + time.Minute
-		if a, b := st.ShardsAt(elapsed), fleet.ShardsAt(i, elapsed); a != b {
-			t.Fatalf("ShardsAt[%d] = %d (fleet %d)", i, a, b)
-		}
 	}
-	check("after resume")
-
-	// Roll back a shard on the even indices (lost checkpoint).
-	for i, st := range states {
-		if i%2 == 0 {
-			st.DropShards(1)
-			fleet.DropShards(i, 1)
-		}
-	}
-	check("after drop")
+	check("after restart")
 
 	// Complete everything and verify completion invariants.
 	at := simclock.Epoch.Add(13 * time.Hour)
@@ -140,8 +119,14 @@ func TestFleetStateMirrorsState(t *testing.T) {
 			t.Fatal("BeginAttempt after completion succeeded")
 		}
 	}
-	if got, want := fleet.CheckpointBytes(), states[0].CheckpointBytes(); got != want {
-		t.Fatalf("CheckpointBytes = %d, want %d", got, want)
+}
+
+// TestGenerateFleetRejectsCheckpoint pins the scope boundary: fleets
+// hold standard workloads only.
+func TestGenerateFleetRejectsCheckpoint(t *testing.T) {
+	_, err := GenerateFleet(simclock.Stream(1, "wl"), GenOptions{Kind: KindCheckpoint, Count: 4, Shards: 4})
+	if !errors.Is(err, ErrCheckpointFleet) {
+		t.Fatalf("checkpoint fleet: err = %v, want ErrCheckpointFleet", err)
 	}
 }
 

@@ -77,10 +77,8 @@ type (
 	// Result aggregates a run's metrics.
 	Result = experiment.Result
 	// WorkloadFleet is the flat struct-of-arrays workload state for
-	// fleet-scale runs (see RunFleet).
+	// fleet-scale runs (see RunFleetSharded).
 	WorkloadFleet = workload.FleetState
-	// FleetRunConfig parameterises a fleet-scale run.
-	FleetRunConfig = experiment.FleetRunConfig
 	// FleetShardedConfig parameterises a sharded fleet-scale run (see
 	// Simulation.RunFleetSharded).
 	FleetShardedConfig = experiment.FleetShardedConfig
@@ -386,32 +384,20 @@ func (s *Simulation) Run(cfg RunConfig) (*Result, error) {
 }
 
 // GenerateFleet builds the struct-of-arrays equivalent of
-// GenerateWorkloads: same RNG stream, same specs, flat columns.
+// GenerateWorkloads for standard workloads: same RNG stream, same
+// workloads, flat columns. Checkpoint kinds are rejected; they run
+// through Run.
 func (s *Simulation) GenerateFleet(opts WorkloadOptions) (*WorkloadFleet, error) {
 	return workload.GenerateFleet(simclock.Stream(s.seed, "public-workloads"), opts)
 }
 
-// RunFleet executes a fleet on the batched fleet-scale path: identical
-// headline metrics to Run on the same configuration, with retention
-// bounded by running instances rather than run history. A Simulation
-// that has run in fleet mode keeps its provider in fleet mode. As with
-// Run, a *Manager strategy disables the harness sweep.
-func (s *Simulation) RunFleet(cfg FleetRunConfig) (*FleetResult, error) {
-	if _, isManager := cfg.Strategy.(*Manager); isManager {
-		cfg.DisableSweep = true
-	}
-	return experiment.RunFleet(s.env, cfg)
-}
-
 // RunFleetSharded executes a standard-workload fleet partitioned across
 // cfg.Shards independent shard engines running on the worker pool (see
-// SetParallelism). Unlike RunFleet it does not drive this simulation's
+// SetParallelism). Unlike Run it does not drive this simulation's
 // environment: every shard builds a fresh environment from the
 // simulation seed over the shared market snapshot, and cfg.NewStrategy
 // builds one strategy per shard. The merged result is byte-identical at
-// every shard and worker count. Checkpoint fleets are rejected — their
-// shared checkpoint stores couple workloads across shard boundaries —
-// and stay on RunFleet.
+// every shard and worker count.
 func (s *Simulation) RunFleetSharded(cfg FleetShardedConfig) (*FleetResult, error) {
 	return experiment.RunFleetSharded(s.seed, cfg)
 }
