@@ -5,7 +5,7 @@
 // spikes, regional brownouts, and dropped EventBridge deliveries.
 //
 // The paper's data plane already fails (spot reclaims, regional
-// outages, AMI gates); this package makes the control plane fail too,
+// outages); this package makes the control plane fail too,
 // the way real AWS does, so the Controller's hardening — backoff,
 // circuit breakers, the notice-loss recovery sweep, the degraded-mode
 // Optimizer — can be measured instead of assumed.

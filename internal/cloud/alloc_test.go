@@ -9,16 +9,15 @@ import (
 )
 
 // TestFleetSweepAllocFree is the runtime half of the //spotverse:hotpath
-// gate on evaluateOpenIndexed: a retry sweep over open requests that all
-// fail their launch roll (the steady state during an outage) must not
-// allocate — the open index compacts in place and evaluate returns
-// before building its fulfill closure.
+// gate on EvaluateOpenRequests: a retry sweep over open requests that
+// all fail their launch roll (the steady state during an outage) must
+// not allocate — the open index compacts in place and evaluate returns
+// before scheduling a fulfill.
 func TestFleetSweepAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")
 	}
 	eng, p := newProvider(7)
-	p.EnableFleetMode(eng.Now().Add(30 * 24 * time.Hour))
 	region := catalog.Region("eu-north-1")
 	// Launches in the region fail for a week: every request stays open
 	// and every sweep iteration takes the failed-roll early return.
@@ -30,9 +29,9 @@ func TestFleetSweepAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.evaluateOpenIndexed() // warm market walks for the evaluation instant
+	p.EvaluateOpenRequests() // warm market walks for the evaluation instant
 	allocs := testing.AllocsPerRun(100, func() {
-		if n := p.evaluateOpenIndexed(); n != 50 {
+		if n := p.EvaluateOpenRequests(); n != 50 {
 			t.Fatalf("sweep evaluated %d requests, want 50", n)
 		}
 	})
@@ -43,8 +42,8 @@ func TestFleetSweepAllocFree(t *testing.T) {
 
 // TestAppendSeqIDZeroAlloc pins the ID-formatting hot path: appending
 // into the provider's reused scratch buffer must not touch the heap.
-// One ID is minted per request (unsharded paths) plus one per launch,
-// so a single stray allocation here is a whole-run regression.
+// One ID is minted per launch, so a single stray allocation here is a
+// whole-run regression.
 func TestAppendSeqIDZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")

@@ -1,12 +1,15 @@
 // Package cloud simulates an EC2-like IaaS provider on the simulation
-// clock: on-demand instances, spot requests with an open/active/failed
+// clock: on-demand instances, spot requests with an open/active
 // lifecycle, spot interruptions with two-minute notices, and per-second
 // billing against the market's price processes.
 //
 // The provider is intentionally shaped like the narrow slice of the EC2
 // API the SpotVerse controller uses: RunOnDemand, RequestSpot,
 // EvaluateOpenRequests (the 15-minute retry sweep), Terminate, and
-// interruption-notice subscription (EventBridge's role).
+// interruption-notice subscription (EventBridge's role). Its bookkeeping
+// is bounded by what is live: open requests sit in one creation-ordered
+// index, and an instance is released once OnTerminate subscribers have
+// seen its final cost.
 package cloud
 
 import (
@@ -60,7 +63,6 @@ type RequestState int
 const (
 	RequestOpen RequestState = iota + 1
 	RequestActive
-	RequestCancelled
 )
 
 // InterruptReason distinguishes why the provider reclaimed an instance
@@ -89,9 +91,6 @@ func (r InterruptReason) String() string {
 
 // InstanceID identifies an instance.
 type InstanceID string
-
-// RequestID identifies a spot request.
-type RequestID string
 
 // Instance is a running or terminated virtual machine.
 type Instance struct {
@@ -124,7 +123,6 @@ type Instance struct {
 
 // SpotRequest is a pending or fulfilled request for spot capacity.
 type SpotRequest struct {
-	ID       RequestID
 	Type     catalog.InstanceType
 	Region   catalog.Region
 	State    RequestState
@@ -163,30 +161,37 @@ type Provider struct {
 	mkt *market.Model
 	rng *simclock.RNG
 
+	// instances holds the running instances (and, during its OnTerminate
+	// callbacks, the one terminating): records are released as they
+	// settle, so retention follows what is running, not run history.
 	instances map[InstanceID]*Instance
-	requests  map[RequestID]*SpotRequest
-	seq       int
+	// seq numbers requests and instances from one sequence, so instance
+	// IDs are ordered by when their work was filed.
+	seq int
+	// open is the open-request index in creation order. The retry sweep
+	// walks it and compacts settled entries out.
+	open []*SpotRequest
 
-	// Fleet mode (EnableFleetMode): bounded-retention bookkeeping for
-	// 10k-100k workload runs. Nil/zero on the default path, which stays
-	// byte-identical. eventHorizonNs is the instant the fleet driver
-	// stops the run at; events due at or after it are never scheduled.
-	fleet          bool
-	fulfillAt      map[int64][]*SpotRequest
-	fulfillCb      func()
-	bucketPool     [][]*SpotRequest
-	batchFired     uint64
-	open           []*SpotRequest
-	crossCache     map[crossKey]crossState
+	// fulfillAt batches the placements landing on one instant behind a
+	// single engine event (fulfillCb); fired buckets' arrays are recycled
+	// through bucketPool. batchFired counts the bucket events.
+	fulfillAt  map[int64][]*SpotRequest
+	fulfillCb  func()
+	bucketPool [][]*SpotRequest
+	batchFired uint64
+	// crossCache memoizes price-crossing scans per (type, AZ, bid).
+	crossCache map[crossKey]crossState
+	// eventHorizonNs, when set (SetEventHorizon), is the instant the
+	// caller stops the run at; events due at or after it are never
+	// scheduled.
 	eventHorizonNs int64
 
 	// tagRand, when set (SetWorkloadRand), resolves a workload tag to
 	// that workload's private random stream; nil falls back to the
-	// provider-wide sequential stream. It only chooses where draws come
-	// from: it never switches the provider's mode.
+	// provider-wide sequential stream.
 	tagRand func(tag string) *simclock.SplitMix64
 
-	// idBuf is the reused scratch for instance/request ID formatting.
+	// idBuf is the reused scratch for instance ID formatting.
 	idBuf []byte
 
 	noticeSubs []NoticeFunc
@@ -195,23 +200,22 @@ type Provider struct {
 
 	// fulfillDelay is how long a successful spot placement takes.
 	fulfillDelay time.Duration
-
-	// launchGate, when set, can veto launches per (type, region) — e.g.
-	// an AMI registry rejecting regions without the machine image.
-	launchGate func(catalog.InstanceType, catalog.Region) error
 }
 
 // New returns a provider over the market, drawing randomness from the
 // given seed ("cloud" stream).
 func New(eng *simclock.Engine, mkt *market.Model, seed int64) *Provider {
-	return &Provider{
+	p := &Provider{
 		eng:          eng,
 		mkt:          mkt,
 		rng:          simclock.Stream(seed, "cloud"),
 		instances:    make(map[InstanceID]*Instance),
-		requests:     make(map[RequestID]*SpotRequest),
+		fulfillAt:    make(map[int64][]*SpotRequest),
+		crossCache:   make(map[crossKey]crossState),
 		fulfillDelay: 45 * time.Second,
 	}
+	p.fulfillCb = p.fireFulfills
+	return p
 }
 
 // Engine exposes the simulation engine driving this provider.
@@ -229,37 +233,17 @@ func (p *Provider) OnLaunch(fn LaunchFunc) { p.launchSubs = append(p.launchSubs,
 // OnTerminate registers a termination subscriber.
 func (p *Provider) OnTerminate(fn TerminateFunc) { p.termSubs = append(p.termSubs, fn) }
 
-// SetLaunchGate installs a veto over launches per (type, region), e.g.
-// an AMI registry (Section 4's per-region image requirement). A nil gate
-// clears it.
-func (p *Provider) SetLaunchGate(gate func(catalog.InstanceType, catalog.Region) error) {
-	p.launchGate = gate
-}
-
-func (p *Provider) gateCheck(t catalog.InstanceType, r catalog.Region) error {
-	if p.launchGate == nil {
-		return nil
-	}
-	return p.launchGate(t, r)
-}
-
 func (p *Provider) nextInstanceID() InstanceID {
 	p.seq++
 	p.idBuf = appendSeqID(p.idBuf[:0], "i", p.seq)
 	return InstanceID(p.idBuf)
 }
 
-func (p *Provider) nextRequestID() RequestID {
-	p.seq++
-	p.idBuf = appendSeqID(p.idBuf[:0], "sir", p.seq)
-	return RequestID(p.idBuf)
-}
-
 // appendSeqID appends "<prefix>-<seq>" with the sequence number
 // zero-padded to at least six digits — the byte sequence the original
 // fmt "%06d" formatting rendered. IDs are minted on the fleet hot loop
-// (one per request plus one per launch), so formatting goes through a
-// reused scratch buffer instead of fmt.
+// (one per launch), so formatting goes through a reused scratch buffer
+// instead of fmt.
 //
 //spotverse:hotpath
 func appendSeqID(dst []byte, prefix string, seq int) []byte {
@@ -287,9 +271,6 @@ func (p *Provider) RunOnDemand(t catalog.InstanceType, r catalog.Region, tag str
 	if !p.mkt.Catalog().Offered(t, r) {
 		return nil, fmt.Errorf("cloud: %s not offered in %s", t, r)
 	}
-	if err := p.gateCheck(t, r); err != nil {
-		return nil, fmt.Errorf("cloud: launch gate: %w", err)
-	}
 	zones := p.mkt.Catalog().Zones(r)
 	var az catalog.AZ
 	if g := p.tagStream(tag); g != nil {
@@ -315,7 +296,7 @@ func (p *Provider) RunOnDemand(t catalog.InstanceType, r catalog.Region, tag str
 // RequestSpot files a spot request for t in r. The request is evaluated
 // immediately: with the market's launch-success probability it is
 // fulfilled after a short placement delay; otherwise it stays open until
-// a later EvaluateOpenRequests sweep or cancellation.
+// a later EvaluateOpenRequests sweep.
 func (p *Provider) RequestSpot(t catalog.InstanceType, r catalog.Region, tag string) (*SpotRequest, error) {
 	return p.RequestSpotWithBid(t, r, tag, 0)
 }
@@ -327,9 +308,6 @@ func (p *Provider) RequestSpot(t catalog.InstanceType, r catalog.Region, tag str
 func (p *Provider) RequestSpotWithBid(t catalog.InstanceType, r catalog.Region, tag string, maxPriceUSD float64) (*SpotRequest, error) {
 	if !p.mkt.Catalog().Offered(t, r) {
 		return nil, fmt.Errorf("cloud: %s not offered in %s", t, r)
-	}
-	if err := p.gateCheck(t, r); err != nil {
-		return nil, fmt.Errorf("cloud: launch gate: %w", err)
 	}
 	if maxPriceUSD < 0 {
 		return nil, fmt.Errorf("cloud: negative bid %v", maxPriceUSD)
@@ -349,19 +327,11 @@ func (p *Provider) RequestSpotWithBid(t catalog.InstanceType, r catalog.Region, 
 		Tag:         tag,
 		MaxPriceUSD: maxPriceUSD,
 	}
-	if p.fleet {
-		// Fleet drivers never address a request by ID (no Request
-		// lookups, no CancelRequest), so skip materializing the ID string
-		// and the registry insert — one request per launch attempt makes
-		// this a measurable share of the hot loop. The open index alone
-		// feeds the retry sweep. The sequence number still advances so
-		// instance IDs keep the default path's exact numbering.
-		p.seq++
-		p.open = append(p.open, req)
-	} else {
-		req.ID = p.nextRequestID()
-		p.requests[req.ID] = req
-	}
+	// The request advances the shared sequence, which the instance IDs in
+	// pinned outputs depend on; no request ID is minted, since nothing
+	// addresses a request by ID.
+	p.seq++
+	p.open = append(p.open, req)
 	p.evaluate(req)
 	return req, nil
 }
@@ -383,21 +353,7 @@ func (p *Provider) evaluate(req *SpotRequest) {
 	} else if !p.rng.Bool(prob) {
 		return // stays open; the 15-minute sweep will retry
 	}
-	if p.fleet {
-		// Every fulfill scheduled from the same sweep tick lands on the
-		// same instant, so batching them into one per-instant bucket
-		// collapses a wave of placements into a single heap entry.
-		// Bucket order is add order, which matches the individually-
-		// scheduled seq order.
-		p.scheduleBatchedFulfill(req)
-		return
-	}
-	p.eng.ScheduleAfter(p.fulfillDelay, "spot-fulfill", func() {
-		if req.State != RequestOpen {
-			return
-		}
-		p.fulfill(req)
-	})
+	p.scheduleBatchedFulfill(req)
 }
 
 // tagStream resolves a workload tag to its private random stream, or
@@ -460,7 +416,9 @@ func (p *Provider) schedulePriceInterruption(inst *Instance) {
 	if noticeAt.Before(now) {
 		noticeAt = now
 	}
-	if !p.fleet || len(p.noticeSubs) > 0 {
+	// With no notice subscriber the notice would fire into a void, so
+	// only the reclaim is scheduled.
+	if len(p.noticeSubs) > 0 {
 		if p.pastEventHorizon(noticeAt) {
 			return
 		}
@@ -477,9 +435,6 @@ func (p *Provider) schedulePriceInterruption(inst *Instance) {
 		}
 		inst.priceNoticeEv = ev
 	}
-	// Fleet drivers without notice subscribers skip the price-notice
-	// event above entirely — with nobody listening it would fire into a
-	// void — and schedule only the reclaim.
 	if p.pastEventHorizon(at) {
 		return
 	}
@@ -504,26 +459,6 @@ func (p *Provider) schedulePriceInterruption(inst *Instance) {
 // beyond it a crossing would outlive any experiment horizon in use.
 const priceScanHorizon = 60 * 24 * time.Hour
 
-// nextPriceCross returns the first price step strictly after now at
-// which the walk crosses above the bid, if any within the scan
-// horizon. In fleet mode the answer is memoized per (type, AZ, bid):
-// every same-bid launch in an AZ shares one crossing scan instead of
-// re-walking up to 240 steps, which is the single hottest loop of a
-// fleet-scale run.
-func (p *Provider) nextPriceCross(inst *Instance, series market.PriceSeries, now time.Time) (time.Time, bool) {
-	from := now.Truncate(market.PriceStep).Add(market.PriceStep)
-	end := now.Add(priceScanHorizon)
-	if !p.fleet {
-		for at := from; at.Before(end); at = at.Add(market.PriceStep) {
-			if series.At(at) > inst.BidUSD {
-				return at, true
-			}
-		}
-		return time.Time{}, false
-	}
-	return p.cachedPriceCross(inst, series, from, end)
-}
-
 // scheduleInterruption draws the instance's reclaim time from the
 // market's (optionally seasonal) hazard at launch and schedules
 // notice + termination.
@@ -547,11 +482,9 @@ func (p *Provider) scheduleInterruption(inst *Instance) {
 		noticeAt = 0
 	}
 	now := p.eng.Now()
-	if p.fleet && len(p.noticeSubs) == 0 {
-		// Fleet drivers register no notice subscribers, so the notice
-		// event would fire into a void. Schedule the reclaim alone — the
-		// notice Event, its closure, and its firing all disappear from
-		// the hot loop.
+	if len(p.noticeSubs) == 0 {
+		// With no notice subscriber the notice would fire into a void:
+		// schedule the reclaim alone.
 		if p.pastEventHorizon(now.Add(ttl)) {
 			return
 		}
@@ -610,11 +543,8 @@ func (p *Provider) finalize(inst *Instance, interrupted bool) {
 	for _, fn := range p.termSubs {
 		fn(inst, interrupted)
 	}
-	if p.fleet {
-		// Subscribers have seen the final cost; release the record so
-		// fleet retention is O(running), not O(instances-ever-launched).
-		delete(p.instances, inst.ID)
-	}
+	// Subscribers have seen the final cost; release the record.
+	delete(p.instances, inst.ID)
 }
 
 // costBetween integrates the instance's hourly price over [from, to],
@@ -647,79 +577,51 @@ func (p *Provider) costBetween(inst *Instance, from, to time.Time) float64 {
 	return cost
 }
 
-// AccruedCost reports the instance's cost up to now (final if terminated).
-func (p *Provider) AccruedCost(id InstanceID) (float64, error) {
-	inst, ok := p.instances[id]
-	if !ok {
-		return 0, fmt.Errorf("accrued cost %s: %w", id, ErrNotFound)
-	}
-	if inst.State == StateTerminated {
-		return inst.CostUSD, nil
-	}
-	return p.costBetween(inst, inst.LaunchedAt, p.eng.Now()), nil
-}
-
-// CancelRequest cancels an open spot request; active requests are left
-// untouched (the instance keeps running).
-func (p *Provider) CancelRequest(id RequestID) error {
-	req, ok := p.requests[id]
-	if !ok {
-		return fmt.Errorf("cancel %s: %w", id, ErrNotFound)
-	}
-	if req.State == RequestOpen {
-		req.State = RequestCancelled
-	}
-	return nil
-}
-
-// EvaluateOpenRequests retries placement for every open request; the
-// Controller drives this from its 15-minute CloudWatch sweep. It returns
-// how many requests were (re)attempted.
+// EvaluateOpenRequests retries placement for every open request, in
+// creation order; the Controller drives this from its 15-minute
+// CloudWatch sweep. It returns how many requests were (re)attempted.
+// Settled entries are compacted out of the index in the same pass.
+//
+//spotverse:hotpath
 func (p *Provider) EvaluateOpenRequests() int {
-	if p.fleet {
-		return p.evaluateOpenIndexed()
-	}
-	ids := make([]RequestID, 0, len(p.requests))
-	for id, req := range p.requests {
-		if req.State == RequestOpen {
-			ids = append(ids, id)
+	live := p.open[:0]
+	n := 0
+	for _, req := range p.open {
+		if req.State != RequestOpen {
+			continue
 		}
+		live = append(live, req)
+		//spotverse:allow hotpath evaluate schedules a fulfill only after a successful launch roll; failed-roll sweep iterations return before it
+		p.evaluate(req)
+		n++
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p.evaluate(p.requests[id])
+	for i := len(live); i < len(p.open); i++ {
+		p.open[i] = nil
 	}
-	return len(ids)
+	p.open = live
+	return n
 }
 
 // OpenRequests returns the currently open spot requests, oldest first.
+// The controller rescans them after a crash-restart.
 func (p *Provider) OpenRequests() []*SpotRequest {
 	var out []*SpotRequest
-	for _, req := range p.requests {
+	for _, req := range p.open {
 		if req.State == RequestOpen {
 			out = append(out, req)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// Instance returns an instance record by ID.
+// Instance returns a running instance's record by ID; terminated
+// instances have been released and report ErrNotFound.
 func (p *Provider) Instance(id InstanceID) (*Instance, error) {
 	inst, ok := p.instances[id]
 	if !ok {
 		return nil, fmt.Errorf("instance %s: %w", id, ErrNotFound)
 	}
 	return inst, nil
-}
-
-// Request returns a spot request record by ID.
-func (p *Provider) Request(id RequestID) (*SpotRequest, error) {
-	req, ok := p.requests[id]
-	if !ok {
-		return nil, fmt.Errorf("request %s: %w", id, ErrNotFound)
-	}
-	return req, nil
 }
 
 // RunningInstances returns all running instances ordered by ID.
@@ -732,33 +634,6 @@ func (p *Provider) RunningInstances() []*Instance {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// AllInstances returns every instance ever launched, ordered by ID.
-func (p *Provider) AllInstances() []*Instance {
-	out := make([]*Instance, 0, len(p.instances))
-	for _, inst := range p.instances {
-		out = append(out, inst)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// TotalInstanceCost sums accrued cost over all instances (running ones
-// billed to the current instant). Summation follows instance-ID order so
-// the floating-point result is deterministic. Fleet mode releases
-// terminated instances, so there the sum covers live ones only: fleet
-// drivers take each instance's final cost from OnTerminate instead.
-func (p *Provider) TotalInstanceCost() float64 {
-	var sum float64
-	for _, inst := range p.AllInstances() {
-		if inst.State == StateTerminated {
-			sum += inst.CostUSD
-		} else {
-			sum += p.costBetween(inst, inst.LaunchedAt, p.eng.Now())
-		}
-	}
-	return sum
 }
 
 func (p *Provider) notifyLaunch(inst *Instance) {

@@ -191,43 +191,18 @@ func TestTerminateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A subscriber terminating the instance it is being told about finds
+	// it no longer running; once released, the instance is not found.
+	var reentrant error
+	p.OnTerminate(func(i *Instance, _ bool) { reentrant = p.Terminate(i.ID) })
 	if err := p.Terminate(inst.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Terminate(inst.ID); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("double terminate err = %v, want ErrNotRunning", err)
+	if !errors.Is(reentrant, ErrNotRunning) {
+		t.Fatalf("re-entrant terminate err = %v, want ErrNotRunning", reentrant)
 	}
-}
-
-func TestCancelOpenRequest(t *testing.T) {
-	eng, p := newProvider(7)
-	var open *SpotRequest
-	// Find a seed-dependent open request by filing many in a weak market.
-	for i := 0; i < 50; i++ {
-		req, err := p.RequestSpot(catalog.M5XLarge, "sa-east-1", "w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if req.State == RequestOpen {
-			open = req
-			break
-		}
-	}
-	if open == nil {
-		t.Skip("every request placed immediately for this seed")
-	}
-	if err := p.CancelRequest(open.ID); err != nil {
-		t.Fatal(err)
-	}
-	if open.State != RequestCancelled {
-		t.Fatalf("state = %v, want cancelled", open.State)
-	}
-	p.EvaluateOpenRequests()
-	if err := eng.RunFor(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if open.State != RequestCancelled || open.Instance != "" {
-		t.Fatal("cancelled request was fulfilled")
+	if err := p.Terminate(inst.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("double terminate err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -246,17 +221,17 @@ func TestSpotCostCheaperThanOnDemand(t *testing.T) {
 		t.Skip("placement unlucky for this seed")
 	}
 	inst, _ := p.Instance(req.Instance)
-	start := eng.Now()
 	_ = eng.RunFor(5 * time.Hour)
 	if inst.State != StateRunning {
 		t.Skip("interrupted before measurement for this seed")
 	}
-	got, err := p.AccruedCost(inst.ID)
-	if err != nil {
+	var got float64
+	p.OnTerminate(func(i *Instance, _ bool) { got = i.CostUSD })
+	if err := p.Terminate(inst.ID); err != nil {
 		t.Fatal(err)
 	}
 	od, _ := p.Market().Catalog().OnDemandPrice(catalog.M5XLarge, "eu-north-1")
-	elapsed := eng.Now().Sub(start).Hours()
+	elapsed := inst.TerminatedAt.Sub(inst.LaunchedAt).Hours()
 	if got <= 0 || got >= od*elapsed {
 		t.Fatalf("spot cost %v not in (0, on-demand %v)", got, od*elapsed)
 	}
@@ -281,21 +256,29 @@ func TestRunningAndAllInstancesOrdering(t *testing.T) {
 	if err := p.Terminate(running[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.RunningInstances()) != 4 || len(p.AllInstances()) != 5 {
-		t.Fatal("running/all counts wrong after terminate")
+	if len(p.RunningInstances()) != 4 {
+		t.Fatal("running count wrong after terminate")
+	}
+	if _, err := p.Instance(running[0].ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("terminated instance lookup err = %v, want ErrNotFound (released)", err)
+	}
+	if n := len(p.instances); n != 4 {
+		t.Fatalf("%d instance records retained, want the 4 running", n)
 	}
 }
 
 func TestTotalInstanceCostAggregates(t *testing.T) {
 	eng, p := newProvider(10)
+	var got float64
+	p.OnTerminate(func(inst *Instance, _ bool) { got += inst.CostUSD })
 	a, _ := p.RunOnDemand(catalog.M5Large, "us-east-1", "w")
-	_, _ = p.RunOnDemand(catalog.M5Large, "us-east-1", "w")
+	b, _ := p.RunOnDemand(catalog.M5Large, "us-east-1", "w")
 	_ = eng.RunFor(2 * time.Hour)
 	_ = p.Terminate(a.ID)
 	_ = eng.RunFor(1 * time.Hour)
+	_ = p.Terminate(b.ID)
 	od, _ := p.Market().Catalog().OnDemandPrice(catalog.M5Large, "us-east-1")
 	want := od*2 + od*3
-	got := p.TotalInstanceCost()
 	if diff := got - want; diff < -1e-9 || diff > 1e-9 {
 		t.Fatalf("total cost = %v, want %v", got, want)
 	}
@@ -310,19 +293,15 @@ func TestInterruptionRateMatchesHazard(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 400
+	launched := 0
+	p.OnLaunch(func(*Instance) { launched++ })
 	for i := 0; i < n; i++ {
 		_, _ = p.RequestSpot(catalog.M5XLarge, "ca-central-1", "w")
 	}
 	sweep := eng.Every(15*time.Minute, "sweep", func(time.Time) { p.EvaluateOpenRequests() })
 	defer sweep.Stop()
 	_ = eng.Run(simclock.Epoch.Add(10*time.Hour + time.Minute))
-	launched, surviving := 0, 0
-	for _, inst := range p.AllInstances() {
-		launched++
-		if inst.State == StateRunning {
-			surviving++
-		}
-	}
+	surviving := len(p.RunningInstances())
 	if launched < n*9/10 {
 		t.Fatalf("only %d/%d launched", launched, n)
 	}

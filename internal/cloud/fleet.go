@@ -8,35 +8,14 @@ import (
 	"spotverse/internal/simclock"
 )
 
-// EnableFleetMode switches the provider into bounded-retention,
-// batch-scheduling operation for fleet-scale runs that stop at horizon:
-//
-//   - Open spot requests are tracked in an index, so the 15-minute
-//     retry sweep is O(open requests) instead of scanning every request
-//     ever filed. Requests get no ID and no registry entry: fleet
-//     drivers never look one up or cancel one.
-//   - Terminated instances are released as they settle, keeping
-//     retention proportional to what is running, not to run history.
-//     Subscribers see each instance's final cost through OnTerminate;
-//     TotalInstanceCost covers live instances only.
-//   - Fulfill callbacks are batched into pooled per-instant buckets: a
-//     sweep wave fulfilling thousands of requests 45 seconds later
-//     costs one heap entry (and no per-request closure), not thousands.
-//   - With no notice subscriber, interruption and price-crossing
-//     notices are not scheduled at all; only the reclaims are.
-//   - Events due at or after horizon are never scheduled. The caller
-//     must stop driving the engine at exactly that instant; loops that
-//     stop on the first event after a horizon must not use fleet mode.
-//
-// Every draw and every launch happens in the default path's order, so
-// a workload's trajectory is unchanged. Enable before filing any work;
-// flipping modes mid-run is not supported.
-func (p *Provider) EnableFleetMode(horizon time.Time) {
-	p.fleet = true
+// SetEventHorizon declares the instant the caller stops driving the
+// engine at: events due at or after it are never scheduled, so a
+// fleet-scale run carries no reclaims, notices or placements it could
+// never fire. The caller must stop at exactly that instant; loops that
+// stop on the first event after a horizon must not set one. Set it
+// before filing any work.
+func (p *Provider) SetEventHorizon(horizon time.Time) {
 	p.eventHorizonNs = horizon.UnixNano()
-	p.fulfillAt = make(map[int64][]*SpotRequest)
-	p.fulfillCb = p.fireFulfills
-	p.crossCache = make(map[crossKey]crossState)
 }
 
 // SetWorkloadRand installs a per-workload random-stream resolver: draws
@@ -46,7 +25,7 @@ func (p *Provider) EnableFleetMode(horizon time.Time) {
 // provider-wide sequential "cloud" stream. A workload's draw sequence
 // then depends only on its own simulated history, which is what lets a
 // sharded fleet run produce bit-identical trajectories at any shard
-// count, and lets a default-mode run reproduce them. A nil resolver (or
+// count, and lets a per-workload run reproduce them. A nil resolver (or
 // a nil stream for a tag) falls back to the sequential stream. Install
 // before filing any work.
 func (p *Provider) SetWorkloadRand(fn func(tag string) *simclock.SplitMix64) {
@@ -62,10 +41,10 @@ func (p *Provider) pastEventHorizon(t time.Time) bool {
 }
 
 // scheduleBatchedFulfill queues req's placement p.fulfillDelay from
-// now, batched with every other placement landing on that instant. The
-// bucket's engine event is scheduled when the bucket is created, so
-// event sequence numbers — and therefore same-instant ordering — match
-// the individually-scheduled path exactly.
+// now, batched with every other placement landing on that instant: a
+// sweep wave fulfilling thousands of requests costs one heap entry. The
+// bucket's engine event is scheduled when the bucket is created, so the
+// bucket takes its first placement's same-instant slot.
 //
 // The callback is the single prebound p.fulfillCb — fireFulfills
 // recovers the bucket key from the engine clock at fire time — and
@@ -90,8 +69,7 @@ func (p *Provider) scheduleBatchedFulfill(req *SpotRequest) {
 	p.fulfillAt[atNs] = append(b, req)
 }
 
-// fireFulfills runs one bucket's placements in add order — the order
-// individually-scheduled fulfill events would have fired in. The bucket
+// fireFulfills runs one bucket's placements in add order. The bucket
 // due now is exactly the one keyed by the engine clock: each key gets
 // one event, scheduled at bucket creation for that instant.
 func (p *Provider) fireFulfills() {
@@ -135,14 +113,18 @@ type crossState struct {
 	scannedNs int64
 }
 
-// cachedPriceCross serves nextPriceCross from the fleet-mode crossing
-// cache. Scan starts only move forward in simulated time, so a cached
-// crossing at/after `from` is still the *first* crossing after `from`
-// (the earlier scan that found it covered every step in between), and
-// a cached no-crossing window lets a rescan skip the covered prefix.
-// The price walk is pure, so the memoized answer is exact and the
-// scheduled reclaim instants are bit-identical to the default path's.
-func (p *Provider) cachedPriceCross(inst *Instance, series market.PriceSeries, from, end time.Time) (time.Time, bool) {
+// nextPriceCross returns the first price step strictly after now at
+// which the walk crosses above the bid, if any within the scan horizon.
+// The answer is memoized per (type, AZ, bid): every same-bid launch in
+// an AZ shares one crossing scan instead of re-walking up to 240 steps.
+// Scan starts only move forward in simulated time, so a cached crossing
+// at/after `from` is still the *first* crossing after `from` (the
+// earlier scan that found it covered every step in between), and a
+// cached no-crossing window lets a rescan skip the covered prefix. The
+// price walk is pure, so the memoized answer is exact.
+func (p *Provider) nextPriceCross(inst *Instance, series market.PriceSeries, now time.Time) (time.Time, bool) {
+	from := now.Truncate(market.PriceStep).Add(market.PriceStep)
+	end := now.Add(priceScanHorizon)
 	key := crossKey{t: inst.Type, az: inst.AZ, bid: inst.BidUSD}
 	c := p.crossCache[key]
 	fromNs, endNs := from.UnixNano(), end.UnixNano()
@@ -170,29 +152,4 @@ func (p *Provider) cachedPriceCross(inst *Instance, series market.PriceSeries, f
 	}
 	p.crossCache[key] = crossState{scannedNs: endNs}
 	return time.Time{}, false
-}
-
-// evaluateOpenIndexed is the fleet-mode retry sweep. The open index is
-// append-ordered, and request IDs are fixed-width and monotonic, so
-// index order equals the sorted-ID order of the default sweep. Settled
-// entries are compacted out in the same pass.
-//
-//spotverse:hotpath
-func (p *Provider) evaluateOpenIndexed() int {
-	live := p.open[:0]
-	n := 0
-	for _, req := range p.open {
-		if req.State != RequestOpen {
-			continue
-		}
-		live = append(live, req)
-		//spotverse:allow hotpath evaluate builds its fulfill closure only after a successful launch roll; failed-roll sweep iterations return before it
-		p.evaluate(req)
-		n++
-	}
-	for i := len(live); i < len(p.open); i++ {
-		p.open[i] = nil
-	}
-	p.open = live
-	return n
 }

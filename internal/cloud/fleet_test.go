@@ -23,96 +23,11 @@ func workloadRand(family uint64, n int) (resolve func(tag string) *simclock.Spli
 	return func(tag string) *simclock.SplitMix64 { return byTag[tag] }, tags
 }
 
-// terminated is one instance's final cost as an OnTerminate subscriber
-// sees it.
-type terminated struct {
-	id   InstanceID
-	cost float64
-}
-
-// fleetScenario files a batch of spot requests under per-workload
-// streams, lets interruptions and sweeps play out, and returns the
-// observable trace the fleet and default modes must agree on.
-func fleetScenario(t *testing.T, enableFleet bool) (launches []InstanceID, costs []terminated, swept []int) {
-	t.Helper()
-	eng, p := newProvider(9)
-	if enableFleet {
-		p.EnableFleetMode(eng.Now().Add(30 * 24 * time.Hour))
-	}
-	resolve, tags := workloadRand(simclock.SplitMixFamily(9, "fleet-test"), 30)
-	p.SetWorkloadRand(resolve)
-	p.OnLaunch(func(inst *Instance) { launches = append(launches, inst.ID) })
-	p.OnTerminate(func(inst *Instance, _ bool) { costs = append(costs, terminated{inst.ID, inst.CostUSD}) })
-	for i, tag := range tags {
-		region := catalog.Region("eu-north-1")
-		if i%3 == 0 {
-			region = "us-east-1"
-		}
-		if _, err := p.RequestSpot(catalog.M5XLarge, region, tag); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for tick := 0; tick < 16; tick++ {
-		if err := eng.RunFor(15 * time.Minute); err != nil {
-			t.Fatal(err)
-		}
-		swept = append(swept, p.EvaluateOpenRequests())
-	}
-	if err := eng.RunFor(24 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	for _, inst := range p.RunningInstances() {
-		if err := p.Terminate(inst.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return launches, costs, swept
-}
-
-// TestFleetModeBitIdentical pins the core fleet-mode contract: with the
-// same per-workload streams, the open-request index, batched fulfills,
-// skipped notices, and released records must not change a single
-// observable — launch order, sweep counts, or the per-instance costs
-// seen through OnTerminate.
-func TestFleetModeBitIdentical(t *testing.T) {
-	slowLaunches, slowCosts, slowSwept := fleetScenario(t, false)
-	fleetLaunches, fleetCosts, fleetSwept := fleetScenario(t, true)
-
-	if len(slowLaunches) == 0 {
-		t.Fatal("scenario launched nothing; not exercising the fleet path")
-	}
-	if len(fleetLaunches) != len(slowLaunches) {
-		t.Fatalf("fleet launched %d instances, default %d", len(fleetLaunches), len(slowLaunches))
-	}
-	for i := range slowLaunches {
-		if fleetLaunches[i] != slowLaunches[i] {
-			t.Fatalf("launch[%d] = %s (fleet) vs %s (default)", i, fleetLaunches[i], slowLaunches[i])
-		}
-	}
-	if len(fleetCosts) != len(slowCosts) {
-		t.Fatalf("fleet terminated %d instances, default %d", len(fleetCosts), len(slowCosts))
-	}
-	for i := range slowCosts {
-		if fleetCosts[i] != slowCosts[i] {
-			t.Fatalf("termination[%d] = %+v (fleet) vs %+v (default); must be bit-identical", i, fleetCosts[i], slowCosts[i])
-		}
-	}
-	if len(fleetSwept) != len(slowSwept) {
-		t.Fatalf("fleet ran %d sweeps, default %d", len(fleetSwept), len(slowSwept))
-	}
-	for i := range slowSwept {
-		if fleetSwept[i] != slowSwept[i] {
-			t.Fatalf("sweep[%d] evaluated %d (fleet) vs %d (default)", i, fleetSwept[i], slowSwept[i])
-		}
-	}
-}
-
-// TestFleetModeReleasesSettledRecords verifies the retention bound:
-// fleet mode registers no requests, and terminated instances are
-// released once subscribers have seen their final cost.
+// TestFleetModeReleasesSettledRecords verifies the retention bound: the
+// sweep compacts settled requests out of the open index, and terminated
+// instances are released once subscribers have seen their final cost.
 func TestFleetModeReleasesSettledRecords(t *testing.T) {
 	eng, p := newProvider(3)
-	p.EnableFleetMode(eng.Now().Add(30 * 24 * time.Hour))
 	var billed float64
 	p.OnTerminate(func(inst *Instance, _ bool) { billed += inst.CostUSD })
 	for i := 0; i < 20; i++ {
@@ -126,8 +41,12 @@ func TestFleetModeReleasesSettledRecords(t *testing.T) {
 		}
 		p.EvaluateOpenRequests()
 	}
-	if n := len(p.requests); n != 0 {
-		t.Fatalf("%d requests registered in fleet mode, want 0", n)
+	if err := eng.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	open := p.EvaluateOpenRequests()
+	if len(p.open) != open {
+		t.Fatalf("open index holds %d requests after a sweep, want the %d open ones", len(p.open), open)
 	}
 	running := p.RunningInstances()
 	if len(running) == 0 {
@@ -147,10 +66,9 @@ func TestFleetModeReleasesSettledRecords(t *testing.T) {
 }
 
 // TestWorkloadRandKeepsDefaultSweep is the regression test for a
-// resolver switching the provider's mode: on a default-mode provider,
-// SetWorkloadRand only moves where draws come from, so spot requests
-// whose first launch roll fails during an outage stay registered and a
-// later sweep fulfils them.
+// resolver stranding spot requests: SetWorkloadRand only moves where
+// draws come from, so spot requests whose first launch roll fails during
+// an outage stay open and a later sweep fulfils them.
 func TestWorkloadRandKeepsDefaultSweep(t *testing.T) {
 	eng, p := newProvider(5)
 	region := catalog.Region("eu-north-1")
@@ -173,7 +91,7 @@ func TestWorkloadRandKeepsDefaultSweep(t *testing.T) {
 		t.Fatalf("%d requests fulfilled during the outage, want 0", launched)
 	}
 	if n := len(p.OpenRequests()); n != len(tags) {
-		t.Fatalf("%d open requests registered, want %d", n, len(tags))
+		t.Fatalf("%d open requests, want %d", n, len(tags))
 	}
 	for tick := 0; tick < 24 && launched < len(tags); tick++ {
 		if err := eng.RunFor(15 * time.Minute); err != nil {

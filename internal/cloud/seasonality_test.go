@@ -25,16 +25,12 @@ func TestSeasonalInterruptionRates(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		launched := 0
+		p.OnLaunch(func(*Instance) { launched++ })
 		sweep := eng.Every(15*time.Minute, "sweep", func(time.Time) { p.EvaluateOpenRequests() })
 		defer sweep.Stop()
 		_ = eng.RunFor(6 * time.Hour)
-		launched, running := 0, 0
-		for _, inst := range p.AllInstances() {
-			launched++
-			if inst.State == StateRunning {
-				running++
-			}
-		}
+		running := len(p.RunningInstances())
 		if launched < n*8/10 {
 			t.Fatalf("only %d/%d launched", launched, n)
 		}
@@ -46,33 +42,5 @@ func TestSeasonalInterruptionRates(t *testing.T) {
 	weekendSurvival := survival(5*24*time.Hour + 15*time.Hour)
 	if peakSurvival >= weekendSurvival {
 		t.Fatalf("peak survival %v >= weekend %v; seasonality not biting", peakSurvival, weekendSurvival)
-	}
-}
-
-// TestLaunchGateBlocksFulfilment covers the AMI-gate path added to the
-// provider: gated regions reject both entry points.
-func TestLaunchGateBlocksFulfilment(t *testing.T) {
-	eng := simclock.NewEngine()
-	mkt := market.New(catalog.Default(), 8, simclock.Epoch)
-	p := New(eng, mkt, 8)
-	blocked := map[catalog.Region]bool{"eu-north-1": true}
-	p.SetLaunchGate(func(_ catalog.InstanceType, r catalog.Region) error {
-		if blocked[r] {
-			return ErrNotFound // any error will do for the gate
-		}
-		return nil
-	})
-	if _, err := p.RequestSpot(catalog.M5XLarge, "eu-north-1", "w"); err == nil {
-		t.Fatal("gated spot request accepted")
-	}
-	if _, err := p.RunOnDemand(catalog.M5XLarge, "eu-north-1", "w"); err == nil {
-		t.Fatal("gated on-demand accepted")
-	}
-	if _, err := p.RequestSpot(catalog.M5XLarge, "us-east-1", "w"); err != nil {
-		t.Fatalf("ungated region rejected: %v", err)
-	}
-	p.SetLaunchGate(nil)
-	if _, err := p.RunOnDemand(catalog.M5XLarge, "eu-north-1", "w"); err != nil {
-		t.Fatalf("clearing the gate failed: %v", err)
 	}
 }

@@ -1,21 +1,18 @@
 package experiment
 
 import (
-	"errors"
 	"testing"
 	"time"
 
 	"spotverse/internal/baselines"
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
-	"spotverse/internal/core"
 	"spotverse/internal/galaxy"
-	"spotverse/internal/services/ami"
 	"spotverse/internal/workload"
 )
 
-// Failure-injection tests: regional outages, AMI launch gates, and
-// Galaxy jobs cancelled by real provider reclaims.
+// Failure-injection tests: regional outages and Galaxy jobs cancelled by
+// real provider reclaims.
 
 func TestRegionalOutageStallsThenRecovers(t *testing.T) {
 	env := NewEnv(60)
@@ -60,63 +57,6 @@ func TestOutageValidation(t *testing.T) {
 	}
 	if env.Market.InOutage("ca-central-1", now) {
 		t.Fatal("outage without injection")
-	}
-}
-
-func TestAMILaunchGateBlocksUnpropagatedRegions(t *testing.T) {
-	env := NewEnv(62)
-	registry := ami.New(env.Catalog(), env.Ledger)
-	if _, err := registry.Register("galaxy-ami", "ca-central-1", 4<<30); err != nil {
-		t.Fatal(err)
-	}
-	env.Provider.SetLaunchGate(registry.LaunchGate("galaxy-ami"))
-
-	// Launching where the AMI lives works; elsewhere is rejected.
-	if _, err := env.Provider.RunOnDemand(catalog.M5XLarge, "ca-central-1", "w"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.Provider.RequestSpot(catalog.M5XLarge, "eu-north-1", "w"); !errors.Is(err, ami.ErrNotPresent) {
-		t.Fatalf("err = %v", err)
-	}
-	// After the paper's propagation step, every offered region works.
-	if _, err := registry.Propagate("galaxy-ami", catalog.M5XLarge); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.Provider.RequestSpot(catalog.M5XLarge, "eu-north-1", "w"); err != nil {
-		t.Fatalf("post-propagation launch: %v", err)
-	}
-}
-
-func TestSpotVerseRunWithAMIGate(t *testing.T) {
-	env := NewEnv(63)
-	registry := ami.New(env.Catalog(), env.Ledger)
-	if _, err := registry.Register("galaxy-ami", "ca-central-1", 4<<30); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := registry.Propagate("galaxy-ami", catalog.M5XLarge); err != nil {
-		t.Fatal(err)
-	}
-	env.Provider.SetLaunchGate(registry.LaunchGate("galaxy-ami"))
-	mgr, err := newSpotVerse(env, core.Config{
-		InstanceType:     catalog.M5XLarge,
-		Threshold:        5,
-		FixedStartRegion: "ca-central-1",
-		Seed:             63,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(env, RunConfig{
-		Workloads:    genWorkloads(t, 63, workload.KindStandard, 8),
-		Strategy:     mgr,
-		InstanceType: catalog.M5XLarge,
-		DisableSweep: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 8 {
-		t.Fatalf("completed = %d with propagated AMI", res.Completed)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"spotverse/internal/baselines"
 	"spotverse/internal/catalog"
+	"spotverse/internal/cloud"
 	"spotverse/internal/simclock"
 	"spotverse/internal/strategy"
 	"spotverse/internal/workload"
@@ -89,6 +90,8 @@ func runGoldenRun(t *testing.T, seed int64, arm fleetGoldenArm, n int) goldenRun
 		streams[w.Spec.ID] = &rngs[i]
 	}
 	env.Provider.SetWorkloadRand(func(tag string) *simclock.SplitMix64 { return streams[tag] })
+	var insts []*cloud.Instance
+	env.Provider.OnTerminate(func(inst *cloud.Instance, _ bool) { insts = append(insts, inst) })
 
 	res, err := Run(env, RunConfig{
 		Workloads:       ws,
@@ -106,7 +109,7 @@ func runGoldenRun(t *testing.T, seed int64, arm fleetGoldenArm, n int) goldenRun
 			out.completedAt[tagIndex(t, w.Spec.ID)] = w.CompletedAt
 		}
 	}
-	insts := env.Provider.AllInstances() // instance-ID order
+	sort.Slice(insts, func(i, j int) bool { return insts[i].ID < insts[j].ID })
 	sort.SliceStable(insts, func(i, j int) bool { return tagIndex(t, insts[i].Tag) < tagIndex(t, insts[j].Tag) })
 	for _, inst := range insts {
 		out.costs = append(out.costs, inst.CostUSD)

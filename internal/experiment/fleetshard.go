@@ -260,7 +260,7 @@ func runFleetShardLabeled(seed int64, family uint64, cfg *FleetShardedConfig, f 
 	}
 
 	prov := env.Provider
-	prov.EnableFleetMode(horizon)
+	prov.SetEventHorizon(horizon)
 
 	n := f.Len()
 	buckets := int(cfg.Horizon/cfg.Interval) + 1
@@ -440,13 +440,10 @@ func (d *shardDriver) onLaunch(inst *cloud.Instance) {
 		_ = d.env.Provider.Terminate(inst.ID)
 		return
 	}
-	if prev := d.activeInst[idx]; prev != "" {
-		if pi, err := d.env.Provider.Instance(prev); err == nil && pi.State == cloud.StateRunning {
-			d.out.duplicateRelaunches++
-			_ = d.env.Provider.Terminate(inst.ID)
-			return
-		}
-		d.activeInst[idx] = ""
+	if d.activeInst[idx] != "" {
+		d.out.duplicateRelaunches++
+		_ = d.env.Provider.Terminate(inst.ID)
+		return
 	}
 	if err := d.f.BeginAttempt(idx); err != nil {
 		_ = d.env.Provider.Terminate(inst.ID)
@@ -466,10 +463,6 @@ func (d *shardDriver) onLaunch(inst *cloud.Instance) {
 func (d *shardDriver) complete(idx int) {
 	instID := d.activeInst[idx]
 	if instID == "" {
-		return
-	}
-	inst, err := d.env.Provider.Instance(instID)
-	if err != nil || inst.State != cloud.StateRunning {
 		return
 	}
 	now := d.env.Engine.Now()

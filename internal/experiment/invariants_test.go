@@ -5,6 +5,7 @@ import (
 
 	"spotverse/internal/baselines"
 	"spotverse/internal/catalog"
+	"spotverse/internal/cloud"
 	"spotverse/internal/core"
 	"spotverse/internal/workload"
 )
@@ -48,6 +49,8 @@ func TestRunInvariantsAcrossSeeds(t *testing.T) {
 				cfg.DisableSweep = true
 				strat = mgr
 			}
+			var settled []*cloud.Instance
+			env.Provider.OnTerminate(func(inst *cloud.Instance, _ bool) { settled = append(settled, inst) })
 			ws := genWorkloads(t, seed, kind, 8)
 			cfg.Workloads = ws
 			cfg.InstanceType = catalog.M5XLarge
@@ -56,12 +59,12 @@ func TestRunInvariantsAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s %s: %v", seed, kind, strat.Name(), err)
 			}
-			checkInvariants(t, seed, kind, res, ws, env)
+			checkInvariants(t, seed, kind, res, ws, env, settled)
 		}
 	}
 }
 
-func checkInvariants(t *testing.T, seed int64, kind workload.Kind, res *Result, ws []*workload.State, env *Env) {
+func checkInvariants(t *testing.T, seed int64, kind workload.Kind, res *Result, ws []*workload.State, env *Env, settled []*cloud.Instance) {
 	t.Helper()
 	label := func(msg string, args ...any) {
 		t.Errorf("seed %d %s %s: "+msg, append([]any{seed, kind, res.StrategyName}, args...)...)
@@ -110,13 +113,19 @@ func checkInvariants(t *testing.T, seed int64, kind workload.Kind, res *Result, 
 	if n := len(env.Provider.RunningInstances()); n != 0 {
 		label("%d instances leaked", n)
 	}
-	// Every terminated instance has consistent billing.
-	for _, inst := range env.Provider.AllInstances() {
+	// Every terminated instance has consistent billing, and together they
+	// account for the whole instance spend.
+	var billed float64
+	for _, inst := range settled {
+		billed += inst.CostUSD
 		if inst.CostUSD < 0 {
 			label("instance %s negative cost", inst.ID)
 		}
 		if inst.TerminatedAt.Before(inst.LaunchedAt) {
 			label("instance %s terminated before launch", inst.ID)
 		}
+	}
+	if d := billed - res.InstanceCostUSD; d < -1e-9 || d > 1e-9 {
+		label("settled instances billed %v, result instance cost %v", billed, res.InstanceCostUSD)
 	}
 }

@@ -301,7 +301,11 @@ func run(env *Env, cfg RunConfig) (*Result, error) {
 	if d.durable != nil {
 		res.Durability = d.durable.Stats()
 	}
-	res.InstanceCostUSD = env.Provider.TotalInstanceCost()
+	// Instance costs sum in instance-ID order, not termination order.
+	sort.Slice(d.costs, func(i, j int) bool { return d.costs[i].id < d.costs[j].id })
+	for _, c := range d.costs {
+		res.InstanceCostUSD += c.usd
+	}
 	res.ServiceCostUSD = env.Ledger.Total()
 	res.TotalCostUSD = res.InstanceCostUSD + res.ServiceCostUSD
 	full := cost.NewLedger()
@@ -318,7 +322,6 @@ type driver struct {
 	byID map[string]*workload.State
 	res  *Result
 
-	runStart     map[cloud.InstanceID]time.Time
 	completionEv map[string]*simclock.Event
 	completed    int
 	timeline     *Timeline
@@ -333,9 +336,17 @@ type driver struct {
 	// acknowledged durable (the value progress is clamped to).
 	manifestVer  map[string]int
 	lastManifest map[string]int
-	// activeInst maps workloads to their live instance, catching
+	// activeInst maps workloads to their running instance, catching
 	// duplicate relaunches (two instances serving one workload).
 	activeInst map[string]cloud.InstanceID
+	// costs logs each terminated instance's final cost: the provider
+	// releases the records themselves.
+	costs []instanceCost
+}
+
+type instanceCost struct {
+	id  cloud.InstanceID
+	usd float64
 }
 
 func newDriver(env *Env, cfg RunConfig, byID map[string]*workload.State, res *Result) *driver {
@@ -344,7 +355,6 @@ func newDriver(env *Env, cfg RunConfig, byID map[string]*workload.State, res *Re
 		cfg:          cfg,
 		byID:         byID,
 		res:          res,
-		runStart:     make(map[cloud.InstanceID]time.Time),
 		completionEv: make(map[string]*simclock.Event),
 		ckptFailed:   make(map[string]bool),
 		manifestVer:  make(map[string]int),
@@ -465,16 +475,13 @@ func (d *driver) onLaunch(inst *cloud.Instance) {
 		_ = d.env.Provider.Terminate(inst.ID)
 		return
 	}
-	if prev, live := d.activeInst[w.Spec.ID]; live {
-		if pi, err := d.env.Provider.Instance(prev); err == nil && pi.State == cloud.StateRunning {
-			// A second instance for a workload that already has a live
-			// one: an exactly-once violation on the recovery path. Count
-			// it and kill the duplicate.
-			d.res.DuplicateRelaunches++
-			_ = d.env.Provider.Terminate(inst.ID)
-			return
-		}
-		delete(d.activeInst, w.Spec.ID)
+	if _, live := d.activeInst[w.Spec.ID]; live {
+		// A second instance for a workload that already has a running
+		// one: an exactly-once violation on the recovery path. Count it
+		// and kill the duplicate.
+		d.res.DuplicateRelaunches++
+		_ = d.env.Provider.Terminate(inst.ID)
+		return
 	}
 	if err := w.BeginAttempt(); err != nil {
 		_ = d.env.Provider.Terminate(inst.ID)
@@ -485,7 +492,6 @@ func (d *driver) onLaunch(inst *cloud.Instance) {
 	if inst.Lifecycle == cloud.LifecycleOnDemand {
 		d.res.OnDemandLaunches++
 	}
-	d.runStart[inst.ID] = d.env.Engine.Now()
 	d.timeline.add(Event{At: d.env.Engine.Now(), Kind: EventLaunch, Workload: w.Spec.ID, Instance: inst.ID, Region: inst.Region, Lifecycle: inst.Lifecycle})
 	// Resumed checkpoint attempts re-download their dataset slice from
 	// the checkpoint bucket (cross-region transfer bills apply), and in
@@ -539,8 +545,8 @@ func (d *driver) onNotice(inst *cloud.Instance) {
 	// Progress this checkpoint will claim once the instance dies: shards
 	// banked so far plus whole shards the current attempt has finished.
 	done := w.ShardsDone
-	if startAt, tracked := d.runStart[inst.ID]; tracked {
-		done += w.ShardsAt(now.Sub(startAt))
+	if d.activeInst[w.Spec.ID] == inst.ID {
+		done += w.ShardsAt(now.Sub(inst.LaunchedAt))
 	}
 	failed := false
 	if err := d.checkpointWrite("ckpt/"+w.Spec.ID, w.CheckpointBytes(), inst.Region); err != nil {
@@ -624,15 +630,15 @@ func (d *driver) verifyResume(w *workload.State, from catalog.Region) {
 }
 
 func (d *driver) onTerminate(inst *cloud.Instance, interrupted bool) {
+	d.costs = append(d.costs, instanceCost{inst.ID, inst.CostUSD})
 	w, ok := d.byID[inst.Tag]
 	if !ok {
 		return
 	}
-	if d.activeInst[w.Spec.ID] == inst.ID {
+	tracked := d.activeInst[w.Spec.ID] == inst.ID
+	if tracked {
 		delete(d.activeInst, w.Spec.ID)
 	}
-	startAt, tracked := d.runStart[inst.ID]
-	delete(d.runStart, inst.ID)
 	if !interrupted || w.Completed || !tracked {
 		return
 	}
@@ -645,7 +651,7 @@ func (d *driver) onTerminate(inst *cloud.Instance, interrupted bool) {
 	// Bank progress and cancel the stale completion event. Progress whose
 	// checkpoint write never became durable is rolled back: the next
 	// attempt must recompute those shards.
-	banked := w.CreditProgress(now.Sub(startAt))
+	banked := w.CreditProgress(now.Sub(inst.LaunchedAt))
 	if d.durable != nil {
 		// Durable modes trust only the last acknowledged manifest: a
 		// shard finished inside the warning window, or banked past a
