@@ -104,6 +104,7 @@ func BenchmarkOptimizerTopRegions(b *testing.B) {
 	if err := mgr.Monitor().CollectNow(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mgr.Optimizer().TopRegions(nil); err != nil {

@@ -23,6 +23,10 @@ type Monitor struct {
 
 	collections int
 	lastGood    []AgedEntry
+	// lastGoodVer is the metrics-table write version lastGood was
+	// decoded from (0 = none): while the table is unwritten, LatestAged
+	// serves lastGood without copying or re-parsing a row.
+	lastGoodVer uint64
 	ticker      interface{ Stop() }
 }
 
@@ -97,6 +101,7 @@ func (m *Monitor) CollectNow() error { return m.collect() }
 func (m *Monitor) crash() {
 	m.collections = 0
 	m.lastGood = nil
+	m.lastGoodVer = 0
 }
 
 // Collections reports how many snapshots have been stored.
@@ -116,21 +121,26 @@ type AgedEntry struct {
 // — it serves the last successfully read snapshot instead of failing, so
 // a control-plane brownout cannot blind an Optimizer that has ever seen
 // data.
+//
+// Every call makes one billed scan, but rows are decoded only when the
+// metrics table was written since the last decode. The returned slice
+// is shared with later calls: callers must treat it as read-only.
 func (m *Monitor) LatestAged() ([]AgedEntry, error) {
 	if m.collections == 0 {
-		if err := m.collect(); err != nil && len(m.lastGood) == 0 {
-			// First-ever collection failed with nothing cached: the Scan
-			// below may still find rows written by an earlier deployment,
-			// so only the Scan outcome is authoritative.
-			_ = err
-		}
+		// A failed first collection with nothing cached: the Scan below
+		// may still find rows written by an earlier deployment, so only
+		// the Scan outcome is authoritative.
+		_ = m.collect()
 	}
-	items, err := m.deps.Dynamo.Scan(MetricsTable, string(m.cfg.InstanceType)+"#")
+	items, ver, err := m.deps.Dynamo.ScanSince(MetricsTable, string(m.cfg.InstanceType)+"#", m.lastGoodVer)
 	if err != nil {
 		if len(m.lastGood) > 0 {
 			return m.lastGood, nil
 		}
 		return nil, fmt.Errorf("monitor latest: %w", err)
+	}
+	if ver == m.lastGoodVer {
+		return m.lastGood, nil
 	}
 	if len(items) == 0 {
 		if len(m.lastGood) > 0 {
@@ -150,6 +160,7 @@ func (m *Monitor) LatestAged() ([]AgedEntry, error) {
 		out = append(out, AgedEntry{AdvisorEntry: e, CollectedAt: collected})
 	}
 	m.lastGood = out
+	m.lastGoodVer = ver
 	return out, nil
 }
 

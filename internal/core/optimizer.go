@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
@@ -67,14 +68,14 @@ func (o *Optimizer) ScoreRegions() ([]RegionScore, error) {
 			SpotPriceUSD: e.SpotPriceUSD,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Region < out[j].Region })
+	slices.SortFunc(out, func(a, b RegionScore) int { return cmp.Compare(a.Region, b.Region) })
 	return out, nil
 }
 
 // SelectRegions filters scored regions by the configured threshold and
 // mode (Algorithm 1's SelectRegions).
 func (o *Optimizer) SelectRegions(scores []RegionScore) []RegionScore {
-	var out []RegionScore
+	out := make([]RegionScore, 0, len(scores))
 	for _, s := range scores {
 		switch o.cfg.Selection {
 		case SelectBucket:
@@ -105,8 +106,8 @@ func (o *Optimizer) TopRegions(exclude map[catalog.Region]bool) ([]catalog.Regio
 			filtered = append(filtered, s)
 		}
 	}
-	sort.SliceStable(filtered, func(i, j int) bool {
-		return filtered[i].SpotPriceUSD < filtered[j].SpotPriceUSD
+	slices.SortStableFunc(filtered, func(a, b RegionScore) int {
+		return cmp.Compare(a.SpotPriceUSD, b.SpotPriceUSD)
 	})
 	n := o.cfg.MaxRegions
 	if n > len(filtered) {

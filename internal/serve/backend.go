@@ -115,14 +115,18 @@ type FaultFunc func(op string, region catalog.Region) error
 // advisor snapshot are recomputed only when the Monitor collected a
 // new snapshot or simulated time moved, so a warm /v1/place is a
 // mutex, a round-robin counter bump, and an in-place response fill —
-// no allocation, no DynamoDB scan.
+// no allocation, no DynamoDB scan. A recompute makes two billed scans
+// (TopRegions and LatestAged), but the Monitor decodes rows only when
+// the metrics table was written since its last decode.
 type SimBackend struct {
 	mu    sync.Mutex
 	eng   *simclock.Engine
 	mgr   *core.SpotVerse
 	fault FaultFunc
 
-	// memoized ranking + advisor surface, keyed by (collections, now).
+	// memoized ranking + advisor surface, keyed by (collections, now):
+	// staleness discounts depend on now, so any clock move recomputes,
+	// while the Monitor's own decode is keyed by the table version.
 	epoch    int
 	cachedAt time.Time
 	ranking  []catalog.Region

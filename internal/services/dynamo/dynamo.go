@@ -42,10 +42,17 @@ func (it Item) clone() Item {
 	return cp
 }
 
+// table is one named table: its items and a write version that starts
+// at 1 and goes up by one on every successful write.
+type table struct {
+	items map[string]Item
+	ver   uint64
+}
+
 // Store is the simulated key-value service.
 type Store struct {
 	ledger *cost.Ledger
-	tables map[string]map[string]Item
+	tables map[string]*table
 	fault  FaultFunc
 
 	reads, writes int64
@@ -53,7 +60,7 @@ type Store struct {
 
 // New returns an empty store charging the ledger.
 func New(ledger *cost.Ledger) *Store {
-	return &Store{ledger: ledger, tables: make(map[string]map[string]Item)}
+	return &Store{ledger: ledger, tables: make(map[string]*table)}
 }
 
 // SetFault installs a fault interceptor consulted at the top of every
@@ -72,11 +79,11 @@ func (s *Store) CreateTable(name string) error {
 	if _, ok := s.tables[name]; ok {
 		return fmt.Errorf("create table %q: %w", name, ErrTableExists)
 	}
-	s.tables[name] = make(map[string]Item)
+	s.tables[name] = &table{items: make(map[string]Item), ver: 1}
 	return nil
 }
 
-func (s *Store) table(name string) (map[string]Item, error) {
+func (s *Store) table(name string) (*table, error) {
 	t, ok := s.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("table %q: %w", name, ErrNoSuchTable)
@@ -115,7 +122,8 @@ func (s *Store) Put(tableName string, it Item) error {
 	if err := validate(it); err != nil {
 		return err
 	}
-	t[it.Key] = it.clone()
+	t.items[it.Key] = it.clone()
+	t.ver++
 	s.writes++
 	s.ledger.MustAdd(cost.CategoryDynamoDB, cost.DynamoWriteUSD)
 	return nil
@@ -135,10 +143,11 @@ func (s *Store) PutIfAbsent(tableName string, it Item) error {
 	}
 	s.writes++
 	s.ledger.MustAdd(cost.CategoryDynamoDB, cost.DynamoWriteUSD)
-	if _, exists := t[it.Key]; exists {
+	if _, exists := t.items[it.Key]; exists {
 		return fmt.Errorf("put-if-absent %s/%s: %w", tableName, it.Key, ErrConditionFailed)
 	}
-	t[it.Key] = it.clone()
+	t.items[it.Key] = it.clone()
+	t.ver++
 	return nil
 }
 
@@ -157,11 +166,12 @@ func (s *Store) UpdateIf(tableName string, it Item, attr, want string) error {
 	}
 	s.writes++
 	s.ledger.MustAdd(cost.CategoryDynamoDB, cost.DynamoWriteUSD)
-	cur, ok := t[it.Key]
+	cur, ok := t.items[it.Key]
 	if !ok || cur.Attrs[attr] != want {
 		return fmt.Errorf("update-if %s/%s: %w", tableName, it.Key, ErrConditionFailed)
 	}
-	t[it.Key] = it.clone()
+	t.items[it.Key] = it.clone()
+	t.ver++
 	return nil
 }
 
@@ -186,7 +196,7 @@ func (s *Store) UpdateIfAll(tableName string, it Item, conds map[string]string) 
 	}
 	s.writes++
 	s.ledger.MustAdd(cost.CategoryDynamoDB, cost.DynamoWriteUSD)
-	cur, ok := t[it.Key]
+	cur, ok := t.items[it.Key]
 	if !ok {
 		return fmt.Errorf("update-if-all %s/%s: %w", tableName, it.Key, ErrConditionFailed)
 	}
@@ -200,7 +210,8 @@ func (s *Store) UpdateIfAll(tableName string, it Item, conds map[string]string) 
 			return fmt.Errorf("update-if-all %s/%s attr %q: %w", tableName, it.Key, k, ErrConditionFailed)
 		}
 	}
-	t[it.Key] = it.clone()
+	t.items[it.Key] = it.clone()
+	t.ver++
 	return nil
 }
 
@@ -215,7 +226,7 @@ func (s *Store) Get(tableName, key string) (Item, error) {
 	}
 	s.reads++
 	s.ledger.MustAdd(cost.CategoryDynamoDB, cost.DynamoReadUSD)
-	it, ok := t[key]
+	it, ok := t.items[key]
 	if !ok {
 		return Item{}, fmt.Errorf("get %s/%s: %w", tableName, key, ErrItemNotFound)
 	}
@@ -233,29 +244,44 @@ func (s *Store) Delete(tableName, key string) error {
 	}
 	s.writes++
 	s.ledger.MustAdd(cost.CategoryDynamoDB, cost.DynamoWriteUSD)
-	delete(t, key)
+	delete(t.items, key)
+	t.ver++
 	return nil
 }
 
 // Scan returns items whose keys carry the prefix, ordered by key.
 func (s *Store) Scan(tableName, keyPrefix string) ([]Item, error) {
+	items, _, err := s.ScanSince(tableName, keyPrefix, 0)
+	return items, err
+}
+
+// ScanSince is Scan for a caller that already holds the table as of
+// write version since. It is billed like Scan, one read per matching
+// item, and returns the table's current version; when that equals
+// since, nothing was written in between and no items are returned.
+// Versions start at 1, so since = 0 always returns the items.
+func (s *Store) ScanSince(tableName, keyPrefix string, since uint64) ([]Item, uint64, error) {
 	if err := s.injected("scan"); err != nil {
-		return nil, fmt.Errorf("scan %s: %w", tableName, err)
+		return nil, 0, fmt.Errorf("scan %s: %w", tableName, err)
 	}
 	t, err := s.table(tableName)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var out []Item
-	for k, it := range t {
+	n := 0
+	for k, it := range t.items {
 		if strings.HasPrefix(k, keyPrefix) {
-			out = append(out, it.clone())
+			n++
+			if t.ver != since {
+				out = append(out, it.clone())
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	s.reads += int64(len(out))
-	s.ledger.MustAdd(cost.CategoryDynamoDB, cost.DynamoReadUSD*float64(len(out)))
-	return out, nil
+	s.reads += int64(n)
+	s.ledger.MustAdd(cost.CategoryDynamoDB, cost.DynamoReadUSD*float64(n))
+	return out, t.ver, nil
 }
 
 // Stats reports request counters.

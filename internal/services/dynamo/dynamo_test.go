@@ -285,3 +285,117 @@ func TestUpdateIfAllReportsSmallestFailingAttr(t *testing.T) {
 		}
 	}
 }
+
+// TestScanSinceVersion pins the table write version ScanSince keys on:
+// every successful write bumps it by exactly one, nothing else does, and
+// an unchanged-version scan is billed and fault-checked exactly like
+// Scan even though it returns no items.
+func TestScanSinceVersion(t *testing.T) {
+	s, _ := newStore()
+	if err := s.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	ver := func() uint64 {
+		t.Helper()
+		_, v, err := s.ScanSince("t", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if v := ver(); v != 1 {
+		t.Fatalf("fresh table at version %d, want 1", v)
+	}
+	item := func(v string) Item { return Item{Key: "k", Attrs: map[string]string{"v": v}} }
+	bumps := []struct {
+		name  string
+		write func() error
+	}{
+		{"put", func() error { return s.Put("t", item("1")) }},
+		{"put-if-absent", func() error { return s.PutIfAbsent("t", Item{Key: "k2", Attrs: map[string]string{"v": "1"}}) }},
+		{"update-if", func() error { return s.UpdateIf("t", item("2"), "v", "1") }},
+		{"update-if-all", func() error { return s.UpdateIfAll("t", item("3"), map[string]string{"v": "2"}) }},
+		{"delete", func() error { return s.Delete("t", "k2") }},
+		{"delete-missing", func() error { return s.Delete("t", "absent") }},
+	}
+	for _, b := range bumps {
+		before := ver()
+		if err := b.write(); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if after := ver(); after != before+1 {
+			t.Fatalf("%s: version %d -> %d, want +1", b.name, before, after)
+		}
+	}
+	holds := []struct {
+		name  string
+		write func() error
+	}{
+		{"put-if-absent on existing key", func() error { return s.PutIfAbsent("t", item("x")) }},
+		{"update-if mismatch", func() error { return s.UpdateIf("t", item("x"), "v", "stale") }},
+		{"update-if missing item", func() error { return s.UpdateIf("t", Item{Key: "absent"}, "v", "") }},
+		{"update-if-all mismatch", func() error { return s.UpdateIfAll("t", item("x"), map[string]string{"v": "stale"}) }},
+		{"put empty key", func() error { return s.Put("t", Item{}) }},
+		{"put reserved attr", func() error { return s.Put("t", Item{Key: "k", Attrs: map[string]string{"_v": "1"}}) }},
+		{"put missing table", func() error { return s.Put("nope", item("x")) }},
+		{"injected put fault", func() error {
+			s.SetFault(func(string, catalog.Region) error { return errors.New("injected") })
+			defer s.SetFault(nil)
+			return s.Put("t", item("x"))
+		}},
+	}
+	for _, h := range holds {
+		before := ver()
+		if err := h.write(); err == nil {
+			t.Fatalf("%s: succeeded, want an error", h.name)
+		}
+		if after := ver(); after != before {
+			t.Fatalf("%s: version %d -> %d, want unchanged", h.name, before, after)
+		}
+	}
+
+	// Two stores with the same history: one scans, the other rescans at
+	// the version it already holds. Reads, ledger and fault draws match.
+	history := func() (*Store, *cost.Ledger, *[]string) {
+		s, l := newStore()
+		_ = s.CreateTable("m")
+		for _, k := range []string{"a#1", "a#2", "a#3", "b#1"} {
+			if err := s.Put("m", Item{Key: k, Attrs: map[string]string{"x": k}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ops []string
+		s.SetFault(func(op string, _ catalog.Region) error { ops = append(ops, op); return nil })
+		return s, l, &ops
+	}
+	a, la, opsA := history()
+	b, lb, opsB := history()
+	items, va, err := a.ScanSince("m", "a#", 0)
+	if err != nil || len(items) != 3 {
+		t.Fatalf("full scan: %d items, err %v", len(items), err)
+	}
+	if items, err = a.Scan("m", "a#"); err != nil || len(items) != 3 {
+		t.Fatalf("scan: %d items, err %v", len(items), err)
+	}
+	if _, _, err := b.ScanSince("m", "a#", 0); err != nil {
+		t.Fatal(err)
+	}
+	items, vb, err := b.ScanSince("m", "a#", va)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 0 || vb != va {
+		t.Fatalf("unchanged rescan returned %d items at version %d, want 0 at %d", len(items), vb, va)
+	}
+	ra, wa := a.Stats()
+	rb, wb := b.Stats()
+	if ra != rb || wa != wb || ra != 6 {
+		t.Fatalf("stats: scan (%d reads, %d writes), rescan (%d, %d)", ra, wa, rb, wb)
+	}
+	if la.Of(cost.CategoryDynamoDB) != lb.Of(cost.CategoryDynamoDB) {
+		t.Fatalf("ledger: scan %v, rescan %v", la.Of(cost.CategoryDynamoDB), lb.Of(cost.CategoryDynamoDB))
+	}
+	if fmt.Sprint(*opsA) != fmt.Sprint(*opsB) {
+		t.Fatalf("fault draws: scan %v, rescan %v", *opsA, *opsB)
+	}
+}
