@@ -9,8 +9,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"spotverse/internal/experiment"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata/golden.sha256 from the current outputs")
@@ -19,8 +22,9 @@ var update = flag.Bool("update", false, "regenerate testdata/golden.sha256 from 
 var goldenPath = filepath.Join("testdata", "golden.sha256")
 
 // goldenCase is one pinned stdout. Every variant must render the same
-// bytes: experiments run at -parallel 1 and 2, the fleet sweep at
-// -fleet-shards 1 and 8.
+// bytes: experiments run at -parallel 1 and 2 (-exp all also at 8, and
+// with the market-snapshot store off), the fleet sweep at -fleet-shards
+// 1 and 8.
 type goldenCase struct {
 	name       string
 	exp        string
@@ -32,10 +36,13 @@ type goldenCase struct {
 type variant struct {
 	parallel int
 	shards   string
+	// mktcache is the -mktcache value; empty keeps the default size.
+	mktcache string
 }
 
 var (
 	workerVariants = []variant{{parallel: 1}, {parallel: 2}}
+	allVariants    = []variant{{parallel: 1}, {parallel: 2}, {parallel: 8}, {parallel: 2, mktcache: "0"}}
 	shardVariants  = []variant{{parallel: 2, shards: "1"}, {parallel: 2, shards: "8"}}
 )
 
@@ -44,8 +51,8 @@ var (
 // requests, and not part of -exp all), the multi-trial aggregate and the
 // fleet sweep.
 var goldenCases = []goldenCase{
-	{name: "all/42", exp: "all", seed: 42, variants: workerVariants},
-	{name: "all/7", exp: "all", seed: 7, variants: workerVariants},
+	{name: "all/42", exp: "all", seed: 42, variants: allVariants},
+	{name: "all/7", exp: "all", seed: 7, variants: allVariants},
 	{name: "crash/42", exp: "crash", seed: 42, variants: workerVariants},
 	{name: "crash/7", exp: "crash", seed: 7, variants: workerVariants},
 	{name: "trials/42", exp: "trials", seed: 42, variants: workerVariants},
@@ -63,10 +70,10 @@ func TestGoldenDigests(t *testing.T) {
 		for _, v := range c.variants {
 			d, err := digest(c, v)
 			if err != nil {
-				t.Fatalf("%s (parallel %d, shards %q): %v", c.name, v.parallel, v.shards, err)
+				t.Fatalf("%s (%+v): %v", c.name, v, err)
 			}
 			if prev, ok := got[c.name]; ok && prev != d {
-				t.Fatalf("%s: parallel %d, shards %q renders %s, other variants %s", c.name, v.parallel, v.shards, d, prev)
+				t.Fatalf("%s: %+v renders %s, other variants %s", c.name, v, d, prev)
 			}
 			got[c.name] = d
 		}
@@ -98,8 +105,12 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 func digest(c goldenCase, v variant) (string, error) {
+	mktcache := strconv.Itoa(experiment.DefaultMarketCacheSegments)
+	if v.mktcache != "" {
+		mktcache = v.mktcache
+	}
 	var buf bytes.Buffer
-	if err := run(&buf, c.exp, c.seed, "", 3, v.parallel, "medium", "8192", c.fleetSizes, v.shards); err != nil {
+	if err := run(&buf, c.exp, c.seed, "", 3, v.parallel, "medium", mktcache, c.fleetSizes, v.shards); err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(buf.Bytes())

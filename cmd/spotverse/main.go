@@ -64,7 +64,6 @@ func run(strategyName, instanceType string, n int, kind string, threshold, maxRe
 	}
 
 	var strat strategy.Strategy
-	disableSweep := false
 	switch strategyName {
 	case "spotverse":
 		cfg := core.Config{InstanceType: it, Threshold: threshold, MaxRegions: maxRegions, Seed: seed}
@@ -80,7 +79,6 @@ func run(strategyName, instanceType string, n int, kind string, threshold, maxRe
 			return err
 		}
 		strat = sv
-		disableSweep = true
 	case "single-region":
 		strat, err = baselines.NewSingleRegion(env.Catalog(), it, catalog.Region(startRegion))
 	case "on-demand":
@@ -98,7 +96,6 @@ func run(strategyName, instanceType string, n int, kind string, threshold, maxRe
 		Workloads:    ws,
 		Strategy:     strat,
 		InstanceType: it,
-		DisableSweep: disableSweep,
 	})
 	if err != nil {
 		return err

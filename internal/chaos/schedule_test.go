@@ -65,9 +65,9 @@ func TestExactlyAdjacentWindowsNoGapNoOverlap(t *testing.T) {
 		want bool
 	}{
 		{59 * time.Minute, false},
-		{time.Hour, true},                  // first window's closed edge
+		{time.Hour, true},                     // first window's closed edge
 		{2*time.Hour - time.Nanosecond, true}, // last instant of the first
-		{2 * time.Hour, true},              // boundary: second window owns it
+		{2 * time.Hour, true},                 // boundary: second window owns it
 		{3*time.Hour - time.Nanosecond, true},
 		{3 * time.Hour, false}, // open edge: outside both
 	}

@@ -146,7 +146,6 @@ func crashCell(name string, seed int64, intensity chaos.Intensity, n int) (*Cras
 		Strategy:        sv,
 		InstanceType:    catalog.M5XLarge,
 		AllowIncomplete: true,
-		DisableSweep:    true,
 		Durability:      durability,
 	})
 	if err != nil {

@@ -3,10 +3,11 @@ package experiment
 import (
 	"fmt"
 
-	"spotverse/internal/baselines"
 	"spotverse/internal/catalog"
 	"spotverse/internal/core"
 	"spotverse/internal/predict"
+	"spotverse/internal/strategy"
+	"spotverse/internal/workload"
 )
 
 // This file implements the paper's Section 7 future-work directions as
@@ -29,49 +30,25 @@ func ExtPredictive(seed int64, n int) (*ExtPredictiveResult, error) {
 	if n <= 0 {
 		n = EvalInstances
 	}
-	runOne := func(build func(env *Env) (RunConfig, error)) (*Result, error) {
-		env := NewEnv(seed)
-		env.Market.EnableSeasonality()
-		cfg, err := build(env)
-		if err != nil {
-			return nil, err
+	seasonal := func(b builder) builder {
+		return func(env *Env) (strategy.Strategy, error) {
+			env.Market.EnableSeasonality()
+			return b(env)
 		}
-		cfg.InstanceType = catalog.M5XLarge
-		cfg.Workloads, err = genStandard(seed, n)
-		if err != nil {
-			return nil, err
-		}
-		return Run(env, cfg)
 	}
-
 	contenders := []struct {
 		label string
-		build func(env *Env) (RunConfig, error)
+		build builder
 	}{
-		{"spotverse", func(env *Env) (RunConfig, error) {
-			mgr, err := newSpotVerse(env, core.Config{InstanceType: catalog.M5XLarge, Threshold: 6, Seed: seed})
-			if err != nil {
-				return RunConfig{}, err
-			}
-			return RunConfig{Strategy: mgr, DisableSweep: true}, nil
+		{"spotverse", spotVerse(core.Config{InstanceType: catalog.M5XLarge, Threshold: 6, Seed: seed})},
+		{"adaptive", func(env *Env) (strategy.Strategy, error) {
+			return predict.NewAdaptive(env.Engine, env.Market, catalog.M5XLarge, predict.Config{Seed: seed})
 		}},
-		{"adaptive", func(env *Env) (RunConfig, error) {
-			a, err := predict.NewAdaptive(env.Engine, env.Market, catalog.M5XLarge, predict.Config{Seed: seed})
-			if err != nil {
-				return RunConfig{}, err
-			}
-			return RunConfig{Strategy: a}, nil
-		}},
-		{"skypilot", func(env *Env) (RunConfig, error) {
-			s, err := baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
-			if err != nil {
-				return RunConfig{}, err
-			}
-			return RunConfig{Strategy: s}, nil
-		}},
+		{"skypilot", skyPilot(catalog.M5XLarge)},
 	}
 	results, err := Gather(len(contenders), func(i int) (*Result, error) {
-		res, err := runOne(contenders[i].build)
+		res, err := runArm(seed, seasonal(contenders[i].build), genKind(workload.KindStandard, n),
+			RunConfig{InstanceType: catalog.M5XLarge})
 		if err != nil {
 			return nil, fmt.Errorf("ext-predictive %s: %w", contenders[i].label, err)
 		}
@@ -96,35 +73,13 @@ func ExtCheckpointStores(seed int64, n int) (*ExtCheckpointStoresResult, error) 
 	if n <= 0 {
 		n = EvalInstances
 	}
-	runOne := func(store CheckpointStore) (*Result, error) {
-		env := NewEnv(seed)
-		mgr, err := newSpotVerse(env, core.Config{
-			InstanceType:     catalog.M5XLarge,
-			Threshold:        5,
-			FixedStartRegion: BaselineRegionM5XLarge,
-			Seed:             seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ws, err := genCheckpoint(seed, n)
-		if err != nil {
-			return nil, err
-		}
-		return Run(env, RunConfig{
-			Workloads:     ws,
-			Strategy:      mgr,
-			InstanceType:  catalog.M5XLarge,
-			DisableSweep:  true,
-			CheckpointVia: store,
-		})
-	}
 	stores := []struct {
 		label string
 		store CheckpointStore
 	}{{"s3", CheckpointS3}, {"efs", CheckpointEFS}}
 	results, err := Gather(len(stores), func(i int) (*Result, error) {
-		res, err := runOne(stores[i].store)
+		res, err := runArm(seed, spotVerse(fig7SpotVerse(seed)), genKind(workload.KindCheckpoint, n),
+			RunConfig{InstanceType: catalog.M5XLarge, CheckpointVia: stores[i].store})
 		if err != nil {
 			return nil, fmt.Errorf("ext-checkpoint %s: %w", stores[i].label, err)
 		}
@@ -150,23 +105,6 @@ func ExtScoringModes(seed int64, n int) (*ExtScoringModesResult, error) {
 	if n <= 0 {
 		n = EvalInstances
 	}
-	runOne := func(mode core.ScoringMode, threshold int) (*Result, error) {
-		env := NewEnv(seed)
-		mgr, err := newSpotVerse(env, core.Config{
-			InstanceType: catalog.M5XLarge,
-			Threshold:    threshold,
-			Scoring:      mode,
-			Seed:         seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ws, err := genStandard(seed, n)
-		if err != nil {
-			return nil, err
-		}
-		return Run(env, RunConfig{Workloads: ws, Strategy: mgr, InstanceType: catalog.M5XLarge, DisableSweep: true})
-	}
 	modes := []struct {
 		label     string
 		mode      core.ScoringMode
@@ -177,7 +115,12 @@ func ExtScoringModes(seed int64, n int) (*ExtScoringModesResult, error) {
 		{"price-only", core.ScorePriceOnly, 1},
 	}
 	results, err := Gather(len(modes), func(i int) (*Result, error) {
-		res, err := runOne(modes[i].mode, modes[i].threshold)
+		res, err := runArm(seed, spotVerse(core.Config{
+			InstanceType: catalog.M5XLarge,
+			Threshold:    modes[i].threshold,
+			Scoring:      modes[i].mode,
+			Seed:         seed,
+		}), genKind(workload.KindStandard, n), RunConfig{InstanceType: catalog.M5XLarge})
 		if err != nil {
 			return nil, fmt.Errorf("ext-scoring %s: %w", modes[i].label, err)
 		}

@@ -9,13 +9,15 @@ import (
 	"spotverse/internal/core"
 	"spotverse/internal/market"
 	"spotverse/internal/simclock"
+	"spotverse/internal/strategy"
 	"spotverse/internal/workload"
 )
 
 // This file implements one reproduction function per table and figure in
-// the paper's evaluation (see DESIGN.md's per-experiment index). Each
-// function builds its own environments so runs are isolated, and returns
-// structured results the report layer renders.
+// the paper's evaluation (see DESIGN.md's per-experiment index). Every
+// strategy arm runs through runArm on a fresh environment, so runs are
+// isolated; each function returns structured results the report layer
+// renders.
 
 // Evaluation setup constants taken from the paper.
 const (
@@ -45,6 +47,69 @@ func newSpotVerse(env *Env, cfg core.Config) (*core.SpotVerse, error) {
 		CloudWatch: env.CloudWatch,
 		StepFn:     env.StepFn,
 	})
+}
+
+// builder constructs one strategy arm on a fresh Env.
+type builder func(env *Env) (strategy.Strategy, error)
+
+func singleRegion(t catalog.InstanceType, r catalog.Region) builder {
+	return func(env *Env) (strategy.Strategy, error) { return baselines.NewSingleRegion(env.Catalog(), t, r) }
+}
+
+func naiveMultiRegion(t catalog.InstanceType, regions []catalog.Region, seed int64) builder {
+	return func(env *Env) (strategy.Strategy, error) {
+		return baselines.NewNaiveMultiRegion(env.Catalog(), t, regions, seed)
+	}
+}
+
+func onDemand(t catalog.InstanceType) builder {
+	return func(env *Env) (strategy.Strategy, error) { return baselines.NewOnDemand(env.Catalog(), t) }
+}
+
+func skyPilot(t catalog.InstanceType) builder {
+	return func(env *Env) (strategy.Strategy, error) { return baselines.NewSkyPilotLike(env.Engine, env.Market, t) }
+}
+
+func spotVerse(cfg core.Config) builder {
+	return func(env *Env) (strategy.Strategy, error) { return newSpotVerse(env, cfg) }
+}
+
+// fig7SpotVerse is Fig. 7's SpotVerse: threshold 5, every workload
+// starting in the single-region baseline so the two arms are comparable.
+func fig7SpotVerse(seed int64) core.Config {
+	return core.Config{
+		InstanceType:     catalog.M5XLarge,
+		Threshold:        5,
+		FixedStartRegion: BaselineRegionM5XLarge,
+		Seed:             seed,
+	}
+}
+
+// runArm runs one strategy arm on a fresh environment: build the
+// strategy, generate the workloads from the same seed, then Run with
+// cfg's remaining fields.
+func runArm(seed int64, b builder, gen func(int64) ([]*workload.State, error), cfg RunConfig) (*Result, error) {
+	env := NewEnv(seed)
+	s, err := b(env)
+	if err != nil {
+		return nil, err
+	}
+	ws, err := gen(seed)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Strategy, cfg.Workloads = s, ws
+	return Run(env, cfg)
+}
+
+// genKind generates n standard or checkpoint workloads.
+func genKind(kind workload.Kind, n int) func(int64) ([]*workload.State, error) {
+	return func(seed int64) ([]*workload.State, error) {
+		if kind == workload.KindCheckpoint {
+			return genCheckpoint(seed, n)
+		}
+		return genStandard(seed, n)
+	}
 }
 
 func genStandard(seed int64, n int) ([]*workload.State, error) {
@@ -142,35 +207,13 @@ func Fig3(seed int64) ([]Fig3Result, error) {
 	kinds := []workload.Kind{workload.KindStandard, workload.KindCheckpoint}
 	return Gather(len(kinds), func(i int) (Fig3Result, error) {
 		kind := kinds[i]
-		gen := func(s int64) ([]*workload.State, error) {
-			if kind == workload.KindCheckpoint {
-				return genCheckpoint(s, MotivationInstances)
-			}
-			return genStandard(s, MotivationInstances)
-		}
-		envS := NewEnv(seed)
-		single, err := baselines.NewSingleRegion(envS.Catalog(), catalog.M5XLarge, BaselineRegionM5XLarge)
-		if err != nil {
-			return Fig3Result{}, err
-		}
-		wsS, err := gen(seed)
-		if err != nil {
-			return Fig3Result{}, err
-		}
-		resS, err := Run(envS, RunConfig{Workloads: wsS, Strategy: single, InstanceType: catalog.M5XLarge})
+		gen := genKind(kind, MotivationInstances)
+		cfg := RunConfig{InstanceType: catalog.M5XLarge}
+		resS, err := runArm(seed, singleRegion(catalog.M5XLarge, BaselineRegionM5XLarge), gen, cfg)
 		if err != nil {
 			return Fig3Result{}, fmt.Errorf("fig3 single %s: %w", kind, err)
 		}
-		envM := NewEnv(seed)
-		multi, err := baselines.NewNaiveMultiRegion(envM.Catalog(), catalog.M5XLarge, MotivationRegions, seed)
-		if err != nil {
-			return Fig3Result{}, err
-		}
-		wsM, err := gen(seed)
-		if err != nil {
-			return Fig3Result{}, err
-		}
-		resM, err := Run(envM, RunConfig{Workloads: wsM, Strategy: multi, InstanceType: catalog.M5XLarge})
+		resM, err := runArm(seed, naiveMultiRegion(catalog.M5XLarge, MotivationRegions, seed), gen, cfg)
 		if err != nil {
 			return Fig3Result{}, fmt.Errorf("fig3 multi %s: %w", kind, err)
 		}
@@ -279,105 +322,36 @@ func Fig7(seed int64) ([]Fig7Result, error) {
 	kinds := []workload.Kind{workload.KindStandard, workload.KindCheckpoint}
 	return Gather(len(kinds), func(i int) (Fig7Result, error) {
 		kind := kinds[i]
-		gen := func(s int64) ([]*workload.State, error) {
-			if kind == workload.KindCheckpoint {
-				return genCheckpoint(s, EvalInstances)
-			}
-			return genStandard(s, EvalInstances)
-		}
-		envS := NewEnv(seed)
-		single, err := baselines.NewSingleRegion(envS.Catalog(), catalog.M5XLarge, BaselineRegionM5XLarge)
-		if err != nil {
-			return Fig7Result{}, err
-		}
-		wsS, err := gen(seed)
-		if err != nil {
-			return Fig7Result{}, err
-		}
-		resS, err := Run(envS, RunConfig{Workloads: wsS, Strategy: single, InstanceType: catalog.M5XLarge})
+		gen := genKind(kind, EvalInstances)
+		cfg := RunConfig{InstanceType: catalog.M5XLarge}
+		resS, err := runArm(seed, singleRegion(catalog.M5XLarge, BaselineRegionM5XLarge), gen, cfg)
 		if err != nil {
 			return Fig7Result{}, fmt.Errorf("fig7 single %s: %w", kind, err)
 		}
-
-		envV := NewEnv(seed)
-		sv, err := newSpotVerse(envV, core.Config{
-			InstanceType:     catalog.M5XLarge,
-			Threshold:        5,
-			FixedStartRegion: BaselineRegionM5XLarge,
-			Seed:             seed,
-		})
-		if err != nil {
-			return Fig7Result{}, err
-		}
-		wsV, err := gen(seed)
-		if err != nil {
-			return Fig7Result{}, err
-		}
-		resV, err := Run(envV, RunConfig{Workloads: wsV, Strategy: sv, InstanceType: catalog.M5XLarge, DisableSweep: true})
+		resV, err := runArm(seed, spotVerse(fig7SpotVerse(seed)), gen, cfg)
 		if err != nil {
 			return Fig7Result{}, fmt.Errorf("fig7 spotverse %s: %w", kind, err)
 		}
-
-		odCost, err := onDemandComparatorCost(seed, gen)
+		resO, err := runArm(seed, onDemand(catalog.M5XLarge), gen, cfg)
 		if err != nil {
-			return Fig7Result{}, err
+			return Fig7Result{}, fmt.Errorf("fig7 on-demand %s: %w", kind, err)
 		}
-		return Fig7Result{Kind: kind, Single: resS, SpotVerse: resV, OnDemandCostUSD: odCost}, nil
+		return Fig7Result{Kind: kind, Single: resS, SpotVerse: resV, OnDemandCostUSD: resO.TotalCostUSD}, nil
 	})
 }
 
 // Fig7TrialSingle runs one single-region trial of the Fig. 7 standard
 // setup for a seed (used by the repeated-trials protocol).
 func Fig7TrialSingle(seed int64) (*Result, error) {
-	env := NewEnv(seed)
-	single, err := baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, BaselineRegionM5XLarge)
-	if err != nil {
-		return nil, err
-	}
-	ws, err := genStandard(seed, EvalInstances)
-	if err != nil {
-		return nil, err
-	}
-	return Run(env, RunConfig{Workloads: ws, Strategy: single, InstanceType: catalog.M5XLarge})
+	return runArm(seed, singleRegion(catalog.M5XLarge, BaselineRegionM5XLarge),
+		genKind(workload.KindStandard, EvalInstances), RunConfig{InstanceType: catalog.M5XLarge})
 }
 
 // Fig7TrialSpotVerse runs one SpotVerse trial of the Fig. 7 standard
 // setup for a seed.
 func Fig7TrialSpotVerse(seed int64) (*Result, error) {
-	env := NewEnv(seed)
-	sv, err := newSpotVerse(env, core.Config{
-		InstanceType:     catalog.M5XLarge,
-		Threshold:        5,
-		FixedStartRegion: BaselineRegionM5XLarge,
-		Seed:             seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ws, err := genStandard(seed, EvalInstances)
-	if err != nil {
-		return nil, err
-	}
-	return Run(env, RunConfig{Workloads: ws, Strategy: sv, InstanceType: catalog.M5XLarge, DisableSweep: true})
-}
-
-// onDemandComparatorCost runs the same workload set on cheapest
-// on-demand instances and reports total cost.
-func onDemandComparatorCost(seed int64, gen func(int64) ([]*workload.State, error)) (float64, error) {
-	env := NewEnv(seed)
-	od, err := baselines.NewOnDemand(env.Catalog(), catalog.M5XLarge)
-	if err != nil {
-		return 0, err
-	}
-	ws, err := gen(seed)
-	if err != nil {
-		return 0, err
-	}
-	res, err := Run(env, RunConfig{Workloads: ws, Strategy: od, InstanceType: catalog.M5XLarge})
-	if err != nil {
-		return 0, err
-	}
-	return res.TotalCostUSD, nil
+	return runArm(seed, spotVerse(fig7SpotVerse(seed)),
+		genKind(workload.KindStandard, EvalInstances), RunConfig{InstanceType: catalog.M5XLarge})
 }
 
 // ---------------------------------------------------------------------
@@ -414,51 +388,24 @@ func Fig8(seed int64, types []catalog.InstanceType) ([]Fig8Row, error) {
 			return Fig8Row{}, err
 		}
 
-		envS := NewEnv(seed)
-		single, err := baselines.NewSingleRegion(envS.Catalog(), t, baseRegion)
-		if err != nil {
-			return Fig8Row{}, err
-		}
-		wsS, err := genStandard(seed, EvalInstances)
-		if err != nil {
-			return Fig8Row{}, err
-		}
-		resS, err := Run(envS, RunConfig{Workloads: wsS, Strategy: single, InstanceType: t})
+		gen := genKind(workload.KindStandard, EvalInstances)
+		cfg := RunConfig{InstanceType: t}
+		resS, err := runArm(seed, singleRegion(t, baseRegion), gen, cfg)
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("fig8 single %s: %w", t, err)
 		}
-
-		envV := NewEnv(seed)
-		sv, err := newSpotVerse(envV, core.Config{
+		resV, err := runArm(seed, spotVerse(core.Config{
 			InstanceType:     t,
 			Threshold:        5,
 			FixedStartRegion: baseRegion,
 			Seed:             seed,
-		})
-		if err != nil {
-			return Fig8Row{}, err
-		}
-		wsV, err := genStandard(seed, EvalInstances)
-		if err != nil {
-			return Fig8Row{}, err
-		}
-		resV, err := Run(envV, RunConfig{Workloads: wsV, Strategy: sv, InstanceType: t, DisableSweep: true})
+		}), gen, cfg)
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("fig8 spotverse %s: %w", t, err)
 		}
-
-		envO := NewEnv(seed)
-		od, err := baselines.NewOnDemand(envO.Catalog(), t)
+		resO, err := runArm(seed, onDemand(t), gen, cfg)
 		if err != nil {
-			return Fig8Row{}, err
-		}
-		wsO, err := genStandard(seed, EvalInstances)
-		if err != nil {
-			return Fig8Row{}, err
-		}
-		resO, err := Run(envO, RunConfig{Workloads: wsO, Strategy: od, InstanceType: t})
-		if err != nil {
-			return Fig8Row{}, err
+			return Fig8Row{}, fmt.Errorf("fig8 on-demand %s: %w", t, err)
 		}
 		return Fig8Row{
 			Type:            t,
@@ -490,30 +437,10 @@ func Fig9(seed int64) ([]Fig9Result, error) {
 	kinds := []workload.Kind{workload.KindStandard, workload.KindCheckpoint}
 	return Gather(len(kinds), func(i int) (Fig9Result, error) {
 		kind := kinds[i]
-		gen := func(s int64) ([]*workload.State, error) {
-			if kind == workload.KindCheckpoint {
-				return genCheckpoint(s, EvalInstances)
-			}
-			return genStandard(s, EvalInstances)
-		}
 		run := func(cfg core.Config) (*Result, error) {
-			env := NewEnv(seed)
-			sv, err := newSpotVerse(env, cfg)
-			if err != nil {
-				return nil, err
-			}
-			ws, err := gen(seed)
-			if err != nil {
-				return nil, err
-			}
-			return Run(env, RunConfig{Workloads: ws, Strategy: sv, InstanceType: catalog.M5XLarge, DisableSweep: true})
+			return runArm(seed, spotVerse(cfg), genKind(kind, EvalInstances), RunConfig{InstanceType: catalog.M5XLarge})
 		}
-		fixed, err := run(core.Config{
-			InstanceType:     catalog.M5XLarge,
-			Threshold:        5,
-			FixedStartRegion: BaselineRegionM5XLarge,
-			Seed:             seed,
-		})
+		fixed, err := run(fig7SpotVerse(seed))
 		if err != nil {
 			return Fig9Result{}, fmt.Errorf("fig9 fixed %s: %w", kind, err)
 		}
@@ -575,25 +502,13 @@ func Fig10(seed int64) ([]Fig10Cell, error) {
 				MaxDuration: time.Duration(hours) * time.Hour,
 			})
 		}
-		env := NewEnv(seed)
-		sv, err := newSpotVerse(env, core.Config{
+		res, err := runArm(seed, spotVerse(core.Config{
 			InstanceType: catalog.M5XLarge,
 			Threshold:    threshold,
 			Selection:    core.SelectBucket,
 			Seed:         seed,
-		})
-		if err != nil {
-			return Fig10Cell{}, err
-		}
-		ws, err := gen(seed)
-		if err != nil {
-			return Fig10Cell{}, err
-		}
-		res, err := Run(env, RunConfig{
-			Workloads:    ws,
-			Strategy:     sv,
+		}), gen, RunConfig{
 			InstanceType: catalog.M5XLarge,
-			DisableSweep: true,
 			// Threshold-4 cells restart long workloads in unstable
 			// regions many times over; give the geometric tail room.
 			Horizon:   90 * 24 * time.Hour,
@@ -602,19 +517,9 @@ func Fig10(seed int64) ([]Fig10Cell, error) {
 		if err != nil {
 			return Fig10Cell{}, fmt.Errorf("fig10 T=%d D=%dh: %w", threshold, hours, err)
 		}
-
-		envO := NewEnv(seed)
-		od, err := baselines.NewOnDemand(envO.Catalog(), catalog.M5XLarge)
+		resO, err := runArm(seed, onDemand(catalog.M5XLarge), gen, RunConfig{InstanceType: catalog.M5XLarge})
 		if err != nil {
-			return Fig10Cell{}, err
-		}
-		wsO, err := gen(seed)
-		if err != nil {
-			return Fig10Cell{}, err
-		}
-		resO, err := Run(envO, RunConfig{Workloads: wsO, Strategy: od, InstanceType: catalog.M5XLarge})
-		if err != nil {
-			return Fig10Cell{}, err
+			return Fig10Cell{}, fmt.Errorf("fig10 on-demand D=%dh: %w", hours, err)
 		}
 		return Fig10Cell{
 			Threshold:       threshold,
@@ -698,54 +603,23 @@ type Table4Result struct {
 // start, threshold 6) and under the SkyPilot-style cheapest-price broker.
 // The two contenders run concurrently on separate environments.
 func Table4(seed int64) (*Table4Result, error) {
-	contenders := []func() (*Result, error){
-		func() (*Result, error) {
-			envV := NewEnv(seed)
-			sv, err := newSpotVerse(envV, core.Config{
-				InstanceType: catalog.M5XLarge,
-				Threshold:    6,
-				Seed:         seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			wsV, err := genStandard(seed, EvalInstances)
-			if err != nil {
-				return nil, err
-			}
-			res, err := Run(envV, RunConfig{Workloads: wsV, Strategy: sv, InstanceType: catalog.M5XLarge, DisableSweep: true})
-			if err != nil {
-				return nil, fmt.Errorf("table4 spotverse: %w", err)
-			}
-			return res, nil
-		},
-		func() (*Result, error) {
-			envP := NewEnv(seed)
-			sky, err := baselines.NewSkyPilotLike(envP.Engine, envP.Market, catalog.M5XLarge)
-			if err != nil {
-				return nil, err
-			}
-			wsP, err := genStandard(seed, EvalInstances)
-			if err != nil {
-				return nil, err
-			}
-			res, err := Run(envP, RunConfig{Workloads: wsP, Strategy: sky, InstanceType: catalog.M5XLarge})
-			if err != nil {
-				return nil, fmt.Errorf("table4 skypilot: %w", err)
-			}
-			return res, nil
-		},
+	contenders := []struct {
+		label string
+		build builder
+	}{
+		{"spotverse", spotVerse(core.Config{InstanceType: catalog.M5XLarge, Threshold: 6, Seed: seed})},
+		{"skypilot", skyPilot(catalog.M5XLarge)},
 	}
-	results, err := Gather(len(contenders), func(i int) (*Result, error) { return contenders[i]() })
+	results, err := Gather(len(contenders), func(i int) (*Result, error) {
+		res, err := runArm(seed, contenders[i].build, genKind(workload.KindStandard, EvalInstances),
+			RunConfig{InstanceType: catalog.M5XLarge})
+		if err != nil {
+			return nil, fmt.Errorf("table4 %s: %w", contenders[i].label, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &Table4Result{SpotVerse: results[0], SkyPilot: results[1]}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

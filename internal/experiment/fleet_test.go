@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"spotverse/internal/baselines"
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
 	"spotverse/internal/simclock"
-	"spotverse/internal/strategy"
 	"spotverse/internal/workload"
 )
 
@@ -20,23 +18,15 @@ import (
 // reproduce bit-for-bit against Run.
 type fleetGoldenArm struct {
 	name  string
-	build func(env *Env) (strategy.Strategy, error)
+	build builder
 }
 
 func fleetGoldenArms(seed int64) []fleetGoldenArm {
 	return []fleetGoldenArm{
-		{name: "single-region", build: func(env *Env) (strategy.Strategy, error) {
-			return baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, BaselineRegionM5XLarge)
-		}},
-		{name: "on-demand", build: func(env *Env) (strategy.Strategy, error) {
-			return baselines.NewOnDemand(env.Catalog(), catalog.M5XLarge)
-		}},
-		{name: "skypilot", build: func(env *Env) (strategy.Strategy, error) {
-			return baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
-		}},
-		{name: "naive-multi-region", build: func(env *Env) (strategy.Strategy, error) {
-			return baselines.NewNaiveMultiRegion(env.Catalog(), catalog.M5XLarge, MotivationRegions, seed)
-		}},
+		{name: "single-region", build: singleRegion(catalog.M5XLarge, BaselineRegionM5XLarge)},
+		{name: "on-demand", build: onDemand(catalog.M5XLarge)},
+		{name: "skypilot", build: skyPilot(catalog.M5XLarge)},
+		{name: "naive-multi-region", build: naiveMultiRegion(catalog.M5XLarge, MotivationRegions, seed)},
 	}
 }
 
@@ -133,7 +123,57 @@ func runGoldenFleet(t *testing.T, seed int64, arm fleetGoldenArm, n int) *FleetR
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFleetConservation(t, fmt.Sprintf("%s n=%d", arm.name, n), res)
 	return res
+}
+
+// checkFleetConservation asserts the accounting laws every FleetResult
+// obeys whatever the arm, size or shard count: per-region and
+// per-interval counts sum to their totals, cost splits into instance and
+// service spend, and — once every workload completed without a
+// duplicate relaunch — each launch is one engine event ending in either
+// a completion or an interruption.
+func checkFleetConservation(t *testing.T, label string, res *FleetResult) {
+	t.Helper()
+	sum := func(xs []int) int {
+		n := 0
+		for _, x := range xs {
+			n += x
+		}
+		return n
+	}
+	sumRegions := func(m map[catalog.Region]int) int {
+		n := 0
+		for _, x := range m {
+			n += x
+		}
+		return n
+	}
+	launches := sumRegions(res.LaunchesByRegion)
+	if byRegion, perInterval := sumRegions(res.InterruptionsByRegion), sum(res.InterruptionsPerInterval); byRegion != res.Interruptions || perInterval != res.Interruptions {
+		t.Errorf("%s: interruptions by region %d, per interval %d, total %d", label, byRegion, perInterval, res.Interruptions)
+	}
+	if perInterval := sum(res.CompletionsPerInterval); perInterval != res.Completed {
+		t.Errorf("%s: completions per interval %d, completed %d", label, perInterval, res.Completed)
+	}
+	if res.TotalCostUSD != res.InstanceCostUSD+res.ServiceCostUSD {
+		t.Errorf("%s: total cost %v != instance %v + service %v", label, res.TotalCostUSD, res.InstanceCostUSD, res.ServiceCostUSD)
+	}
+	if res.OnDemandLaunches > launches {
+		t.Errorf("%s: %d on-demand launches of %d", label, res.OnDemandLaunches, launches)
+	}
+	if res.PeakRunning > res.Workloads {
+		t.Errorf("%s: peak running %d > %d workloads", label, res.PeakRunning, res.Workloads)
+	}
+	if res.MeanCompletionHours > res.MakespanHours {
+		t.Errorf("%s: mean completion %vh > makespan %vh", label, res.MeanCompletionHours, res.MakespanHours)
+	}
+	if res.Completed == res.Workloads && res.DuplicateRelaunches == 0 {
+		if uint64(launches) != res.EventsFired || launches != res.Completed+res.Interruptions {
+			t.Errorf("%s: %d launches, %d events, %d completions + %d interruptions",
+				label, launches, res.EventsFired, res.Completed, res.Interruptions)
+		}
+	}
 }
 
 // intervalHistogram buckets the slow path's retained stamps the way the

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -39,6 +40,7 @@ func runShardedCell(t *testing.T, arm string, size, shards int) *FleetResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFleetConservation(t, fmt.Sprintf("%s n=%d shards=%d", arm, size, shards), res)
 	return res
 }
 

@@ -5,11 +5,9 @@ import (
 	"io"
 	"strconv"
 
-	"spotverse/internal/baselines"
 	"spotverse/internal/catalog"
 	"spotverse/internal/report"
 	"spotverse/internal/simclock"
-	"spotverse/internal/strategy"
 	"spotverse/internal/workload"
 )
 
@@ -32,17 +30,13 @@ type FleetCell struct {
 // the strategy itself stays constant while the harness scales.
 type fleetArm struct {
 	name  string
-	build func(env *Env) (strategy.Strategy, error)
+	build builder
 }
 
 func fleetArms() []fleetArm {
 	return []fleetArm{
-		{name: "single-region", build: func(env *Env) (strategy.Strategy, error) {
-			return baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, BaselineRegionM5XLarge)
-		}},
-		{name: "skypilot", build: func(env *Env) (strategy.Strategy, error) {
-			return baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
-		}},
+		{name: "single-region", build: singleRegion(catalog.M5XLarge, BaselineRegionM5XLarge)},
+		{name: "skypilot", build: skyPilot(catalog.M5XLarge)},
 	}
 }
 
@@ -52,7 +46,7 @@ func fleetArms() []fleetArm {
 // partitioned over `shards` shard engines. The result is byte-identical
 // at every shard count.
 func RunFleetCell(arm string, size, shards int) (*FleetResult, error) {
-	var build func(env *Env) (strategy.Strategy, error)
+	var build builder
 	for _, a := range fleetArms() {
 		if a.name == arm {
 			build = a.build

@@ -174,7 +174,6 @@ func ChaosRun(cfg ChaosRunConfig) (*ChaosEvidence, error) {
 		Strategy:        sv,
 		InstanceType:    catalog.M5XLarge,
 		AllowIncomplete: true,
-		DisableSweep:    true,
 		Durability:      DurabilityReplicated,
 		Trace:           true,
 		Horizon:         cfg.Horizon,

@@ -3,7 +3,6 @@ package experiment
 import (
 	"testing"
 
-	"spotverse/internal/baselines"
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
 	"spotverse/internal/core"
@@ -18,44 +17,20 @@ func TestRunInvariantsAcrossSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
 		for _, kind := range []workload.Kind{workload.KindStandard, workload.KindCheckpoint} {
+			builds := []builder{
+				singleRegion(catalog.M5XLarge, "ca-central-1"),
+				skyPilot(catalog.M5XLarge),
+				spotVerse(core.Config{InstanceType: catalog.M5XLarge, Threshold: 5, Seed: seed}),
+			}
 			env := NewEnv(seed)
-			var (
-				strat interface {
-					Name() string
-				}
-				cfg RunConfig
-			)
-			switch seed % 3 {
-			case 0:
-				s, err := baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, "ca-central-1")
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Strategy = s
-				strat = s
-			case 1:
-				s, err := baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Strategy = s
-				strat = s
-			default:
-				mgr, err := newSpotVerse(env, core.Config{InstanceType: catalog.M5XLarge, Threshold: 5, Seed: seed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Strategy = mgr
-				cfg.DisableSweep = true
-				strat = mgr
+			strat, err := builds[seed%3](env)
+			if err != nil {
+				t.Fatal(err)
 			}
 			var settled []*cloud.Instance
 			env.Provider.OnTerminate(func(inst *cloud.Instance, _ bool) { settled = append(settled, inst) })
 			ws := genWorkloads(t, seed, kind, 8)
-			cfg.Workloads = ws
-			cfg.InstanceType = catalog.M5XLarge
-			cfg.Trace = true
-			res, err := Run(env, cfg)
+			res, err := Run(env, RunConfig{Workloads: ws, Strategy: strat, InstanceType: catalog.M5XLarge, Trace: true})
 			if err != nil {
 				t.Fatalf("seed %d %s %s: %v", seed, kind, strat.Name(), err)
 			}

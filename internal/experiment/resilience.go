@@ -141,7 +141,6 @@ func resilienceCell(name string, seed int64, intensity chaos.Intensity, n int) (
 
 	var strat strategy.Strategy
 	var sv *core.SpotVerse
-	disableSweep := false
 	switch name {
 	case StrategySpotVerse, StrategyNoRetry:
 		cfg := core.Config{
@@ -166,7 +165,7 @@ func resilienceCell(name string, seed int64, intensity chaos.Intensity, n int) (
 		if err != nil {
 			return nil, fmt.Errorf("resilience %s: %w", name, err)
 		}
-		sv, strat, disableSweep = s, s, true
+		sv, strat = s, s
 	case StrategySkyPilot:
 		ApplyChaos(env, inj)
 		s, err := baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
@@ -194,7 +193,6 @@ func resilienceCell(name string, seed int64, intensity chaos.Intensity, n int) (
 		Strategy:        strat,
 		InstanceType:    catalog.M5XLarge,
 		AllowIncomplete: true,
-		DisableSweep:    disableSweep,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("resilience %s@%s: %w", name, intensity, err)

@@ -32,7 +32,7 @@ func TestChaosOffPassThrough(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(env, RunConfig{Workloads: ws, Strategy: sv, InstanceType: catalog.M5XLarge, DisableSweep: true})
+		res, err := Run(env, RunConfig{Workloads: ws, Strategy: sv, InstanceType: catalog.M5XLarge})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestLostNoticeRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(env, RunConfig{Workloads: ws, Strategy: sv, InstanceType: catalog.M5XLarge, DisableSweep: true, Trace: true})
+	res, err := Run(env, RunConfig{Workloads: ws, Strategy: sv, InstanceType: catalog.M5XLarge, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRecoveryAblationStrandsWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(env, RunConfig{Workloads: ws, Strategy: sv, InstanceType: catalog.M5XLarge, DisableSweep: true, AllowIncomplete: true})
+	res, err := Run(env, RunConfig{Workloads: ws, Strategy: sv, InstanceType: catalog.M5XLarge, AllowIncomplete: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
+	"spotverse/internal/core"
 	"spotverse/internal/cost"
 	"spotverse/internal/durable"
 	"spotverse/internal/services/dynamo"
@@ -56,8 +57,9 @@ type RunConfig struct {
 	// AllowIncomplete tolerates unfinished workloads at the horizon.
 	AllowIncomplete bool
 	// DisableSweep turns off the harness's own 15-minute open-request
-	// sweep; SpotVerse's Controller schedules its own, so runs driving a
-	// core.SpotVerse strategy set this to avoid double sweeps.
+	// sweep. Run already skips it for a *core.SpotVerse strategy, whose
+	// Controller schedules its own; only a strategy that wraps a
+	// SpotVerse needs to set it.
 	DisableSweep bool
 	// CheckpointVia selects the checkpoint store (default S3; EFS is the
 	// paper's future-work alternative).
@@ -242,7 +244,8 @@ func run(env *Env, cfg RunConfig) (*Result, error) {
 		}
 	}
 
-	if !cfg.DisableSweep {
+	// SpotVerse's Controller schedules its own open-request sweep.
+	if _, isSpotVerse := cfg.Strategy.(*core.SpotVerse); !isSpotVerse && !cfg.DisableSweep {
 		if err := env.CloudWatch.Schedule("harness-open-request-sweep", DefaultSweepInterval, func(time.Time) {
 			env.Provider.EvaluateOpenRequests()
 		}); err != nil {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,20 +25,36 @@ func genWorkloads(t *testing.T, seed int64, kind workload.Kind, n int) []*worklo
 
 func spotVerseFor(t *testing.T, env *Env, cfg core.Config) *core.SpotVerse {
 	t.Helper()
-	sv, err := core.New(cfg, core.Deps{
-		Engine:     env.Engine,
-		Market:     env.Market,
-		Provider:   env.Provider,
-		Dynamo:     env.Dynamo,
-		Lambda:     env.Lambda,
-		Bus:        env.Bus,
-		CloudWatch: env.CloudWatch,
-		StepFn:     env.StepFn,
-	})
+	sv, err := newSpotVerse(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sv
+}
+
+// TestRunSkipsHarnessSweepForSpotVerse checks that Run leaves the
+// open-request sweep to SpotVerse's Controller: a bare SpotVerse run is
+// the same with and without DisableSweep, so no caller needs to set it.
+func TestRunSkipsHarnessSweepForSpotVerse(t *testing.T) {
+	run := func(disableSweep bool) *Result {
+		env := NewEnv(3)
+		sv := spotVerseFor(t, env, fig7SpotVerse(3))
+		res, err := Run(env, RunConfig{
+			Workloads:    genWorkloads(t, 3, workload.KindStandard, 8),
+			Strategy:     sv,
+			InstanceType: catalog.M5XLarge,
+			DisableSweep: disableSweep,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	def, off := run(false), run(true)
+	if !reflect.DeepEqual(def, off) {
+		t.Fatalf("harness sweep changed a SpotVerse run: service $%.6f vs $%.6f, total $%.4f vs $%.4f",
+			def.ServiceCostUSD, off.ServiceCostUSD, def.TotalCostUSD, off.TotalCostUSD)
+	}
 }
 
 func TestOnDemandRunNoInterruptions(t *testing.T) {
@@ -123,7 +140,6 @@ func TestSpotVerseRunBeatsSingleRegion(t *testing.T) {
 		Workloads:    genWorkloads(t, 3, workload.KindStandard, n),
 		Strategy:     sv,
 		InstanceType: catalog.M5XLarge,
-		DisableSweep: true, // SpotVerse's Controller sweeps already
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -373,13 +373,8 @@ func (s *Simulation) GenerateWorkloads(opts WorkloadOptions) ([]*Workload, error
 	return workload.Generate(simclock.Stream(s.seed, "public-workloads"), opts)
 }
 
-// Run executes a workload set under a strategy. When the strategy is a
-// *Manager, the harness's own open-request sweep is disabled because the
-// Controller schedules its own.
+// Run executes a workload set under a strategy.
 func (s *Simulation) Run(cfg RunConfig) (*Result, error) {
-	if _, isManager := cfg.Strategy.(*Manager); isManager {
-		cfg.DisableSweep = true
-	}
 	return experiment.Run(s.env, cfg)
 }
 
