@@ -41,27 +41,18 @@ var (
 
 // Service names used in Schedule maps and Error values.
 const (
-	ServiceDynamo         = "dynamo"
-	ServiceS3             = "s3"
-	ServiceEFS            = "efs"
-	ServiceLambda         = "lambda"
-	ServiceEventBridge    = "eventbridge"
-	ServiceCloudWatch     = "cloudwatch"
-	ServiceStepFn         = "stepfn"
-	ServiceAMI            = "ami"
-	ServiceCloudFormation = "cloudformation"
+	ServiceDynamo      = "dynamo"
+	ServiceS3          = "s3"
+	ServiceEFS         = "efs"
+	ServiceLambda      = "lambda"
+	ServiceEventBridge = "eventbridge"
+	ServiceCloudWatch  = "cloudwatch"
+	ServiceStepFn      = "stepfn"
 	// ServiceServe is the placement service's backend path
 	// (internal/serve.SimBackend), so brownouts and error rates can hit
 	// the serving daemon directly and exercise its degraded mode.
 	ServiceServe = "serve"
 )
-
-// Services lists every injectable service name, sorted.
-var Services = []string{
-	ServiceAMI, ServiceCloudFormation, ServiceCloudWatch, ServiceDynamo,
-	ServiceEFS, ServiceEventBridge, ServiceLambda, ServiceS3, ServiceServe,
-	ServiceStepFn,
-}
 
 // Error is one injected fault. It unwraps to its Class sentinel, so
 // consumers can errors.Is(err, chaos.Unavailable) and errors.As out the

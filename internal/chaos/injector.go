@@ -45,10 +45,6 @@ func NewInjector(eng *simclock.Engine, seed int64, sched Schedule) *Injector {
 	}
 }
 
-// SetHomeRegion overrides the region non-regional calls are attributed
-// to for brownout matching.
-func (inj *Injector) SetHomeRegion(r catalog.Region) { inj.home = r }
-
 // Schedule returns the active schedule.
 func (inj *Injector) Schedule() Schedule { return inj.sched }
 

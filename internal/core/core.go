@@ -26,7 +26,6 @@ import (
 	"spotverse/internal/services/dynamo"
 	"spotverse/internal/services/eventbridge"
 	"spotverse/internal/services/lambda"
-	"spotverse/internal/services/s3"
 	"spotverse/internal/services/stepfn"
 	"spotverse/internal/simclock"
 	"spotverse/internal/strategy"
@@ -256,9 +255,6 @@ type Deps struct {
 	Bus        *eventbridge.Bus
 	CloudWatch *cloudwatch.Service
 	StepFn     *stepfn.Machine
-	// S3 is optional; the CloudFormation deployment path (deploy.go)
-	// provisions the activity-log bucket onto it when present.
-	S3 *s3.Store
 }
 
 func (d Deps) validate() error {

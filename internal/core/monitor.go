@@ -37,8 +37,6 @@ const CollectorFunction = "spotverse-metrics-collector"
 
 func newMonitor(cfg Config, deps Deps) (*Monitor, error) {
 	m := &Monitor{cfg: cfg, deps: deps}
-	// The table may already exist when the deployment went through the
-	// CloudFormation path (deploy.go).
 	if err := deps.Dynamo.CreateTable(MetricsTable); err != nil && !errors.Is(err, dynamo.ErrTableExists) {
 		return nil, fmt.Errorf("monitor: %w", err)
 	}

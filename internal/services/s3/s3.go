@@ -256,19 +256,6 @@ func (s *Store) WipeBucket(name string) error {
 	return nil
 }
 
-// LoseRegion wipes every bucket homed in the region, returning how many
-// buckets lost their objects — a regional data-loss event.
-func (s *Store) LoseRegion(r catalog.Region) int {
-	n := 0
-	for _, b := range s.buckets {
-		if b.region == r {
-			b.objects = make(map[string]*Object)
-			n++
-		}
-	}
-	return n
-}
-
 // CorruptedReads reports how many Gets returned bit-flipped data.
 func (s *Store) CorruptedReads() int64 { return s.corruptedReads }
 

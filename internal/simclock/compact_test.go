@@ -125,108 +125,3 @@ func TestPendingCountsOnlyLiveEvents(t *testing.T) {
 		t.Fatalf("Pending after drain = %d, want 0", got)
 	}
 }
-
-func TestAgendaBatchesAndPreservesOrder(t *testing.T) {
-	eng := NewEngine()
-	ag := NewAgenda(eng)
-	var order []int
-	due := eng.Now().Add(time.Hour)
-	for i := 0; i < 5; i++ {
-		i := i
-		if _, err := ag.Schedule(due, "regionA", "batch", func() { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A different key at the same instant gets its own bucket.
-	if _, err := ag.Schedule(due, "regionB", "batch", func() { order = append(order, 100) }); err != nil {
-		t.Fatal(err)
-	}
-	if got := ag.Buckets(); got != 2 {
-		t.Fatalf("Buckets = %d, want 2", got)
-	}
-	// Two buckets -> two heap entries, regardless of six callbacks.
-	if got := eng.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2 (one engine event per bucket)", got)
-	}
-	if err := eng.Run(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 2, 3, 4, 100}
-	if len(order) != len(want) {
-		t.Fatalf("fired %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("fired %v, want %v", order, want)
-		}
-	}
-	if got := ag.Buckets(); got != 0 {
-		t.Fatalf("Buckets after run = %d, want 0", got)
-	}
-}
-
-func TestAgendaCancelSlot(t *testing.T) {
-	eng := NewEngine()
-	ag := NewAgenda(eng)
-	var order []int
-	hs := make([]BatchHandle, 0, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		hs = append(hs, ag.ScheduleAfter(time.Hour, "k", "batch", func() { order = append(order, i) }))
-	}
-	if !hs[1].Cancel() {
-		t.Fatal("first Cancel reported not pending")
-	}
-	if hs[1].Cancel() {
-		t.Fatal("second Cancel reported pending")
-	}
-	if err := eng.Run(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != 0 || order[1] != 2 {
-		t.Fatalf("fired %v, want [0 2]", order)
-	}
-	if hs[0].Cancel() {
-		t.Fatal("Cancel after firing reported pending")
-	}
-}
-
-// TestAgendaFullyCancelledBucketRearms covers the tricky case: cancel
-// every slot in a bucket (which drops the bucket and its engine
-// event), then schedule the same (key, tick) again — the new callback
-// must still fire.
-func TestAgendaFullyCancelledBucketRearms(t *testing.T) {
-	eng := NewEngine()
-	ag := NewAgenda(eng)
-	h1 := ag.ScheduleAfter(time.Hour, "k", "batch", func() { t.Fatal("cancelled slot fired") })
-	h2 := ag.ScheduleAfter(time.Hour, "k", "batch", func() { t.Fatal("cancelled slot fired") })
-	h1.Cancel()
-	h2.Cancel()
-	if got := ag.Buckets(); got != 0 {
-		t.Fatalf("Buckets after full cancel = %d, want 0", got)
-	}
-	if got := eng.Pending(); got != 0 {
-		t.Fatalf("Pending after full cancel = %d, want 0", got)
-	}
-	fired := false
-	ag.ScheduleAfter(time.Hour, "k", "batch", func() { fired = true })
-	if err := eng.Run(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("re-armed bucket never fired")
-	}
-}
-
-func TestAgendaSchedulePastRejected(t *testing.T) {
-	eng := NewEngine()
-	ag := NewAgenda(eng)
-	eng.ScheduleAfter(time.Hour, "advance", func() {})
-	eng.Step()
-	if _, err := ag.Schedule(eng.Now().Add(-time.Minute), "k", "late", func() {}); err == nil {
-		t.Fatal("scheduling in the past succeeded")
-	}
-	if got := ag.Buckets(); got != 0 {
-		t.Fatalf("Buckets after failed schedule = %d, want 0", got)
-	}
-}

@@ -72,12 +72,6 @@ func (g *RNG) LogNormalAround(mean, sigma float64) float64 {
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Pick returns a uniformly random element of xs. It panics on an empty
 // slice because callers must guard emptiness themselves (it is always a
 // logic error here).
