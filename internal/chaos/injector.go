@@ -8,10 +8,10 @@ import (
 	"spotverse/internal/simclock"
 )
 
-// DefaultHomeRegion is where non-regional service calls (DynamoDB
-// tables, Lambda invocations, the event bus) are attributed when a
-// brownout names a region — matching the deployment stack's home.
-const DefaultHomeRegion = catalog.Region("us-east-1")
+// HomeRegion is where non-regional service calls (DynamoDB tables,
+// Lambda invocations, the event bus) are attributed when a brownout
+// names a region.
+const HomeRegion = catalog.Region("us-east-1")
 
 // Injector draws faults for service calls according to a Schedule. Each
 // service uses its own named RNG stream, so the fault sequence seen by
@@ -21,7 +21,6 @@ type Injector struct {
 	eng   *simclock.Engine
 	seed  int64
 	sched Schedule
-	home  catalog.Region
 	rngs  map[string]*simclock.RNG
 
 	injected  map[string]int // "service/class" -> count
@@ -39,7 +38,6 @@ func NewInjector(eng *simclock.Engine, seed int64, sched Schedule) *Injector {
 		eng:      eng,
 		seed:     seed,
 		sched:    sched,
-		home:     DefaultHomeRegion,
 		rngs:     make(map[string]*simclock.RNG),
 		injected: make(map[string]int),
 	}
@@ -78,7 +76,7 @@ func (inj *Injector) Fault(service, op string, region catalog.Region) error {
 	now := inj.eng.Now()
 	target := region
 	if target == "" {
-		target = inj.home
+		target = HomeRegion
 	}
 	for _, b := range inj.sched.Brownouts {
 		if !b.Contains(now) {

@@ -84,7 +84,7 @@ func TestMonitorScheduledCollection(t *testing.T) {
 
 func TestMonitorLatestRoundTripsAdvisor(t *testing.T) {
 	sv, deps := newSpotVerse(t, Config{Seed: 3})
-	entries, err := sv.Monitor().Latest() // triggers a synchronous collect
+	entries, err := sv.Monitor().LatestAged() // triggers a synchronous collect
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,19 +162,6 @@ func (m *Monitor) LatestAged() ([]AgedEntry, error) {
 	return out, nil
 }
 
-// Latest is LatestAged without the timestamps.
-func (m *Monitor) Latest() ([]market.AdvisorEntry, error) {
-	aged, err := m.LatestAged()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]market.AdvisorEntry, len(aged))
-	for i, e := range aged {
-		out[i] = e.AdvisorEntry
-	}
-	return out, nil
-}
-
 func entryFromItem(it dynamo.Item) (market.AdvisorEntry, error) {
 	spot, err := strconv.ParseFloat(it.Attrs["spot"], 64)
 	if err != nil {
