@@ -70,15 +70,7 @@ func run(strategyName, instanceType string, n int, kind string, threshold, maxRe
 		if !spread {
 			cfg.FixedStartRegion = catalog.Region(startRegion)
 		}
-		sv, err := core.New(cfg, core.Deps{
-			Engine: env.Engine, Market: env.Market, Provider: env.Provider,
-			Dynamo: env.Dynamo, Lambda: env.Lambda, Bus: env.Bus,
-			CloudWatch: env.CloudWatch, StepFn: env.StepFn,
-		})
-		if err != nil {
-			return err
-		}
-		strat = sv
+		strat, err = experiment.NewSpotVerse(env, cfg)
 	case "single-region":
 		strat, err = baselines.NewSingleRegion(env.Catalog(), it, catalog.Region(startRegion))
 	case "on-demand":

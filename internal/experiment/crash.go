@@ -131,7 +131,7 @@ func crashCell(name string, seed int64, intensity chaos.Intensity, n int) (*Cras
 	env.StepFn = stepfn.MustNew(env.Engine, env.Ledger,
 		stepfn.Config{MaxAttempts: 5, BaseBackoff: 30 * time.Second, BackoffRate: 2, Jitter: 0.4, Seed: seed})
 	ApplyChaos(env, inj)
-	sv, err := newSpotVerse(env, cfg)
+	sv, err := NewSpotVerse(env, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("crash %s: %w", name, err)
 	}

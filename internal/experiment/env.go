@@ -12,6 +12,7 @@ import (
 
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
+	"spotverse/internal/core"
 	"spotverse/internal/cost"
 	"spotverse/internal/market"
 	"spotverse/internal/services/cloudwatch"
@@ -73,3 +74,18 @@ func NewEnvAt(seed int64, start time.Time) *Env {
 
 // Catalog is a convenience accessor.
 func (e *Env) Catalog() *catalog.Catalog { return e.Market.Catalog() }
+
+// NewSpotVerse wires a core.SpotVerse onto the Env's engine, market,
+// provider and managed services.
+func NewSpotVerse(env *Env, cfg core.Config) (*core.SpotVerse, error) {
+	return core.New(cfg, core.Deps{
+		Engine:     env.Engine,
+		Market:     env.Market,
+		Provider:   env.Provider,
+		Dynamo:     env.Dynamo,
+		Lambda:     env.Lambda,
+		Bus:        env.Bus,
+		CloudWatch: env.CloudWatch,
+		StepFn:     env.StepFn,
+	})
+}

@@ -35,20 +35,6 @@ const (
 // MotivationRegions is the motivational experiment's fixed region set.
 var MotivationRegions = []catalog.Region{"ap-northeast-3", "ca-central-1", "eu-north-1"}
 
-// newSpotVerse wires a core.SpotVerse onto an Env.
-func newSpotVerse(env *Env, cfg core.Config) (*core.SpotVerse, error) {
-	return core.New(cfg, core.Deps{
-		Engine:     env.Engine,
-		Market:     env.Market,
-		Provider:   env.Provider,
-		Dynamo:     env.Dynamo,
-		Lambda:     env.Lambda,
-		Bus:        env.Bus,
-		CloudWatch: env.CloudWatch,
-		StepFn:     env.StepFn,
-	})
-}
-
 // builder constructs one strategy arm on a fresh Env.
 type builder func(env *Env) (strategy.Strategy, error)
 
@@ -71,7 +57,7 @@ func skyPilot(t catalog.InstanceType) builder {
 }
 
 func spotVerse(cfg core.Config) builder {
-	return func(env *Env) (strategy.Strategy, error) { return newSpotVerse(env, cfg) }
+	return func(env *Env) (strategy.Strategy, error) { return NewSpotVerse(env, cfg) }
 }
 
 // fig7SpotVerse is Fig. 7's SpotVerse: threshold 5, every workload
@@ -537,7 +523,7 @@ func Table3Selection(seed int64) (map[int][]catalog.Region, error) {
 	out := make(map[int][]catalog.Region, len(Fig10Thresholds))
 	for _, threshold := range Fig10Thresholds {
 		env := NewEnv(seed)
-		sv, err := newSpotVerse(env, core.Config{
+		sv, err := NewSpotVerse(env, core.Config{
 			InstanceType: catalog.M5XLarge,
 			Threshold:    threshold,
 			Selection:    core.SelectBucket,

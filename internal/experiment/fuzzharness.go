@@ -152,7 +152,7 @@ func ChaosRun(cfg ChaosRunConfig) (*ChaosEvidence, error) {
 	env.StepFn = stepfn.MustNew(env.Engine, env.Ledger,
 		stepfn.Config{MaxAttempts: 5, BaseBackoff: 30 * time.Second, BackoffRate: 2, Jitter: 0.4, Seed: cfg.Seed})
 	ApplyChaos(env, inj)
-	sv, err := newSpotVerse(env, coreCfg)
+	sv, err := NewSpotVerse(env, coreCfg)
 	if err != nil {
 		return nil, fmt.Errorf("fuzz harness: %w", err)
 	}
@@ -239,7 +239,7 @@ func NewServeSimWith(seed int64, sched chaos.Schedule) (*ServeSim, error) {
 	env := NewEnv(seed)
 	inj := chaos.NewInjector(env.Engine, seed, sched)
 	ApplyChaos(env, inj)
-	mgr, err := newSpotVerse(env, core.Config{
+	mgr, err := NewSpotVerse(env, core.Config{
 		InstanceType: catalog.M5XLarge,
 		Threshold:    5,
 		Seed:         seed,

@@ -161,7 +161,7 @@ func resilienceCell(name string, seed int64, intensity chaos.Intensity, n int) (
 		}
 		env.StepFn = stepfn.MustNew(env.Engine, env.Ledger, sfCfg)
 		ApplyChaos(env, inj)
-		s, err := newSpotVerse(env, cfg)
+		s, err := NewSpotVerse(env, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("resilience %s: %w", name, err)
 		}

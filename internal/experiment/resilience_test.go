@@ -19,7 +19,7 @@ func TestChaosOffPassThrough(t *testing.T) {
 		if install {
 			ApplyChaos(env, chaos.NewInjector(env.Engine, 42, chaos.Preset(chaos.Off, env.Engine.Now())))
 		}
-		sv, err := newSpotVerse(env, core.Config{
+		sv, err := NewSpotVerse(env, core.Config{
 			InstanceType:     catalog.M5XLarge,
 			Threshold:        5,
 			FixedStartRegion: BaselineRegionM5XLarge,
@@ -63,7 +63,7 @@ func TestLostNoticeRecovered(t *testing.T) {
 		}
 		return false
 	})
-	sv, err := newSpotVerse(env, core.Config{
+	sv, err := NewSpotVerse(env, core.Config{
 		InstanceType:     catalog.M5XLarge,
 		Threshold:        5,
 		FixedStartRegion: BaselineRegionM5XLarge,
@@ -135,7 +135,7 @@ func TestRecoveryAblationStrandsWorkloads(t *testing.T) {
 		}
 		return false
 	})
-	sv, err := newSpotVerse(env, core.Config{
+	sv, err := NewSpotVerse(env, core.Config{
 		InstanceType:     catalog.M5XLarge,
 		Threshold:        5,
 		FixedStartRegion: BaselineRegionM5XLarge,

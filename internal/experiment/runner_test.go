@@ -25,7 +25,7 @@ func genWorkloads(t *testing.T, seed int64, kind workload.Kind, n int) []*worklo
 
 func spotVerseFor(t *testing.T, env *Env, cfg core.Config) *core.SpotVerse {
 	t.Helper()
-	sv, err := newSpotVerse(env, cfg)
+	sv, err := NewSpotVerse(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

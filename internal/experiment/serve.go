@@ -71,7 +71,7 @@ func NewServeSim(seed int64, intensity chaos.Intensity) (*ServeSim, error) {
 	start := env.Engine.Now()
 	inj := chaos.NewInjector(env.Engine, seed, serveSchedule(intensity, start))
 	ApplyChaos(env, inj)
-	mgr, err := newSpotVerse(env, core.Config{
+	mgr, err := NewSpotVerse(env, core.Config{
 		InstanceType: catalog.M5XLarge,
 		Threshold:    5,
 		Seed:         seed,

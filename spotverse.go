@@ -272,16 +272,7 @@ func (s *Simulation) NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = s.seed
 	}
-	return core.New(cfg, core.Deps{
-		Engine:     s.env.Engine,
-		Market:     s.env.Market,
-		Provider:   s.env.Provider,
-		Dynamo:     s.env.Dynamo,
-		Lambda:     s.env.Lambda,
-		Bus:        s.env.Bus,
-		CloudWatch: s.env.CloudWatch,
-		StepFn:     s.env.StepFn,
-	})
+	return experiment.NewSpotVerse(s.env, cfg)
 }
 
 // NewSingleRegionStrategy returns the traditional single-region baseline.
