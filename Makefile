@@ -1,9 +1,6 @@
 GO ?= go
 
-# PR counter for benchmark snapshots (BENCH_$(PR).json).
-PR ?= 10
-
-.PHONY: build test race vet vet-determinism lint verify experiments serve-smoke fleet-smoke fuzz fuzz-soak bench bench-compare profile
+.PHONY: build test race vet vet-determinism lint verify experiments serve-smoke fleet-smoke fuzz fuzz-soak bench profile
 
 build:
 	$(GO) build ./...
@@ -68,34 +65,12 @@ fuzz:
 fuzz-soak:
 	$(GO) run ./cmd/spotverse-fuzz -seeds 1000 -v
 
-# bench snapshots the root-package benchmark suite (experiment drivers,
-# market hot paths, worker-pool scaling) into BENCH_$(PR).json. The
-# format is plain `go test -bench` text, which benchstat consumes
-# directly: `benchstat BENCH_2.json BENCH_3.json`.
+# bench runs the end-to-end benchmark, spotverse-bench, over all four
+# workloads at seed 42 (see cmd/spotverse-bench/README.md). Run
+# cmd/spotverse-bench/run.sh directly to pass flags, e.g. `--trace 1`
+# for the per-layer pass or `--out`/`--compare` to diff two records.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=3 . | tee BENCH_$(PR).json
-
-# bench-compare diffs the current benchmark snapshot against the PR 8
-# baseline (override OLD/NEW for other pairs). benchstat gives the full
-# statistical treatment when installed; otherwise an awk fallback
-# prints mean ns/op per benchmark side by side.
-OLD ?= BENCH_8.json
-NEW ?= BENCH_$(PR).json
-
-bench-compare:
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(OLD) $(NEW); \
-	else \
-		echo "benchstat not found; mean ns/op fallback ($(OLD) -> $(NEW))"; \
-		awk 'FNR == 1 { file++ } \
-			/^Benchmark/ { key = file "/" $$1; sum[key] += $$3; n[key]++; \
-				if (file == 2 && !($$1 in seen)) { seen[$$1]; order[++k] = $$1 } } \
-			END { for (i = 1; i <= k; i++) { name = order[i]; o = "1/" name; w = "2/" name; \
-				if (o in sum) printf "%-55s %14.0f -> %14.0f ns/op (%+.1f%%)\n", \
-					name, sum[o]/n[o], sum[w]/n[w], 100*(sum[w]/n[w] - sum[o]/n[o])/(sum[o]/n[o]); \
-				else printf "%-55s %14s -> %14.0f ns/op (new)\n", name, "-", sum[w]/n[w]; } }' \
-			$(OLD) $(NEW); \
-	fi
+	bash cmd/spotverse-bench/run.sh
 
 # profile captures pprof CPU and heap profiles of the full experiment
 # sweep; inspect with `go tool pprof cpu.pprof`.

@@ -12,10 +12,11 @@ package spotverse
 //     per workload after the run, the streaming-aggregation memory
 //     bound.
 //
-// Both are reported as custom benchmark metrics so BENCH_N.json diffs
-// carry the trajectory. TestFleetRetention gates the second at N=10k;
-// speed has no test gate, because both paths run the same provider
-// bookkeeping and their wall-clock gap is no structural bar.
+// Both are reported as custom benchmark metrics of `go test -bench`;
+// the end-to-end fleet record is spotverse-bench (`make bench`).
+// TestFleetRetention gates the second at N=10k; speed has no test gate,
+// because both paths run the same provider bookkeeping and their
+// wall-clock gap is no structural bar.
 
 import (
 	"runtime"

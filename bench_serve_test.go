@@ -2,8 +2,8 @@ package spotverse
 
 // Serving-path benchmarks for cmd/spotverse-serve: the warm /v1/place
 // hot path (sustained QPS, tail latency, allocation count) and the
-// deterministic overload replay pipeline. Snapshot into BENCH_N.json
-// via `make bench`; compare with `make bench-compare`.
+// deterministic overload replay pipeline. Run with `go test -bench`;
+// the end-to-end serving record is spotverse-bench (`make bench`).
 
 import (
 	"context"

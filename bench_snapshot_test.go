@@ -21,9 +21,8 @@ import (
 //     materialises once and the remaining arms are pure reads.
 //
 // Everything runs single-threaded, so shared/cold measures regeneration
-// elimination, not parallelism. `make bench-compare` diffs these
-// against the previous BENCH snapshot alongside the full-figure
-// benchmarks in bench_test.go.
+// elimination, not parallelism. Run them with `go test -bench`
+// alongside the full-figure benchmarks in bench_test.go.
 
 // armFootprint issues one strategy arm's market queries over the
 // horizon: one opening-weeks region ranking, a daily advisor scan, and
