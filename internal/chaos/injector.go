@@ -8,10 +8,10 @@ import (
 	"spotverse/internal/simclock"
 )
 
-// HomeRegion is where non-regional service calls (DynamoDB tables,
+// homeRegion is where non-regional service calls (DynamoDB tables,
 // Lambda invocations, the event bus) are attributed when a brownout
 // names a region.
-const HomeRegion = catalog.Region("us-east-1")
+const homeRegion = catalog.Region("us-east-1")
 
 // Injector draws faults for service calls according to a Schedule. Each
 // service uses its own named RNG stream, so the fault sequence seen by
@@ -76,7 +76,7 @@ func (inj *Injector) Fault(service, op string, region catalog.Region) error {
 	now := inj.eng.Now()
 	target := region
 	if target == "" {
-		target = HomeRegion
+		target = homeRegion
 	}
 	for _, b := range inj.sched.Brownouts {
 		if !b.Contains(now) {
