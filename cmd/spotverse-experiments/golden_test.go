@@ -9,11 +9,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-
-	"spotverse/internal/experiment"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata/golden.sha256 from the current outputs")
@@ -22,9 +19,8 @@ var update = flag.Bool("update", false, "regenerate testdata/golden.sha256 from 
 var goldenPath = filepath.Join("testdata", "golden.sha256")
 
 // goldenCase is one pinned stdout. Every variant must render the same
-// bytes: experiments run at -parallel 1 and 2 (-exp all also at 8, and
-// with the market-snapshot store off), the fleet sweep at -fleet-shards
-// 1 and 8.
+// bytes: experiments run at -parallel 1 and 2 (-exp all also at 8), the
+// fleet sweep at -fleet-shards 1 and 8.
 type goldenCase struct {
 	name       string
 	exp        string
@@ -36,13 +32,11 @@ type goldenCase struct {
 type variant struct {
 	parallel int
 	shards   string
-	// mktcache is the -mktcache value; empty keeps the default size.
-	mktcache string
 }
 
 var (
 	workerVariants = []variant{{parallel: 1}, {parallel: 2}}
-	allVariants    = []variant{{parallel: 1}, {parallel: 2}, {parallel: 8}, {parallel: 2, mktcache: "0"}}
+	allVariants    = []variant{{parallel: 1}, {parallel: 2}, {parallel: 8}}
 	shardVariants  = []variant{{parallel: 2, shards: "1"}, {parallel: 2, shards: "8"}}
 )
 
@@ -105,12 +99,8 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 func digest(c goldenCase, v variant) (string, error) {
-	mktcache := strconv.Itoa(experiment.DefaultMarketCacheSegments)
-	if v.mktcache != "" {
-		mktcache = v.mktcache
-	}
 	var buf bytes.Buffer
-	if err := run(&buf, c.exp, c.seed, "", 3, v.parallel, "medium", mktcache, c.fleetSizes, v.shards); err != nil {
+	if err := run(&buf, c.exp, c.seed, "", 3, v.parallel, "medium", c.fleetSizes, v.shards); err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(buf.Bytes())

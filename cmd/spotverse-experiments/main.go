@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	spotverse-experiments [-exp all|list|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table1|table4|ext|chaos|crash|trials|fleet] [-seed N] [-csv dir] [-intensity off|low|medium|severe] [-parallel N] [-mktcache N] [-fleet sizes] [-fleet-shards N] [-cpuprofile file] [-memprofile file]
+//	spotverse-experiments [-exp all|list|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table1|table4|ext|chaos|crash|trials|fleet] [-seed N] [-csv dir] [-intensity off|low|medium|severe] [-parallel N] [-fleet sizes] [-fleet-shards N] [-cpuprofile file] [-memprofile file]
 //
 // Each experiment prints an ASCII rendering of the corresponding table or
 // figure; -csv additionally writes raw series files into the directory.
@@ -24,12 +24,6 @@
 // sweep fans out across independent simulations and renders results in a
 // fixed order, so the output is byte-identical for every worker count;
 // -parallel 1 forces the fully sequential reference path.
-//
-// -mktcache sizes the shared market-snapshot store in 2 KiB segments
-// (default 8192 ≈ 16 MiB): every strategy arm and worker simulating the
-// same (seed, start) reads one materialisation of the market instead of
-// regenerating it. 0 disables sharing; the output is byte-identical
-// either way.
 //
 // -cpuprofile and -memprofile write pprof profiles for performance work
 // (see `make profile`); samples carry experiment/seed/arm pprof labels,
@@ -65,7 +59,7 @@ import (
 
 // usageLine is appended to flag-validation errors so a bad invocation
 // prints the accepted values without the caller digging through -h.
-const usageLine = "usage: spotverse-experiments [-exp all|list|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table1|table4|ext|chaos|crash|trials|fleet] [-seed N] [-csv dir] [-intensity off|low|medium|severe] [-parallel N] [-mktcache N] [-fleet sizes] [-fleet-shards N] [-cpuprofile file] [-memprofile file]"
+const usageLine = "usage: spotverse-experiments [-exp all|list|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table1|table4|ext|chaos|crash|trials|fleet] [-seed N] [-csv dir] [-intensity off|low|medium|severe] [-parallel N] [-fleet sizes] [-fleet-shards N] [-cpuprofile file] [-memprofile file]"
 
 func main() {
 	var (
@@ -75,7 +69,6 @@ func main() {
 		trials      = flag.Int("trials", 3, "trial count for -exp trials (the paper repeats each experiment 3x)")
 		intensity   = flag.String("intensity", "medium", "background-fault intensity for -exp crash: off, low, medium, severe")
 		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool bound for the experiment harness (1 = sequential; output is byte-identical either way)")
-		mktcache    = flag.String("mktcache", strconv.Itoa(experiment.DefaultMarketCacheSegments), "market-snapshot store size in 2KiB segments (0 disables sharing; output is byte-identical either way)")
 		fleetSizes  = flag.String("fleet", "1000,10000,50000,100000", "comma-separated workload counts for -exp fleet (each must be a positive integer)")
 		fleetShards = flag.String("fleet-shards", "", "shard count for -exp fleet runs (default: the -parallel value; output is byte-identical for every shard count)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -90,7 +83,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	go handleSignals(sig, prof, os.Stderr, os.Exit)
-	err = run(os.Stdout, *exp, *seed, *csvDir, *trials, *parallel, *intensity, *mktcache, *fleetSizes, *fleetShards)
+	err = run(os.Stdout, *exp, *seed, *csvDir, *trials, *parallel, *intensity, *fleetSizes, *fleetShards)
 	if ferr := prof.Flush(); err == nil {
 		err = ferr
 	}
@@ -177,7 +170,7 @@ func handleSignals(sig <-chan os.Signal, prof *profiler, stderr io.Writer, exit 
 	exit(code)
 }
 
-func run(w io.Writer, exp string, seed int64, csvDir string, trials, parallel int, intensity, mktcache, fleetSizes, fleetShards string) error {
+func run(w io.Writer, exp string, seed int64, csvDir string, trials, parallel int, intensity, fleetSizes, fleetShards string) error {
 	inten, err := chaos.ParseIntensity(intensity)
 	if err != nil {
 		return fmt.Errorf("%w\n%s", err, usageLine)
@@ -185,17 +178,8 @@ func run(w io.Writer, exp string, seed int64, csvDir string, trials, parallel in
 	if parallel < 1 {
 		return fmt.Errorf("invalid -parallel %d (must be >= 1)\n%s", parallel, usageLine)
 	}
-	// -mktcache is parsed here (not via flag.Int) so a non-integer value
-	// gets the same one-line usage error as the other flags instead of
-	// the flag package's multi-line dump.
-	segments, err := strconv.Atoi(mktcache)
-	if err != nil || segments < 0 {
-		return fmt.Errorf("invalid -mktcache %q (must be a non-negative integer segment count)\n%s", mktcache, usageLine)
-	}
 	prev := experiment.SetWorkers(parallel)
 	defer experiment.SetWorkers(prev)
-	prevCache := experiment.SetMarketCache(segments)
-	defer experiment.SetMarketCache(prevCache)
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			return err

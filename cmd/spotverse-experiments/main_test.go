@@ -10,10 +10,12 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"spotverse/internal/experiment"
 )
 
 func TestUnknownExperimentRejected(t *testing.T) {
-	err := run(io.Discard, "fig99", 42, "", 3, 1, "medium", "8192", "1000", "")
+	err := run(io.Discard, "fig99", 42, "", 3, 1, "medium", "1000", "")
 	if err == nil {
 		t.Fatal("unknown experiment should error")
 	}
@@ -23,7 +25,7 @@ func TestUnknownExperimentRejected(t *testing.T) {
 }
 
 func TestInvalidIntensityRejected(t *testing.T) {
-	err := run(io.Discard, "chaos", 42, "", 3, 1, "apocalyptic", "8192", "1000", "")
+	err := run(io.Discard, "chaos", 42, "", 3, 1, "apocalyptic", "1000", "")
 	if err == nil {
 		t.Fatal("invalid intensity should error")
 	}
@@ -33,7 +35,7 @@ func TestInvalidIntensityRejected(t *testing.T) {
 }
 
 func TestInvalidParallelRejected(t *testing.T) {
-	err := run(io.Discard, "table1", 42, "", 3, 0, "medium", "8192", "1000", "")
+	err := run(io.Discard, "table1", 42, "", 3, 0, "medium", "1000", "")
 	if err == nil {
 		t.Fatal("non-positive -parallel should error")
 	}
@@ -42,21 +44,9 @@ func TestInvalidParallelRejected(t *testing.T) {
 	}
 }
 
-func TestInvalidMktCacheRejected(t *testing.T) {
-	for _, bad := range []string{"lots", "12.5", "", "-1"} {
-		err := run(io.Discard, "table1", 42, "", 3, 1, "medium", bad, "1000", "")
-		if err == nil {
-			t.Fatalf("-mktcache %q should error", bad)
-		}
-		if !strings.Contains(err.Error(), "usage:") {
-			t.Fatalf("error should carry the usage line, got: %v", err)
-		}
-	}
-}
-
 func TestInvalidFleetSizesRejected(t *testing.T) {
 	for _, bad := range []string{"0", "-5", "many", "1000,", "1000,0", "12.5", ""} {
-		err := run(io.Discard, "fleet", 42, "", 3, 1, "medium", "8192", bad, "")
+		err := run(io.Discard, "fleet", 42, "", 3, 1, "medium", bad, "")
 		if err == nil {
 			t.Fatalf("-fleet %q should error", bad)
 		}
@@ -69,14 +59,14 @@ func TestInvalidFleetSizesRejected(t *testing.T) {
 // TestFleetSizesOnlyValidatedForFleet keeps the flag inert elsewhere: a
 // bad -fleet value must not break experiments that never read it.
 func TestFleetSizesOnlyValidatedForFleet(t *testing.T) {
-	if err := run(io.Discard, "table1", 42, "", 3, 1, "medium", "8192", "bogus", ""); err != nil {
+	if err := run(io.Discard, "table1", 42, "", 3, 1, "medium", "bogus", ""); err != nil {
 		t.Fatalf("table1 should ignore -fleet: %v", err)
 	}
 }
 
 func TestInvalidFleetShardsRejected(t *testing.T) {
 	for _, bad := range []string{"0", "-2", "two", "1.5", "1,2"} {
-		err := run(io.Discard, "fleet", 42, "", 3, 1, "medium", "8192", "50", bad)
+		err := run(io.Discard, "fleet", 42, "", 3, 1, "medium", "50", bad)
 		if err == nil {
 			t.Fatalf("-fleet-shards %q should error", bad)
 		}
@@ -89,7 +79,7 @@ func TestInvalidFleetShardsRejected(t *testing.T) {
 // TestFleetShardsOnlyValidatedForFleet mirrors the -fleet contract: a
 // bad shard count must not break experiments that never read it.
 func TestFleetShardsOnlyValidatedForFleet(t *testing.T) {
-	if err := run(io.Discard, "table1", 42, "", 3, 1, "medium", "8192", "1000", "zero"); err != nil {
+	if err := run(io.Discard, "table1", 42, "", 3, 1, "medium", "1000", "zero"); err != nil {
 		t.Fatalf("table1 should ignore -fleet-shards: %v", err)
 	}
 }
@@ -100,7 +90,7 @@ func TestFleetShardsOnlyValidatedForFleet(t *testing.T) {
 func TestFleetShardsByteIdentical(t *testing.T) {
 	render := func(shards string) string {
 		var buf bytes.Buffer
-		if err := run(&buf, "fleet", 42, "", 3, 2, "medium", "8192", "100,200", shards); err != nil {
+		if err := run(&buf, "fleet", 42, "", 3, 2, "medium", "100,200", shards); err != nil {
 			t.Fatalf("fleet with -fleet-shards %s: %v", shards, err)
 		}
 		return buf.String()
@@ -118,7 +108,7 @@ func TestFleetShardsByteIdentical(t *testing.T) {
 
 func TestRunFleetSmall(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fleet", 42, "", 3, 1, "medium", "8192", "50,100", ""); err != nil {
+	if err := run(&buf, "fleet", 42, "", 3, 1, "medium", "50,100", ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -137,7 +127,7 @@ func TestRunFleetSmall(t *testing.T) {
 func TestFleetParallelByteIdentical(t *testing.T) {
 	render := func(parallel int) string {
 		var buf bytes.Buffer
-		if err := run(&buf, "fleet", 42, "", 3, parallel, "medium", "8192", "200,400", ""); err != nil {
+		if err := run(&buf, "fleet", 42, "", 3, parallel, "medium", "200,400", ""); err != nil {
 			t.Fatalf("fleet with -parallel %d: %v", parallel, err)
 		}
 		return buf.String()
@@ -153,69 +143,69 @@ func TestFleetParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMktCacheByteIdentical pins the snapshot-sharing contract at the
-// CLI surface: fig3 runs the same seed under two strategies (a shared
-// snapshot with the cache on), and its bytes must not depend on the
-// cache being on, off, or absurdly small (which forces store eviction
-// and segment replay mid-run).
-func TestMktCacheByteIdentical(t *testing.T) {
-	render := func(mktcache string) string {
+// TestMarketStoreSizeByteIdentical pins the snapshot-sharing contract
+// at the CLI surface: -exp trials runs three seeds side by side, and
+// its bytes must not depend on the store's size. A 1-segment store
+// drops the other seeds' snapshots on every Acquire while their runs
+// still read them.
+func TestMarketStoreSizeByteIdentical(t *testing.T) {
+	defer experiment.SetMarketCache(experiment.DefaultMarketCacheSegments)
+	render := func(segments int) string {
+		experiment.SetMarketCache(segments)
 		var buf bytes.Buffer
-		if err := run(&buf, "fig3", 42, "", 3, 2, "medium", mktcache, "1000", ""); err != nil {
-			t.Fatalf("fig3 with -mktcache %s: %v", mktcache, err)
+		if err := run(&buf, "trials", 42, "", 3, 3, "medium", "1000", ""); err != nil {
+			t.Fatalf("trials with a %d-segment store: %v", segments, err)
 		}
 		return buf.String()
 	}
-	want := render("0")
+	want := render(experiment.DefaultMarketCacheSegments)
 	if want == "" {
-		t.Fatal("fig3 rendered no output")
+		t.Fatal("trials rendered no output")
 	}
-	for _, mktcache := range []string{"8192", "8"} {
-		if got := render(mktcache); got != want {
-			t.Fatalf("fig3 output with -mktcache %s differs from -mktcache 0", mktcache)
-		}
+	if got := render(1); got != want {
+		t.Fatal("trials output with a 1-segment store differs from the default store")
 	}
 }
 
 func TestRunTable1(t *testing.T) {
-	if err := run(io.Discard, "table1", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "table1", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFig9(t *testing.T) {
-	if err := run(io.Discard, "fig9", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "fig9", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTrials(t *testing.T) {
-	if err := run(io.Discard, "trials", 42, "", 1, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "trials", 42, "", 1, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFig3(t *testing.T) {
-	if err := run(io.Discard, "fig3", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "fig3", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFig4(t *testing.T) {
-	if err := run(io.Discard, "fig4", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "fig4", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTable4(t *testing.T) {
-	if err := run(io.Discard, "table4", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "table4", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCSVOutput(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(io.Discard, "fig2", 42, dir, 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "fig2", 42, dir, 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "fig2_prices.csv"))
@@ -226,7 +216,7 @@ func TestCSVOutput(t *testing.T) {
 
 func TestRunFig7WithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(io.Discard, "fig7", 42, dir, 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "fig7", 42, dir, 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
@@ -241,7 +231,7 @@ func TestRunFig7WithCSV(t *testing.T) {
 
 func TestRunFig4WithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(io.Discard, "fig4", 42, dir, 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "fig4", 42, dir, 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "fig4_metrics.csv"))
@@ -251,31 +241,31 @@ func TestRunFig4WithCSV(t *testing.T) {
 }
 
 func TestRunFig8(t *testing.T) {
-	if err := run(io.Discard, "fig8", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "fig8", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFig10(t *testing.T) {
-	if err := run(io.Discard, "fig10", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "fig10", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunExtensions(t *testing.T) {
-	if err := run(io.Discard, "ext", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "ext", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunChaos(t *testing.T) {
-	if err := run(io.Discard, "chaos", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "chaos", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunCrash(t *testing.T) {
-	if err := run(io.Discard, "crash", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+	if err := run(io.Discard, "crash", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -291,7 +281,7 @@ func TestAllParallelByteIdentical(t *testing.T) {
 	}
 	render := func(exp string, parallel int) string {
 		var buf bytes.Buffer
-		if err := run(&buf, exp, 42, "", 3, parallel, "medium", "8192", "1000", ""); err != nil {
+		if err := run(&buf, exp, 42, "", 3, parallel, "medium", "1000", ""); err != nil {
 			t.Fatalf("%s with -parallel %d: %v", exp, parallel, err)
 		}
 		return buf.String()
@@ -312,7 +302,7 @@ func TestAllParallelByteIdentical(t *testing.T) {
 func TestExpListDeterministicAndComplete(t *testing.T) {
 	render := func() string {
 		var buf bytes.Buffer
-		if err := run(&buf, "list", 42, "", 3, 1, "medium", "8192", "1000", ""); err != nil {
+		if err := run(&buf, "list", 42, "", 3, 1, "medium", "1000", ""); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -31,10 +31,12 @@ import (
 	"spotverse/internal/strategy"
 )
 
-// Defaults for Config fields left zero.
+// Defaults for Config fields left zero, and the control plane's fixed
+// periods.
 const (
-	DefaultThreshold    = 5
-	DefaultMaxRegions   = 4
+	DefaultThreshold  = 5
+	DefaultMaxRegions = 4
+	// DefaultCollectEvery is the Monitor's collection period.
 	DefaultCollectEvery = time.Hour
 	// DefaultBreakerFailures is the consecutive-failure count that trips
 	// a Controller circuit breaker.
@@ -44,10 +46,11 @@ const (
 	// DefaultRecoveryAfter is how long a pending migration may sit
 	// unresolved before the sweep retries it.
 	DefaultRecoveryAfter = 5 * time.Minute
-	// DefaultLeaseTTL is how long a controller lease lives without
-	// renewal. Three sweep intervals: a healthy controller renews every
-	// 15 minutes, so takeover needs a sustained outage, not one missed
-	// tick.
+	// DefaultLeaseTTL is how long a held controller lease lives without
+	// renewal before a rival may take over, bumping the fencing token.
+	// Renewals ride the sweep and every commit. Three sweep intervals:
+	// a healthy controller renews every 15 minutes, so takeover needs a
+	// sustained outage, not one missed tick.
 	DefaultLeaseTTL = 3 * SweepInterval
 	// DefaultControllerID is the primary incarnation's lease identity.
 	DefaultControllerID = "primary"
@@ -137,8 +140,6 @@ type Config struct {
 	// Migration picks the interruption-handler policy (default
 	// PickRandom, Algorithm 1).
 	Migration MigrationPick
-	// CollectEvery is the Monitor's collection period.
-	CollectEvery time.Duration
 	// Seed feeds the random migration pick.
 	Seed int64
 
@@ -188,10 +189,6 @@ type Config struct {
 	// holder (default "primary"). Rival incarnations (split-brain
 	// harnesses) must use distinct IDs.
 	ControllerID string
-	// LeaseTTL is how long a held lease lives without renewal before a
-	// rival may take over, bumping the fencing token (default
-	// DefaultLeaseTTL). Renewals ride the sweep and every commit.
-	LeaseTTL time.Duration
 	// DisableFencing is a test hook: the lease is still acquired and
 	// renewed, but the commit path skips the fencing check and restores
 	// the proceed-on-unreachable-journal behaviour — the exact hole the
@@ -224,9 +221,6 @@ func (c Config) normalized() Config {
 	if c.Scoring == 0 {
 		c.Scoring = ScoreCombined
 	}
-	if c.CollectEvery <= 0 {
-		c.CollectEvery = DefaultCollectEvery
-	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = DefaultBreakerFailures
 	}
@@ -238,9 +232,6 @@ func (c Config) normalized() Config {
 	}
 	if c.ControllerID == "" {
 		c.ControllerID = DefaultControllerID
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = DefaultLeaseTTL
 	}
 	return c
 }

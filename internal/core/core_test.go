@@ -73,7 +73,7 @@ func TestMonitorCollectsIntoDynamo(t *testing.T) {
 }
 
 func TestMonitorScheduledCollection(t *testing.T) {
-	sv, deps := newSpotVerse(t, Config{Seed: 2, CollectEvery: time.Hour})
+	sv, deps := newSpotVerse(t, Config{Seed: 2})
 	if err := deps.Engine.Run(simclock.Epoch.Add(3*time.Hour + time.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestLambdaBillingAccrues(t *testing.T) {
 func TestConfigNormalization(t *testing.T) {
 	cfg := Config{}.normalized()
 	if cfg.Threshold != DefaultThreshold || cfg.MaxRegions != DefaultMaxRegions ||
-		cfg.Selection != SelectAtLeast || cfg.CollectEvery != DefaultCollectEvery {
+		cfg.Selection != SelectAtLeast {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }

@@ -46,7 +46,7 @@ type lease struct {
 }
 
 func newLease(cfg Config, deps Deps) *lease {
-	return &lease{deps: deps, holder: cfg.ControllerID, ttl: cfg.LeaseTTL}
+	return &lease{deps: deps, holder: cfg.ControllerID, ttl: DefaultLeaseTTL}
 }
 
 func (l *lease) item(expires time.Time, token int) dynamo.Item {

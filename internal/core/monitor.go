@@ -45,7 +45,7 @@ func newMonitor(cfg Config, deps Deps) (*Monitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("monitor: %w", err)
 	}
-	if err := deps.CloudWatch.Schedule("metrics-collection", cfg.CollectEvery, func(time.Time) {
+	if err := deps.CloudWatch.Schedule("metrics-collection", DefaultCollectEvery, func(time.Time) {
 		// Errors inside the collector are surfaced through the Lambda
 		// runtime's failure counters; collection is best-effort.
 		_ = deps.Lambda.Invoke(CollectorFunction, nil, nil)

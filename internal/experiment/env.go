@@ -49,8 +49,8 @@ func NewEnv(seed int64) *Env {
 
 // NewEnvAt assembles an environment whose clock and market start at the
 // given instant. The market is a view over the shared per-(seed, start)
-// snapshot when the market cache is enabled (see SetMarketCache); the
-// values it serves are byte-identical either way.
+// snapshot (see SetMarketCache); the values it serves do not depend on
+// the sharing.
 func NewEnvAt(seed int64, start time.Time) *Env {
 	eng := simclock.NewEngineAt(start)
 	mkt := acquireMarket(seed, start)

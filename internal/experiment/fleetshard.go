@@ -87,9 +87,6 @@ type FleetShardedConfig struct {
 	Horizon time.Duration
 	// AllowIncomplete tolerates unfinished workloads at the horizon.
 	AllowIncomplete bool
-	// Interval is the streaming histogram bucket width (default
-	// DefaultFleetInterval).
-	Interval time.Duration
 	// Shards is the number of contiguous fleet partitions (default 1).
 	// Each shard gets its own engine and provider and runs on the worker
 	// pool; the merged result is byte-identical at every shard count.
@@ -131,9 +128,6 @@ func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = DefaultHorizon
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultFleetInterval
 	}
 
 	n := cfg.Fleet.Len()
@@ -263,7 +257,7 @@ func runFleetShardLabeled(seed int64, family uint64, cfg *FleetShardedConfig, f 
 	prov.SetEventHorizon(horizon)
 
 	n := f.Len()
-	buckets := int(cfg.Horizon/cfg.Interval) + 1
+	buckets := int(cfg.Horizon/DefaultFleetInterval) + 1
 	out := &shardOut{
 		startNs:                  start.UnixNano(),
 		interruptionsByRegion:    make(map[catalog.Region]int),
@@ -420,7 +414,7 @@ func (d *shardDriver) provision(idx int, p strategy.Placement) error {
 // bucket returns the histogram slot for an instant, clamping anything
 // at or past the horizon into the last slot.
 func (d *shardDriver) bucket(at time.Time) int {
-	i := int(at.Sub(d.start) / d.cfg.Interval)
+	i := int(at.Sub(d.start) / DefaultFleetInterval)
 	if max := len(d.out.completionsPerInterval) - 1; i > max {
 		i = max
 	}
@@ -523,13 +517,13 @@ func (d *shardDriver) onTerminate(inst *cloud.Instance, interrupted bool) {
 func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error) {
 	f := cfg.Fleet
 	n := f.Len()
-	buckets := int(cfg.Horizon/cfg.Interval) + 1
+	buckets := int(cfg.Horizon/DefaultFleetInterval) + 1
 	res := &FleetResult{
 		InstanceType:             cfg.InstanceType,
 		Workloads:                n,
 		InterruptionsByRegion:    make(map[catalog.Region]int),
 		LaunchesByRegion:         make(map[catalog.Region]int),
-		Interval:                 cfg.Interval,
+		Interval:                 DefaultFleetInterval,
 		CompletionsPerInterval:   make([]int, buckets),
 		InterruptionsPerInterval: make([]int, buckets),
 	}

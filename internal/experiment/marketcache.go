@@ -9,49 +9,32 @@ import (
 )
 
 // Market snapshot sharing. Every comparison figure contrasts strategy
-// arms on the same market realization; with the cache on (the default),
-// each (seed, start) materialises its series once in a shared
-// market.Snapshot and every Env built for that key — across arms,
-// ForEach workers, and experiments in the -exp all sweep — reads it
-// concurrently. Outputs are byte-identical with the cache on or off:
-// snapshot values depend only on (seed, stream, step), never on sharing
-// or query interleaving.
+// arms on the same market realization, so each (seed, start)
+// materialises its series once in a shared market.Snapshot and every
+// Env built for that key — across arms, ForEach workers, and
+// experiments in the -exp all sweep — reads it concurrently. Outputs do
+// not depend on the store's size: snapshot values depend only on (seed,
+// stream, step), never on sharing, dropping, or query interleaving.
 
 // DefaultMarketCacheSegments is the default snapshot-store high-water
 // mark: 8192 segments × 2 KiB ≈ 16 MiB of resident market series,
 // roughly a dozen fully-materialised 90-day seeds.
 const DefaultMarketCacheSegments = 8192
 
-var (
-	mktStore    atomic.Pointer[market.SnapshotStore]
-	mktSegments atomic.Int64
-)
+var mktStore atomic.Pointer[market.SnapshotStore]
 
 func init() { SetMarketCache(DefaultMarketCacheSegments) }
 
-// SetMarketCache resizes the shared market-snapshot store to the given
-// segment high-water mark and returns the previous setting. A value
-// <= 0 disables sharing: every Env regenerates its own market, the
-// pre-snapshot behaviour. Resizing drops previously cached snapshots.
-func SetMarketCache(segments int) int {
-	prev := int(mktSegments.Swap(int64(segments)))
-	if segments <= 0 {
-		mktStore.Store(nil)
-		return prev
-	}
+// SetMarketCache replaces the shared market-snapshot store with an
+// empty one whose high-water mark is the given segment count (<= 0
+// leaves it unbounded). Environments built afterwards materialise their
+// markets cold.
+func SetMarketCache(segments int) {
 	mktStore.Store(market.NewSnapshotStore(catalog.Default(), segments))
-	return prev
 }
 
-// MarketCache reports the store's segment high-water mark (<= 0 when
-// sharing is disabled).
-func MarketCache() int { return int(mktSegments.Load()) }
-
-// acquireMarket returns the shared snapshot-backed model for (seed,
-// start), or a private one when the cache is off.
+// acquireMarket returns a model view over the shared snapshot for
+// (seed, start).
 func acquireMarket(seed int64, start time.Time) *market.Model {
-	if st := mktStore.Load(); st != nil {
-		return market.FromSnapshot(st.Acquire(seed, start))
-	}
-	return market.New(catalog.Default(), seed, start)
+	return market.FromSnapshot(mktStore.Load().Acquire(seed, start))
 }

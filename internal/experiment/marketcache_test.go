@@ -6,12 +6,10 @@ import (
 	"spotverse/internal/simclock"
 )
 
-// TestEnvsShareSnapshot pins the cache wiring: with the cache on, two
-// environments for the same (seed, start) read one market snapshot;
-// with it off, each regenerates privately.
+// TestEnvsShareSnapshot pins the store wiring: two environments for the
+// same (seed, start) read one market snapshot through separate Models.
 func TestEnvsShareSnapshot(t *testing.T) {
-	prev := SetMarketCache(DefaultMarketCacheSegments)
-	defer SetMarketCache(prev)
+	SetMarketCache(DefaultMarketCacheSegments)
 
 	a := NewEnv(42)
 	b := NewEnv(42)
@@ -19,26 +17,12 @@ func TestEnvsShareSnapshot(t *testing.T) {
 		t.Fatal("Models must stay per-env even when the snapshot is shared")
 	}
 	if a.Market.Snapshot() != b.Market.Snapshot() {
-		t.Fatal("same-seed envs should share one snapshot with the cache on")
+		t.Fatal("same-seed envs should share one snapshot")
 	}
 	if c := NewEnv(43); c.Market.Snapshot() == a.Market.Snapshot() {
 		t.Fatal("different seeds must not share a snapshot")
 	}
 	if d := NewEnvAt(42, simclock.Epoch.Add(1)); d.Market.Snapshot() == a.Market.Snapshot() {
 		t.Fatal("different starts must not share a snapshot")
-	}
-
-	SetMarketCache(0)
-	e := NewEnv(42)
-	f := NewEnv(42)
-	if e.Market.Snapshot() == f.Market.Snapshot() {
-		t.Fatal("cache off should build private snapshots")
-	}
-
-	if got := SetMarketCache(DefaultMarketCacheSegments); got != 0 {
-		t.Fatalf("SetMarketCache returned previous %d, want 0", got)
-	}
-	if got := MarketCache(); got != DefaultMarketCacheSegments {
-		t.Fatalf("MarketCache = %d, want %d", got, DefaultMarketCacheSegments)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"spotverse/internal/catalog"
 	"spotverse/internal/chaos"
 	"spotverse/internal/core"
 	"spotverse/internal/serve"
@@ -67,23 +66,7 @@ func serveSchedule(i chaos.Intensity, start time.Time) chaos.Schedule {
 // ServiceServe fault hook), so brownouts hit the daemon the way a
 // regional API outage would.
 func NewServeSim(seed int64, intensity chaos.Intensity) (*ServeSim, error) {
-	env := NewEnv(seed)
-	start := env.Engine.Now()
-	inj := chaos.NewInjector(env.Engine, seed, serveSchedule(intensity, start))
-	ApplyChaos(env, inj)
-	mgr, err := NewSpotVerse(env, core.Config{
-		InstanceType: catalog.M5XLarge,
-		Threshold:    5,
-		Seed:         seed,
-		StaleAfter:   6 * time.Hour,
-		StaleCutoff:  48 * time.Hour,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve sim: %w", err)
-	}
-	backend := serve.NewSimBackend(env.Engine, mgr)
-	backend.SetFault(inj.ServiceFault(chaos.ServiceServe))
-	return &ServeSim{Env: env, Manager: mgr, Backend: backend, Injector: inj}, nil
+	return NewServeSimWith(seed, serveSchedule(intensity, simclock.Epoch))
 }
 
 // Warm primes srv's degraded-mode cache, retrying through injected

@@ -66,7 +66,7 @@ func TestPriceSeriesAtWarmAllocFree(t *testing.T) {
 }
 
 // TestAcquireWarmAllocFree: a repeat (seed, start) key is a map hit plus
-// an LRU stamp.
+// a move to the most-recently-acquired end.
 func TestAcquireWarmAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	st := NewSnapshotStore(catalog.Default(), 0)
@@ -76,33 +76,5 @@ func TestAcquireWarmAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Acquire allocated %v per run, want 0", allocs)
-	}
-}
-
-// TestAcquireSweepAllocFree pins the eviction-sweep fix the hotpath
-// analyzer motivated: the sweep used to allocate a fresh victims slice
-// plus a sort.Slice closure and interface box on every over-limit
-// Acquire. The store now reuses scratch space and sorts through a
-// one-word pointer interface, so an Acquire that runs the full sweep —
-// candidate collection, LRU sort, per-victim Evict calls — allocates
-// nothing when no walk tables actually need freeing.
-func TestAcquireSweepAllocFree(t *testing.T) {
-	skipUnderRace(t)
-	st := NewSnapshotStore(catalog.Default(), 1)
-	for i := int64(0); i < 6; i++ {
-		st.Acquire(i, simclock.Epoch)
-	}
-	// Claim phantom residency: totals stay over the high-water mark so
-	// every Acquire runs the sweep in full, but the walks hold no tables,
-	// so per-victim Evict frees (and allocates) nothing.
-	for _, s := range st.all {
-		s.resident.Store(10)
-	}
-	st.Acquire(0, simclock.Epoch) // grow the scratch slice once
-	allocs := testing.AllocsPerRun(200, func() {
-		st.Acquire(0, simclock.Epoch)
-	})
-	if allocs != 0 {
-		t.Fatalf("over-limit Acquire sweep allocated %v per run, want 0", allocs)
 	}
 }

@@ -19,36 +19,32 @@ import (
 //
 // Concurrency contract:
 //
-//   - Series materialise in fixed-size segments of segSize samples.
-//     Only full segments are ever published, by an atomic pointer swap
-//     of the segment table, so the read path is lock-free: two atomic
-//     loads and an index.
-//   - A short per-series mutex guards generation only — the frontier
-//     RNG, the last drawn value, and table publication. Readers take it
-//     only when the sample they want is not yet published.
+//   - Every series is an append-only prefix, grown in whole segments of
+//     segSize samples and published by an atomic pointer swap, so the
+//     read path is lock-free: one atomic load and an index. Published
+//     values are never rewritten.
+//   - A short per-series mutex guards growth only — the frontier RNG
+//     and publication. Readers take it only when the sample they want
+//     lies past the published prefix.
 //   - Determinism: each walk draws from its own simclock.Stream keyed
 //     by (seed, stream name), strictly sequentially, so a sample
 //     depends only on (seed, stream, index) — never on which
 //     goroutine, strategy arm, or query order triggered it. Rounding a
 //     request up to a segment boundary merely draws later samples of
 //     the same stream earlier than a per-env walk would have.
-//   - Eviction (the store's memory bound) unpublishes segments but
-//     keeps the frontier state; an evicted segment re-materialises by
-//     replaying its stream from index 0, reproducing identical bytes.
+//   - A snapshot never shrinks. The store bounds memory by forgetting
+//     whole snapshots; a rebuilt one redraws the same streams, so its
+//     values are bit-identical.
 
 // Segment geometry: 256 float64 samples (2 KiB) per segment.
 const (
 	segShift = 8
 	segSize  = 1 << segShift
-	segMask  = segSize - 1
 )
 
-// walkSeg is one immutable, fully materialised block of samples.
-type walkSeg [segSize]float64
-
 // sharedWalk is the concurrency-safe successor of the per-Model walk:
-// the same bounded mean-reverting process, materialised in published
-// segments instead of one private slice.
+// the same bounded mean-reverting process, materialised as one
+// published prefix instead of one private slice.
 type sharedWalk struct {
 	seed   int64
 	stream string
@@ -59,16 +55,12 @@ type sharedWalk struct {
 	// counter (SnapshotStore accounting).
 	resident *atomic.Int64
 
-	// segs is the published table of fully materialised segments; a nil
-	// entry is an evicted segment. Every published table satisfies
-	// count == len(table)*segSize — the frontier only appends whole
-	// segments and eviction nils entries without shortening the table.
-	segs atomic.Pointer[[]*walkSeg]
+	// data is the published prefix of drawn samples; its length is
+	// always a whole number of segments.
+	data atomic.Pointer[[]float64]
 
-	mu    sync.Mutex    // guards the frontier below and table publication
-	rng   *simclock.RNG // frontier stream; nil until the first draw
-	last  float64       // sample count-1, the recurrence state
-	count int           // samples drawn by the frontier so far
+	mu  sync.Mutex    // guards rng and publication
+	rng *simclock.RNG // frontier stream; nil until the first draw
 }
 
 func (s *Snapshot) newWalk(stream string, base, sigma, revert, lo, hi float64) *sharedWalk {
@@ -79,135 +71,59 @@ func (s *Snapshot) newWalk(stream string, base, sigma, revert, lo, hi float64) *
 	}
 }
 
-// at returns the walk value at step k (k < 0 clamps to 0), publishing
-// segments as needed. Lock-free when the segment is already published.
+// at returns the walk value at step k (k < 0 clamps to 0), growing the
+// published prefix as needed. Lock-free when step k is already
+// published.
 //
 //spotverse:hotpath
 func (w *sharedWalk) at(k int) float64 {
 	if k < 0 {
 		k = 0
 	}
-	if tab := w.segs.Load(); tab != nil {
-		if si := k >> segShift; si < len(*tab) {
-			if seg := (*tab)[si]; seg != nil {
-				return seg[k&segMask]
-			}
-		}
+	if p := w.data.Load(); p != nil && k < len(*p) {
+		return (*p)[k]
 	}
-	//spotverse:allow hotpath segment-miss slow path; warm reads return from the published table above
-	return w.materialize(k)
+	//spotverse:allow hotpath prefix-miss slow path; warm reads return from the published prefix above
+	return w.extend(k)
 }
 
-func (w *sharedWalk) table() []*walkSeg {
-	if p := w.segs.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// materialize publishes the segment holding step k and returns the
-// sample — by extending the frontier, or by replaying the stream if the
-// segment was evicted.
-func (w *sharedWalk) materialize(k int) float64 {
+// extend grows the published prefix through the segment holding step k
+// and returns the sample.
+func (w *sharedWalk) extend(k int) float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	si, off := k>>segShift, k&segMask
-	tab := w.table()
-	if si < len(tab) && tab[si] != nil {
+	var old []float64
+	if p := w.data.Load(); p != nil {
+		old = *p
+	}
+	if k < len(old) {
 		// Lost a race: another goroutine published it while we waited.
-		return tab[si][off]
+		return old[k]
 	}
-	if k >= w.count {
-		tab = w.extendLocked(si + 1)
-	}
-	if seg := tab[si]; seg != nil {
-		return seg[off]
-	}
-	// Evicted segment: replay the stream from index 0 and republish
-	// just this segment — same stream, same recurrence, same order, so
-	// the bytes are identical to the first materialisation.
-	seg := w.replay(si)
-	next := make([]*walkSeg, len(tab))
-	copy(next, tab)
-	next[si] = seg
-	w.segs.Store(&next)
-	w.resident.Add(1)
-	return seg[off]
-}
-
-// extendLocked grows the frontier to nseg full segments and publishes
-// the new table. Caller holds w.mu.
-func (w *sharedWalk) extendLocked(nseg int) []*walkSeg {
-	tab := w.table()
-	next := make([]*walkSeg, nseg)
-	copy(next, tab)
 	if w.rng == nil {
 		// Seeding a stream is the expensive part of a cold market
 		// (~1.3µs each across ~600 walks per snapshot); defer it to the
 		// first draw so untouched series cost only their struct.
 		w.rng = simclock.Stream(w.seed, w.stream)
 	}
-	for si := len(tab); si < nseg; si++ {
-		seg := new(walkSeg)
-		for i := range seg {
-			var v float64
-			if w.count == 0 {
-				// First sample starts near base with a small perturbation
-				// so distinct markets don't all begin at their exact tier
-				// midpoint.
-				v = clamp(w.base+w.rng.Normal(0, w.sigma), w.lo, w.hi)
-			} else {
-				v = clamp(w.last+w.revert*(w.base-w.last)+w.rng.Normal(0, w.sigma), w.lo, w.hi)
-			}
-			seg[i] = v
-			w.last = v
-			w.count++
+	n := ((k >> segShift) + 1) << segShift
+	next := append(make([]float64, 0, n), old...)
+	for i := len(old); i < n; i++ {
+		var v float64
+		if i == 0 {
+			// First sample starts near base with a small perturbation so
+			// distinct markets don't all begin at their exact tier
+			// midpoint.
+			v = clamp(w.base+w.rng.Normal(0, w.sigma), w.lo, w.hi)
+		} else {
+			last := next[i-1]
+			v = clamp(last+w.revert*(w.base-last)+w.rng.Normal(0, w.sigma), w.lo, w.hi)
 		}
-		next[si] = seg
+		next = append(next, v)
 	}
-	w.resident.Add(int64(nseg - len(tab)))
-	w.segs.Store(&next)
-	return next
-}
-
-// replay regenerates segment si from a fresh stream. Caller holds w.mu.
-func (w *sharedWalk) replay(si int) *walkSeg {
-	rng := simclock.Stream(w.seed, w.stream)
-	seg := new(walkSeg)
-	first := si << segShift
-	v := clamp(w.base+rng.Normal(0, w.sigma), w.lo, w.hi)
-	if first == 0 {
-		seg[0] = v
-	}
-	for k := 1; k <= first+segMask; k++ {
-		v = clamp(v+w.revert*(w.base-v)+rng.Normal(0, w.sigma), w.lo, w.hi)
-		if k >= first {
-			seg[k-first] = v
-		}
-	}
-	return seg
-}
-
-// evict unpublishes every materialised segment, returning how many were
-// released. The frontier (RNG position) is retained so future extension
-// is unaffected; evicted segments re-materialise by replay.
-func (w *sharedWalk) evict() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	tab := w.table()
-	n := 0
-	for _, seg := range tab {
-		if seg != nil {
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	next := make([]*walkSeg, len(tab))
-	w.segs.Store(&next)
-	w.resident.Add(int64(-n))
-	return n
+	w.resident.Add(int64((n - len(old)) >> segShift))
+	w.data.Store(&next)
+	return next[k]
 }
 
 // minData is one immutable generation of a region's cheapest-AZ series:
@@ -277,22 +193,6 @@ func (s *sharedMin) extend(k int) *minData {
 	return nd
 }
 
-// evict drops the published generation, returning the segments
-// released. Prefix sums rebuild from index 0 on next access, so the
-// re-materialised values are bit-identical.
-func (s *sharedMin) evict() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := s.data.Load()
-	if d == nil || len(d.min) == 0 {
-		return 0
-	}
-	n := len(d.min) >> segShift
-	s.data.Store(nil)
-	s.resident.Add(int64(-n))
-	return n
-}
-
 // Snapshot is one immutable market realization — every deterministic
 // series for a (catalog, seed, start) triple. It is safe for concurrent
 // use by any number of Models, strategy arms, and ForEach workers, and
@@ -309,11 +209,6 @@ type Snapshot struct {
 	sps       map[Key]*sharedWalk
 	regionMin map[Key]*sharedMin
 
-	// walkList/minList hold the same series in deterministic catalog
-	// order so eviction never iterates a map.
-	walkList []*sharedWalk
-	minList  []*sharedMin
-
 	// cheap memoizes CheapestSpotRegion rankings per (type, window).
 	// The ranking is deterministic, so arms racing on a cold key store
 	// the same entry.
@@ -321,9 +216,8 @@ type Snapshot struct {
 	cheap   map[cheapKey]cheapEntry
 
 	// resident counts published segments across all series (store
-	// accounting); lastUse is the store's LRU clock.
+	// accounting).
 	resident atomic.Int64
-	lastUse  atomic.Int64
 }
 
 // NewSnapshot builds the (empty) series index for every offered
@@ -367,7 +261,6 @@ func NewSnapshot(cat *catalog.Catalog, seed int64, start time.Time) *Snapshot {
 			sw := s.newWalk("sps/"+string(t)+"/"+string(r), sbase, ssigma, 0.35, 1, 10)
 			s.freq[k] = fw
 			s.sps[k] = sw
-			s.walkList = append(s.walkList, fw, sw)
 
 			azs := cat.Zones(r)
 			if len(azs) == 0 {
@@ -383,11 +276,9 @@ func NewSnapshot(cat *catalog.Catalog, seed int64, start time.Time) *Snapshot {
 				// baseline, slow reversion, sigma proportional to level.
 				pw := s.newWalk("price/"+string(t)+"/"+string(az), base, base*0.015, 0.05, base*0.88, base*1.12)
 				s.prices[azKey{az: az, t: t}] = pw
-				s.walkList = append(s.walkList, pw)
 				sm.walks = append(sm.walks, pw)
 			}
 			s.regionMin[k] = sm
-			s.minList = append(s.minList, sm)
 		}
 	}
 	return s
@@ -402,30 +293,9 @@ func (s *Snapshot) Seed() int64 { return s.seed }
 // Start reports the first instant the snapshot has data for.
 func (s *Snapshot) Start() time.Time { return s.start }
 
-// ResidentSegments reports the snapshot's currently published segment
-// count (each segment is segSize float64 samples).
+// ResidentSegments reports the snapshot's published segment count
+// (each segment is segSize float64 samples).
 func (s *Snapshot) ResidentSegments() int { return int(s.resident.Load()) }
-
-// Evict releases every published segment of every series and clears the
-// ranking memo, returning the number of segments released. Values are
-// unaffected: evicted segments re-materialise bit-identically on the
-// next access by replaying the same streams.
-func (s *Snapshot) Evict() int {
-	n := 0
-	for _, w := range s.walkList {
-		n += w.evict()
-	}
-	for _, sm := range s.minList {
-		n += sm.evict()
-	}
-	s.cheapMu.Lock()
-	// clear, not a fresh make: the rankings derive from evicted segments
-	// and must be dropped, but the map itself is private to the snapshot
-	// and reusing it keeps repeat eviction sweeps allocation-free.
-	clear(s.cheap)
-	s.cheapMu.Unlock()
-	return n
-}
 
 func (s *Snapshot) stepIndex(at time.Time, step time.Duration) int {
 	d := at.Sub(s.start)

@@ -11,7 +11,7 @@ import (
 )
 
 // probe is one market query whose result must be bit-identical however
-// the snapshot is shared, raced, or evicted.
+// the snapshot is shared, raced, or dropped.
 type probe struct {
 	kind string // "spot", "region", "freq", "sps", "avg"
 	t    catalog.InstanceType
@@ -125,46 +125,6 @@ func TestSnapshotConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestSnapshotEvictionByteIdentical proves a re-materialised segment is
-// byte-identical: evict everything, then read back — including a late
-// step first, which forces the replay path rather than frontier
-// extension.
-func TestSnapshotEvictionByteIdentical(t *testing.T) {
-	const seed = 7
-	typ := catalog.InstanceType("r5.2xlarge")
-	probes := buildProbes(catalog.Default(), typ)
-
-	snap := NewSnapshot(catalog.Default(), seed, simclock.Epoch)
-	m := FromSnapshot(snap)
-	want := make([]float64, len(probes))
-	for i, p := range probes {
-		want[i] = evalProbe(t, m, p)
-	}
-
-	released := snap.Evict()
-	if released == 0 {
-		t.Fatal("Evict released no segments")
-	}
-	if got := snap.ResidentSegments(); got != 0 {
-		t.Fatalf("ResidentSegments after Evict = %d, want 0", got)
-	}
-
-	// Late-horizon probe first: the covering segment must come back via
-	// stream replay, not frontier extension.
-	late := probes[len(probes)-1]
-	_ = evalProbe(t, m, late)
-
-	for i, p := range probes {
-		got := evalProbe(t, m, p)
-		if math.Float64bits(got) != math.Float64bits(want[i]) {
-			t.Fatalf("probe %d (%s) after eviction: got %v want %v", i, p.kind, got, want[i])
-		}
-	}
-	if snap.ResidentSegments() != released {
-		t.Fatalf("re-materialised %d segments, want %d", snap.ResidentSegments(), released)
-	}
-}
-
 // TestSnapshotStoreSharing: same (seed, start) yields the same
 // snapshot; a different seed or start yields a different one.
 func TestSnapshotStoreSharing(t *testing.T) {
@@ -186,8 +146,9 @@ func TestSnapshotStoreSharing(t *testing.T) {
 }
 
 // TestSnapshotStoreHighWaterEviction: crossing the segment high-water
-// mark evicts the least-recently-acquired snapshot's segments, and the
-// evicted market reads back bit-identically.
+// mark drops the least-recently-acquired snapshot from the store. The
+// dropped snapshot stays intact for whoever holds it, and re-acquiring
+// its key builds a fresh one; both read back bit-identically.
 func TestSnapshotStoreHighWaterEviction(t *testing.T) {
 	typ := catalog.InstanceType("m5.xlarge")
 	probes := buildProbes(catalog.Default(), typ)
@@ -200,18 +161,26 @@ func TestSnapshotStoreHighWaterEviction(t *testing.T) {
 		}
 		return out
 	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: probe %d (%s) = %v, want %v", what, i, probes[i].kind, got[i], want[i])
+			}
+		}
+	}
 
-	st := NewSnapshotStore(catalog.Default(), 0)
-	s1 := st.Acquire(1, simclock.Epoch)
-	want := grow(s1)
-	per := s1.ResidentSegments()
+	ref := NewSnapshot(catalog.Default(), 1, simclock.Epoch)
+	want := grow(ref)
+	per := ref.ResidentSegments()
 	if per == 0 {
 		t.Fatal("no segments materialised")
 	}
 
-	// Re-key the store with a limit that holds ~2 such snapshots.
-	st = NewSnapshotStore(catalog.Default(), 2*per+per/2)
-	s1 = st.Acquire(1, simclock.Epoch)
+	// A limit that holds ~2 such snapshots.
+	limit := 2*per + per/2
+	st := NewSnapshotStore(catalog.Default(), limit)
+	s1 := st.Acquire(1, simclock.Epoch)
 	grow(s1)
 	s2 := st.Acquire(2, simclock.Epoch)
 	grow(s2)
@@ -221,24 +190,44 @@ func TestSnapshotStoreHighWaterEviction(t *testing.T) {
 	// enforcement with another acquire.
 	st.Acquire(3, simclock.Epoch)
 
-	if s1.ResidentSegments() != 0 {
-		t.Fatalf("oldest snapshot kept %d segments past the high-water mark", s1.ResidentSegments())
+	if n := st.Len(); n != 2 {
+		t.Fatalf("store holds %d snapshots past the high-water mark, want 2", n)
 	}
-	if s3.ResidentSegments() == 0 {
-		t.Fatal("most-recent snapshot was evicted")
-	}
-	if total, limit := st.ResidentSegments(), st.LimitSegments(); total > limit {
+	if total := st.ResidentSegments(); total > limit {
 		t.Fatalf("resident %d exceeds limit %d after enforcement", total, limit)
 	}
-
-	// The evicted snapshot is still the same realization, bit for bit.
-	if got := st.Acquire(1, simclock.Epoch); got != s1 {
-		t.Fatal("re-acquire built a new snapshot instead of reviving the evicted one")
+	if got := st.Acquire(2, simclock.Epoch); got != s2 {
+		t.Fatal("a snapshot within the mark was dropped")
 	}
-	for i, v := range grow(s1) {
-		if math.Float64bits(v) != math.Float64bits(want[i]) {
-			t.Fatalf("probe %d diverged after store eviction", i)
+
+	// The dropped snapshot is still the same realization, bit for bit,
+	// and so is the one rebuilt for its key.
+	same("dropped snapshot", grow(s1), want)
+	s1b := st.Acquire(1, simclock.Epoch)
+	if s1b == s1 {
+		t.Fatal("re-acquire returned the dropped snapshot")
+	}
+	same("rebuilt snapshot", grow(s1b), want)
+}
+
+// TestSnapshotStoreBoundsHeldSnapshots: a long run over many seeds
+// holds only the snapshots that fit the high-water mark, not every
+// seed it ever acquired.
+func TestSnapshotStoreBoundsHeldSnapshots(t *testing.T) {
+	typ := catalog.InstanceType("m5.xlarge")
+	day20 := simclock.Epoch.Add(20 * 24 * time.Hour)
+	st := NewSnapshotStore(catalog.Default(), 300)
+	for seed := int64(1); seed <= 50; seed++ {
+		m := FromSnapshot(st.Acquire(seed, simclock.Epoch))
+		for _, r := range m.Catalog().OfferedRegions(typ) {
+			if _, _, err := m.RegionSpotPrice(typ, r, day20); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if n := st.Len(); n > 6 {
+		t.Fatalf("store holds %d snapshots after 50 seeds under a 300-segment limit (resident %d), want <= 6",
+			n, st.ResidentSegments())
 	}
 }
 

@@ -1,7 +1,6 @@
 package market
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -11,46 +10,34 @@ import (
 // SnapshotStore shares market snapshots across environments: every Env
 // built for the same (seed, start) reads the same Snapshot, so a
 // multi-arm figure materialises each seed's market once instead of once
-// per arm. The store bounds resident memory by counting published
-// segments across all snapshots and evicting least-recently-acquired
-// snapshots when the total crosses the high-water mark.
+// per arm. The store bounds memory by counting published segments
+// across the snapshots it holds and forgetting whole least-recently-
+// acquired snapshots when the total crosses the high-water mark.
 type SnapshotStore struct {
 	cat   *catalog.Catalog
 	limit int64 // high-water mark in segments; <= 0 means unbounded
 
 	mu    sync.Mutex
-	clock int64
 	byKey map[storeKey]*Snapshot
-	all   []*Snapshot // insertion order, so eviction never iterates a map
-
-	// victims is evictLocked's scratch space, reused across sweeps so an
-	// over-limit Acquire does not allocate a candidate slice per call.
-	// Sorted through a pointer receiver so the sort.Interface value holds
-	// one word and boxing it allocates nothing.
-	victims byLastUse
+	all   []*Snapshot // least-recently-acquired first, so dropping never iterates a map
 }
-
-// byLastUse sorts eviction candidates least-recently-acquired first.
-// lastUse values are distinct (the store clock is strictly increasing
-// under mu), so the order is total and any sort yields it.
-type byLastUse []*Snapshot
-
-func (v *byLastUse) Len() int           { return len(*v) }
-func (v *byLastUse) Less(i, j int) bool { return (*v)[i].lastUse.Load() < (*v)[j].lastUse.Load() }
-func (v *byLastUse) Swap(i, j int)      { (*v)[i], (*v)[j] = (*v)[j], (*v)[i] }
 
 type storeKey struct {
 	seed  int64
 	start int64 // start.UnixNano()
 }
 
+func keyOf(seed int64, start time.Time) storeKey {
+	return storeKey{seed: seed, start: start.UnixNano()}
+}
+
 // NewSnapshotStore returns a store over the catalog. limitSegments
-// bounds resident memory (each segment is 256 float64 samples, 2 KiB):
-// when the total published segment count exceeds it, whole snapshots
-// are evicted oldest-acquired first. The just-acquired snapshot is
-// flushed only as a last resort, so the bound is a high-water mark —
-// one active snapshot's working set may exceed it between acquires.
-// limitSegments <= 0 disables eviction.
+// bounds the memory it holds (each segment is 256 float64 samples,
+// 2 KiB): when the published segment count across held snapshots
+// exceeds it, the store forgets whole snapshots oldest-acquired first.
+// The just-acquired snapshot is never dropped, so the bound is a
+// high-water mark — one active snapshot's working set may exceed it
+// between acquires. limitSegments <= 0 disables dropping.
 func NewSnapshotStore(cat *catalog.Catalog, limitSegments int) *SnapshotStore {
 	return &SnapshotStore{
 		cat:   cat,
@@ -62,81 +49,81 @@ func NewSnapshotStore(cat *catalog.Catalog, limitSegments int) *SnapshotStore {
 // Catalog exposes the store's inventory (shared by every snapshot).
 func (st *SnapshotStore) Catalog() *catalog.Catalog { return st.cat }
 
-// LimitSegments reports the configured high-water mark (<= 0 means
-// unbounded).
-func (st *SnapshotStore) LimitSegments() int { return int(st.limit) }
-
-// Len reports how many snapshots the store tracks (resident or not).
+// Len reports how many snapshots the store holds.
 func (st *SnapshotStore) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.all)
 }
 
-// ResidentSegments reports the total published segments across all
-// snapshots.
+// ResidentSegments reports the total published segments across the
+// held snapshots.
 func (st *SnapshotStore) ResidentSegments() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return int(st.residentLocked())
+}
+
+func (st *SnapshotStore) residentLocked() int64 {
 	var n int64
 	for _, s := range st.all {
 		n += s.resident.Load()
 	}
-	return int(n)
+	return n
 }
 
 // Acquire returns the shared snapshot for (seed, start), building it on
 // first use. Safe for concurrent use: every caller with the same key
-// gets the same *Snapshot, and values read through it are byte-
-// identical to a private market.New regardless of sharing, eviction, or
-// goroutine interleaving.
+// gets the same *Snapshot while the store holds it, and values read
+// through any snapshot are byte-identical to a private market.New
+// regardless of sharing, dropping, or goroutine interleaving. A dropped
+// snapshot stays intact for whoever still holds it; the next Acquire of
+// its key builds a fresh one with identical values.
 //
 //spotverse:hotpath
 func (st *SnapshotStore) Acquire(seed int64, start time.Time) *Snapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	k := storeKey{seed: seed, start: start.UnixNano()}
+	k := keyOf(seed, start)
 	s := st.byKey[k]
 	if s == nil {
 		//spotverse:allow hotpath first-use construction; repeat (seed, start) keys return the cached snapshot
 		s = NewSnapshot(st.cat, seed, start)
 		st.byKey[k] = s
 		st.all = append(st.all, s)
+	} else {
+		// Move s to the most-recently-acquired end.
+		i := len(st.all) - 1
+		for st.all[i] != s {
+			i--
+		}
+		copy(st.all[i:], st.all[i+1:])
+		st.all[len(st.all)-1] = s
 	}
-	st.clock++
-	s.lastUse.Store(st.clock)
-	st.evictLocked(s)
+	st.dropLocked()
 	return s
 }
 
-// evictLocked enforces the high-water mark, least-recently-acquired
-// first. keep (the snapshot being handed out) is flushed only if every
-// other snapshot's segments were not enough.
-func (st *SnapshotStore) evictLocked(keep *Snapshot) {
+// dropLocked enforces the high-water mark by forgetting the least-
+// recently-acquired snapshots. The last entry — the snapshot being
+// handed out — is never dropped.
+func (st *SnapshotStore) dropLocked() {
 	if st.limit <= 0 {
 		return
 	}
-	var total int64
-	for _, s := range st.all {
-		total += s.resident.Load()
+	total := st.residentLocked()
+	n := 0
+	for ; total > st.limit && n < len(st.all)-1; n++ {
+		s := st.all[n]
+		total -= s.resident.Load()
+		delete(st.byKey, keyOf(s.seed, s.start))
 	}
-	if total <= st.limit {
+	if n == 0 {
 		return
 	}
-	st.victims = st.victims[:0]
-	for _, s := range st.all {
-		if s != keep {
-			st.victims = append(st.victims, s)
-		}
-	}
-	sort.Sort(&st.victims)
-	for _, s := range st.victims {
-		if total <= st.limit {
-			return
-		}
-		total -= int64(s.Evict())
-	}
-	if total > st.limit {
-		keep.Evict()
-	}
+	kept := copy(st.all, st.all[n:])
+	// Nil the vacated tail so the backing array keeps no dropped
+	// snapshot alive.
+	clear(st.all[kept:])
+	st.all = st.all[:kept]
 }

@@ -223,19 +223,6 @@ func SetParallelism(n int) int { return experiment.SetWorkers(n) }
 // Parallelism reports the current worker-pool bound (always >= 1).
 func Parallelism() int { return experiment.Workers() }
 
-// SetMarketCache sizes the shared market-snapshot store, in segments of
-// 256 price/metric samples (2 KiB) each: simulations of the same
-// (seed, start) then read one immutable materialisation of the spot
-// market instead of regenerating their own, and the store evicts
-// least-recently-used snapshots past the high-water mark. segments <= 0
-// disables sharing. Results are byte-identical with the cache on or
-// off. Returns the previous setting.
-func SetMarketCache(segments int) int { return experiment.SetMarketCache(segments) }
-
-// MarketCache reports the snapshot store's segment high-water mark
-// (<= 0 when sharing is disabled).
-func MarketCache() int { return experiment.MarketCache() }
-
 // Simulation is one deterministic simulated cloud plus the services
 // SpotVerse deploys onto.
 type Simulation struct {
