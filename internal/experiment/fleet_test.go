@@ -51,8 +51,10 @@ func tagIndex(t *testing.T, tag string) int {
 type goldenRun struct {
 	res *Result
 	// completedAt[i] is workload i's completion instant (zero when it
-	// never completed).
-	completedAt []time.Time
+	// never completed); attempts[i] and interruptions[i] are its counters.
+	completedAt   []time.Time
+	attempts      []int
+	interruptions []int
 	// costs are every instance's final cost, stable-sorted by the global
 	// index of the workload it served.
 	costs []float64
@@ -93,11 +95,14 @@ func runGoldenRun(t *testing.T, seed int64, arm fleetGoldenArm, n int) goldenRun
 		t.Fatal(err)
 	}
 
-	out := goldenRun{res: res, completedAt: make([]time.Time, n)}
+	out := goldenRun{res: res, completedAt: make([]time.Time, n), attempts: make([]int, n), interruptions: make([]int, n)}
 	for _, w := range ws {
+		i := tagIndex(t, w.Spec.ID)
 		if w.Completed {
-			out.completedAt[tagIndex(t, w.Spec.ID)] = w.CompletedAt
+			out.completedAt[i] = w.CompletedAt
 		}
+		out.attempts[i] = w.Attempts
+		out.interruptions[i] = w.Interruptions
 	}
 	sort.Slice(insts, func(i, j int) bool { return insts[i].ID < insts[j].ID })
 	sort.SliceStable(insts, func(i, j int) bool { return tagIndex(t, insts[i].Tag) < tagIndex(t, insts[j].Tag) })
@@ -107,7 +112,9 @@ func runGoldenRun(t *testing.T, seed int64, arm fleetGoldenArm, n int) goldenRun
 	return out
 }
 
-func runGoldenFleet(t *testing.T, seed int64, arm fleetGoldenArm, n int) *FleetResult {
+// runGoldenFleet runs the same workloads through RunFleetSharded and
+// returns the result with the fleet's per-workload columns.
+func runGoldenFleet(t *testing.T, seed int64, arm fleetGoldenArm, n int) (*FleetResult, *workload.FleetState) {
 	t.Helper()
 	f, err := workload.GenerateFleet(simclock.Stream(seed, "wl-standard"), goldenGenOptions(n))
 	if err != nil {
@@ -124,7 +131,7 @@ func runGoldenFleet(t *testing.T, seed int64, arm fleetGoldenArm, n int) *FleetR
 		t.Fatal(err)
 	}
 	checkFleetConservation(t, fmt.Sprintf("%s n=%d", arm.name, n), res)
-	return res
+	return res, f
 }
 
 // checkFleetConservation asserts the accounting laws every FleetResult
@@ -200,7 +207,9 @@ func intervalHistogram(stamps []time.Time, start time.Time, interval time.Durati
 // the exact bit. Floats are re-summed from Run's per-workload data in
 // global-index order — the order the shard merge sums in. Run's
 // CloudWatch-billed sweep has no counterpart on the fleet engine, so
-// ServiceCostUSD is the one field left out.
+// ServiceCostUSD is the one field left out. Each workload's attempts,
+// interruptions and completion instant are compared too, so equal
+// totals cannot hide compensating per-workload differences.
 func TestFleetPathBitIdenticalToSlowPath(t *testing.T) {
 	const seed = 42
 	for _, arm := range fleetGoldenArms(seed) {
@@ -209,7 +218,10 @@ func TestFleetPathBitIdenticalToSlowPath(t *testing.T) {
 			for _, n := range []int{20, 200} {
 				n := n
 				t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-					compareGolden(t, runGoldenRun(t, seed, arm, n), runGoldenFleet(t, seed, arm, n))
+					res, f := runGoldenFleet(t, seed, arm, n)
+					slow := runGoldenRun(t, seed, arm, n)
+					compareGolden(t, slow, res)
+					compareWorkloads(t, slow, f)
 				})
 			}
 		})
@@ -269,6 +281,30 @@ func compareGolden(t *testing.T, slow goldenRun, fleet *FleetResult) {
 		intervalHistogram(want.CompletionStamps, want.Start, fleet.Interval, buckets))
 	compareBuckets(t, "InterruptionsPerInterval", fleet.InterruptionsPerInterval,
 		intervalHistogram(want.InterruptionStamps, want.Start, fleet.Interval, buckets))
+}
+
+// compareWorkloads checks every workload's counters and completion
+// instant between Run's states and the fleet's columns.
+func compareWorkloads(t *testing.T, slow goldenRun, f *workload.FleetState) {
+	t.Helper()
+	if f.Len() != len(slow.attempts) {
+		t.Fatalf("fleet holds %d workloads, slow %d", f.Len(), len(slow.attempts))
+	}
+	for i := 0; i < f.Len(); i++ {
+		if got := int(f.Attempts[i]); got != slow.attempts[i] {
+			t.Errorf("workload %d: Attempts = %d, slow %d", i, got, slow.attempts[i])
+		}
+		if got := int(f.Interruptions[i]); got != slow.interruptions[i] {
+			t.Errorf("workload %d: Interruptions = %d, slow %d", i, got, slow.interruptions[i])
+		}
+		var at time.Time
+		if f.Completed[i] {
+			at = time.Unix(0, f.CompletedAtNanos[i]).UTC()
+		}
+		if !at.Equal(slow.completedAt[i]) {
+			t.Errorf("workload %d: completed at %v, slow %v", i, at, slow.completedAt[i])
+		}
+	}
 }
 
 func compareRegions(t *testing.T, name string, got, want map[catalog.Region]int) {
