@@ -110,14 +110,13 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 // mode: wall clock live, engine for replay).
 func (o *options) serveConfig() serve.Config {
 	return serve.Config{
-		Workers:         o.workers,
-		QueueDepth:      o.queue,
-		RatePerSec:      o.rate,
-		Burst:           o.burst,
-		Deadline:        o.deadline,
-		DrainDeadline:   o.drain,
-		ServiceTime:     o.svc,
-		BreakerFailures: 0, // defaults
+		Workers:       o.workers,
+		QueueDepth:    o.queue,
+		RatePerSec:    o.rate,
+		Burst:         o.burst,
+		Deadline:      o.deadline,
+		DrainDeadline: o.drain,
+		ServiceTime:   o.svc,
 	}
 }
 

@@ -54,6 +54,10 @@ type Controller struct {
 	lease    *lease
 	resolver func(id string) strategy.RelaunchFunc
 
+	// id names this incarnation as the lease holder and prefixes its
+	// breaker-observer keys: DefaultControllerID for the primary, a
+	// distinct ID per rival.
+	id string
 	// fn is this incarnation's handler Lambda name; rival incarnations
 	// namespace it (Lambda rejects duplicate registrations).
 	fn string
@@ -97,11 +101,16 @@ type pendingMigration struct {
 	done     bool
 }
 
-// newController deploys one Controller incarnation. suffix namespaces
-// its AWS-side resources (handler Lambda, EventBridge rule, sweep
-// schedule) so a rival incarnation can coexist with the primary; the
-// primary uses the empty suffix and the exact historical names.
-func newController(cfg Config, deps Deps, opt *Optimizer, suffix string, rival bool) (*Controller, error) {
+// newController deploys one Controller incarnation named id. A rival
+// (any id but DefaultControllerID) namespaces its AWS-side resources
+// (handler Lambda, EventBridge rule, sweep schedule) with "-<id>" so it
+// can coexist with the primary, which keeps the exact historical names.
+func newController(cfg Config, deps Deps, opt *Optimizer, id string) (*Controller, error) {
+	rival := id != DefaultControllerID
+	suffix := ""
+	if rival {
+		suffix = "-" + id
+	}
 	c := &Controller{
 		cfg:      cfg,
 		deps:     deps,
@@ -109,6 +118,7 @@ func newController(cfg Config, deps Deps, opt *Optimizer, suffix string, rival b
 		rng:      simclock.Stream(cfg.Seed, "spotverse/controller"+suffix),
 		pending:  make(map[string]*pendingMigration),
 		breakers: make(map[string]*breaker),
+		id:       id,
 		fn:       handlerFunction + suffix,
 		rival:    rival,
 	}
@@ -119,7 +129,7 @@ func newController(cfg Config, deps Deps, opt *Optimizer, suffix string, rival b
 		}
 		c.jrnl = jr
 		if cfg.Lease {
-			c.lease = newLease(cfg, deps)
+			c.lease = newLease(c.id, deps)
 			jr.fence = c.lease
 		}
 	}
@@ -405,14 +415,14 @@ func breakerStateName(s breakerState) string {
 
 // observeBreaker feeds the configured BreakerObserver with one breaker
 // transition, suppressing no-op polls (state and trip count unchanged).
-// The key is prefixed with this incarnation's ControllerID so a
+// The key is prefixed with this incarnation's ID so a
 // split-brain rival's independent breaker counters never interleave
 // with the primary's under one key.
 func (c *Controller) observeBreaker(key string, before breakerState, beforeTrips int, b *breaker) {
 	if c.cfg.BreakerObserver == nil || (b.state == before && b.trips == beforeTrips) {
 		return
 	}
-	c.cfg.BreakerObserver(c.cfg.ControllerID+"/"+key, breakerStateName(before), breakerStateName(b.state), b.trips)
+	c.cfg.BreakerObserver(c.id+"/"+key, breakerStateName(before), breakerStateName(b.state), b.trips)
 }
 
 // recoverPending is the notice-loss recovery pass: any migration still
@@ -507,7 +517,7 @@ func (c *Controller) CrashRestart() {
 		// (possibly with older journal snapshots whose trip counts are
 		// lower), so downstream per-key sequence checks must reset this
 		// incarnation's per-key sequences here.
-		c.cfg.BreakerObserver(c.cfg.ControllerID+"/", "restart", "restart", c.restarts)
+		c.cfg.BreakerObserver(c.id+"/", "restart", "restart", c.restarts)
 	}
 	lost := len(c.pending)
 	c.pending = make(map[string]*pendingMigration)

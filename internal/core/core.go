@@ -185,10 +185,6 @@ type Config struct {
 	// duplicated. Off by default: the lease's reads and writes change
 	// run costs, so existing experiments stay byte-identical.
 	Lease bool
-	// ControllerID names this Controller incarnation as the lease
-	// holder (default "primary"). Rival incarnations (split-brain
-	// harnesses) must use distinct IDs.
-	ControllerID string
 	// DisableFencing is a test hook: the lease is still acquired and
 	// renewed, but the commit path skips the fencing check and restores
 	// the proceed-on-unreachable-journal behaviour — the exact hole the
@@ -196,9 +192,10 @@ type Config struct {
 	// broken build its split-brain invariant must catch.
 	DisableFencing bool
 	// BreakerObserver, when set, is called on every circuit-breaker
-	// state transition with "<controllerID>/<breakerKey>", the state
-	// names before and after, and the cumulative trip count — the feed
-	// for the fuzzer's breaker-monotonicity invariant. On a crash-restart
+	// state transition with "<controllerID>/<breakerKey>" (the ID is
+	// DefaultControllerID, or a rival's NewRival ID), the state names
+	// before and after, and the cumulative trip count — the feed for
+	// the fuzzer's breaker-monotonicity invariant. On a crash-restart
 	// it is called once with key "<controllerID>/" and states
 	// "restart"/"restart" so observers can segment that incarnation's
 	// per-key sequences across journal-replay state resets.
@@ -229,9 +226,6 @@ func (c Config) normalized() Config {
 	}
 	if c.RecoveryAfter <= 0 {
 		c.RecoveryAfter = DefaultRecoveryAfter
-	}
-	if c.ControllerID == "" {
-		c.ControllerID = DefaultControllerID
 	}
 	return c
 }
@@ -297,7 +291,7 @@ func New(cfg Config, deps Deps) (*SpotVerse, error) {
 	}
 	sv.monitor = mon
 	sv.optimizer = newOptimizer(cfg, deps, mon, sv.rng)
-	ctl, err := newController(cfg, deps, sv.optimizer, "", false)
+	ctl, err := newController(cfg, deps, sv.optimizer, DefaultControllerID)
 	if err != nil {
 		return nil, err
 	}
@@ -317,12 +311,10 @@ func New(cfg Config, deps Deps) (*SpotVerse, error) {
 // open entries so it starts with the same view of pending work. Retire
 // it with its Stop method.
 func (sv *SpotVerse) NewRival(id string) (*Controller, error) {
-	if id == "" || id == sv.cfg.ControllerID {
-		return nil, errors.New("core: rival needs a distinct non-empty ControllerID")
+	if id == "" || id == DefaultControllerID {
+		return nil, errors.New("core: rival needs a distinct non-empty controller ID")
 	}
-	cfg := sv.cfg
-	cfg.ControllerID = id
-	rival, err := newController(cfg, sv.deps, sv.optimizer, "-"+id, true)
+	rival, err := newController(sv.cfg, sv.deps, sv.optimizer, id)
 	if err != nil {
 		return nil, err
 	}

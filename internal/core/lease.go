@@ -45,8 +45,8 @@ type lease struct {
 	lost      int
 }
 
-func newLease(cfg Config, deps Deps) *lease {
-	return &lease{deps: deps, holder: cfg.ControllerID, ttl: DefaultLeaseTTL}
+func newLease(holder string, deps Deps) *lease {
+	return &lease{deps: deps, holder: holder, ttl: DefaultLeaseTTL}
 }
 
 func (l *lease) item(expires time.Time, token int) dynamo.Item {

@@ -9,7 +9,6 @@ import (
 	"spotverse/internal/chaos"
 	"spotverse/internal/core"
 	"spotverse/internal/report"
-	"spotverse/internal/services/stepfn"
 )
 
 // ---------------------------------------------------------------------
@@ -128,8 +127,7 @@ func crashCell(name string, seed int64, intensity chaos.Intensity, n int) (*Cras
 		cfg.Journal = true
 		durability = DurabilityReplicated
 	}
-	env.StepFn = stepfn.MustNew(env.Engine, env.Ledger,
-		stepfn.Config{MaxAttempts: 5, BaseBackoff: 30 * time.Second, BackoffRate: 2, Jitter: 0.4, Seed: seed})
+	useJitteredStepFn(env, seed)
 	ApplyChaos(env, inj)
 	sv, err := NewSpotVerse(env, cfg)
 	if err != nil {

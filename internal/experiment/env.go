@@ -75,6 +75,14 @@ func NewEnvAt(seed int64, start time.Time) *Env {
 // Catalog is a convenience accessor.
 func (e *Env) Catalog() *catalog.Catalog { return e.Market.Catalog() }
 
+// useJitteredStepFn replaces the Env's Step Functions machine with the
+// hardened one the chaos, crash and fuzz cells run: five attempts with
+// exponential backoff from 30 s and 40% jitter drawn from seed.
+func useJitteredStepFn(env *Env, seed int64) {
+	env.StepFn = stepfn.MustNew(env.Engine, env.Ledger,
+		stepfn.Config{MaxAttempts: 5, BaseBackoff: 30 * time.Second, BackoffRate: 2, Jitter: 0.4, Seed: seed})
+}
+
 // NewSpotVerse wires a core.SpotVerse onto the Env's engine, market,
 // provider and managed services.
 func NewSpotVerse(env *Env, cfg core.Config) (*core.SpotVerse, error) {

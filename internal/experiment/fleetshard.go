@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,7 +135,9 @@ func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 		if lo == hi {
 			return &shardOut{}, nil
 		}
-		return runFleetShard(seed, family, &cfg, cfg.Fleet.Shard(lo, hi))
+		return labeled("arm", cfg.ProfLabel, func() (*shardOut, error) {
+			return runFleetShard(seed, family, &cfg, cfg.Fleet.Shard(lo, hi))
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -145,34 +145,21 @@ func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 	return mergeShards(&cfg, outs)
 }
 
-// shardOut is one shard's contribution to the merged FleetResult:
-// plain sums, mergeable logs, and the shard's count of per-workload
+// shardOut is one shard's contribution to the merged FleetResult: the
+// driver's tally, the shard's cost log, and its count of per-workload
 // engine events. Everything here is either a per-workload quantity or
 // reduced under a shard-count-invariant rule by mergeShards.
 type shardOut struct {
+	tally
 	strategyName string
 	startNs      int64
 
-	completed           int
-	interruptions       int
-	onDemandLaunches    int
-	duplicateRelaunches int
-
-	interruptionsByRegion map[catalog.Region]int
-	launchesByRegion      map[catalog.Region]int
-
-	completionsPerInterval   []int
+	// interruptionsPerInterval is the shard's interruption histogram.
 	interruptionsPerInterval []int
-
 	// costLog records (global index, final cost) per terminated
 	// instance, in termination order — which within one workload is
 	// shard-count-invariant. The merge stable-sorts by index and sums.
 	costLog []indexedCost
-	// launchNs/stopNs stamp tracked instance starts and stops; the merge
-	// recovers the global concurrency high-water mark from the sorted
-	// logs.
-	launchNs []int64
-	stopNs   []int64
 
 	// firedAdj is the shard's engine events minus the engine-shape
 	// bookkeeping (sweep ticks, the horizon sentinel, batched-fulfill
@@ -191,54 +178,7 @@ type indexedCost struct {
 	usd  float64
 }
 
-// shardDriver drives one shard's engine. It is the struct-of-arrays
-// counterpart of driver: every per-workload map becomes a slice indexed
-// by dense workload index, and the per-launch closure allocations are
-// hoisted into per-workload caches — completion and relaunch closures
-// capture only the dense index and read the driver's current state when
-// they fire.
-type shardDriver struct {
-	env   *Env
-	cfg   *FleetShardedConfig
-	f     *workload.FleetState
-	strat strategy.Strategy
-	obs   CompletionObserver
-	out   *shardOut
-
-	start time.Time
-
-	// ids holds the strategy-facing workload IDs, indexed densely; the
-	// hot path never re-formats an ID.
-	ids []string
-
-	activeInst   []cloud.InstanceID
-	completionEv []*simclock.Event
-
-	// rngs are the per-workload draw streams the provider resolves
-	// through SetWorkloadRand.
-	rngs []simclock.SplitMix64
-
-	// compFns/relFns are the cached per-workload closures. A pending
-	// completion event exists only while its instance is the tracked one
-	// (interruption cancels the event; duplicate launches are refused),
-	// so compFns[i] can re-read activeInst[i] at fire time.
-	compFns []func()
-	relFns  []strategy.RelaunchFunc
-}
-
 func runFleetShard(seed int64, family uint64, cfg *FleetShardedConfig, f *workload.FleetState) (*shardOut, error) {
-	var (
-		out *shardOut
-		err error
-	)
-	label := cfg.ProfLabel
-	pprof.Do(context.Background(), pprof.Labels("arm", label), func(context.Context) {
-		out, err = runFleetShardLabeled(seed, family, cfg, f)
-	})
-	return out, err
-}
-
-func runFleetShardLabeled(seed int64, family uint64, cfg *FleetShardedConfig, f *workload.FleetState) (*shardOut, error) {
 	env := NewEnv(seed)
 	eng := env.Engine
 	start := eng.Now()
@@ -248,63 +188,44 @@ func runFleetShardLabeled(seed int64, family uint64, cfg *FleetShardedConfig, f 
 	// smallest sequence number of the run: any event landing exactly on
 	// the horizon loses the same-instant tie to it and never executes,
 	// at every shard count.
-	sentinelHit := false
-	if _, serr := eng.ScheduleAt(horizon, "fleet-horizon", func() { sentinelHit = true }); serr != nil {
+	sentinelFired := uint64(0)
+	if _, serr := eng.ScheduleAt(horizon, "fleet-horizon", func() { sentinelFired++ }); serr != nil {
 		return nil, serr
 	}
 
 	prov := env.Provider
 	prov.SetEventHorizon(horizon)
 
+	// Per-workload draw streams, resolved by tag; tags outside this shard
+	// (there are none in practice) fall back to the provider's sequential
+	// stream.
 	n := f.Len()
-	buckets := int(cfg.Horizon/DefaultFleetInterval) + 1
-	out := &shardOut{
-		startNs:                  start.UnixNano(),
-		interruptionsByRegion:    make(map[catalog.Region]int),
-		launchesByRegion:         make(map[catalog.Region]int),
-		completionsPerInterval:   make([]int, buckets),
-		interruptionsPerInterval: make([]int, buckets),
+	index := shardTags{base: f.Base, n: n}.index
+	rngs := make([]simclock.SplitMix64, n)
+	for i := range rngs {
+		rngs[i] = simclock.SplitMixAt(family, f.Base+i)
 	}
-	d := &shardDriver{
-		env:          env,
-		cfg:          cfg,
-		f:            f,
-		out:          out,
-		start:        start,
-		ids:          make([]string, n),
-		activeInst:   make([]cloud.InstanceID, n),
-		completionEv: make([]*simclock.Event, n),
-		rngs:         make([]simclock.SplitMix64, n),
-		compFns:      make([]func(), n),
-		relFns:       make([]strategy.RelaunchFunc, n),
-	}
-	for i := 0; i < n; i++ {
-		idx := i
-		d.ids[i] = f.ID(i)
-		d.rngs[i] = simclock.SplitMixAt(family, f.Base+i)
-		d.compFns[i] = func() { d.complete(idx) }
-		d.relFns[i] = func(p strategy.Placement) {
-			if d.f.Completed[idx] {
-				return
-			}
-			_ = d.provision(idx, p)
+	prov.SetWorkloadRand(func(tag string) *simclock.SplitMix64 {
+		i, ok := index(tag)
+		if !ok {
+			return nil
 		}
-	}
-	prov.SetWorkloadRand(d.streamFor)
+		return &rngs[i]
+	})
 
 	strat, err := cfg.NewStrategy(env)
 	if err != nil {
 		return nil, err
 	}
-	d.strat = strat
-	d.obs, _ = strat.(CompletionObserver)
-	out.strategyName = strat.Name()
-
-	prov.OnLaunch(d.onLaunch)
-	prov.OnTerminate(d.onTerminate)
-	if target, ok := strat.(RelaunchResolverTarget); ok {
-		target.SetRelaunchResolver(d.relaunchFor)
-	}
+	buckets := int(cfg.Horizon/DefaultFleetInterval) + 1
+	interruptions := make([]int, buckets)
+	var costLog []indexedCost
+	d := newDriver(env, strat, cfg.InstanceType, f, index, func(inst *cloud.Instance, i int, interrupted bool) {
+		costLog = append(costLog, indexedCost{gidx: f.Base + i, usd: inst.CostUSD})
+		if interrupted {
+			interruptions[intervalIndex(inst.TerminatedAt.Sub(start), buckets)]++
+		}
+	})
 
 	// The retry sweep runs straight on the shard engine. Going through
 	// CloudWatch would bill per tick, and tick totals scale with the
@@ -315,64 +236,33 @@ func runFleetShardLabeled(seed int64, family uint64, cfg *FleetShardedConfig, f 
 		sweepFired++
 	})
 
-	// The strategy API takes sorted IDs, as on the per-workload path.
-	sorted := make([]string, n)
-	copy(sorted, d.ids)
-	sort.Strings(sorted)
-	placements, err := strat.PlaceInitial(sorted)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: initial placement: %w", err)
-	}
-	for _, id := range sorted {
-		p, ok := placements[id]
-		if !ok {
-			return nil, fmt.Errorf("experiment: strategy left %q unplaced", id)
-		}
-		idx, ok := d.indexOf(id)
-		if !ok {
-			return nil, fmt.Errorf("experiment: strategy placed unknown id %q", id)
-		}
-		if err := d.provision(idx, p); err != nil {
-			return nil, err
-		}
+	if err := d.placeInitial(); err != nil {
+		return nil, err
 	}
 
-	for out.completed != n && !sentinelHit {
-		if eng.Pending() == 0 {
-			break
-		}
+	for d.completed != n && sentinelFired == 0 && eng.Pending() > 0 {
 		eng.Step()
 	}
 	ticker.Stop()
-	for _, inst := range prov.RunningInstances() {
-		_ = prov.Terminate(inst.ID)
-	}
+	d.terminateAll()
 
-	sentinelFired := uint64(0)
-	if sentinelHit {
-		sentinelFired = 1
-	}
-	out.firedAdj = eng.Fired() - sweepFired - sentinelFired - prov.BatchEventsFired()
-	out.serviceCostUSD = env.Ledger.Total()
-	return out, nil
+	return &shardOut{
+		tally:                    d.tally,
+		strategyName:             strat.Name(),
+		startNs:                  start.UnixNano(),
+		interruptionsPerInterval: interruptions,
+		costLog:                  costLog,
+		firedAdj:                 eng.Fired() - sweepFired - sentinelFired - prov.BatchEventsFired(),
+		serviceCostUSD:           env.Ledger.Total(),
+	}, nil
 }
 
-// streamFor resolves an instance/request tag to its workload's draw
-// stream; tags outside this shard (there are none in practice) fall
-// back to the provider's sequential stream.
-func (d *shardDriver) streamFor(tag string) *simclock.SplitMix64 {
-	idx, ok := d.indexOf(tag)
-	if !ok {
-		return nil
-	}
-	return &d.rngs[idx]
-}
+// shardTags resolves fleet tags and IDs ("<prefix>-<globalIndex>",
+// zero-padded) to dense indices of one shard's view.
+type shardTags struct{ base, n int }
 
-// indexOf recovers the dense (shard-local) index from an instance tag
-// or strategy-facing ID ("<prefix>-<globalIndex>", zero-padded).
-//
 //spotverse:hotpath
-func (d *shardDriver) indexOf(id string) (int, bool) {
+func (s shardTags) index(id string) (int, bool) {
 	cut := strings.LastIndexByte(id, '-')
 	if cut < 0 {
 		return 0, false
@@ -381,139 +271,32 @@ func (d *shardDriver) indexOf(id string) (int, bool) {
 	if err != nil {
 		return 0, false
 	}
-	i := g - d.f.Base
-	if i < 0 || i >= d.f.Len() {
+	i := g - s.base
+	if i < 0 || i >= s.n {
 		return 0, false
 	}
 	return i, true
 }
 
-func (d *shardDriver) relaunchFor(id string) strategy.RelaunchFunc {
-	idx, ok := d.indexOf(id)
-	if !ok {
-		return nil
-	}
-	return d.relFns[idx]
-}
-
-func (d *shardDriver) provision(idx int, p strategy.Placement) error {
-	id := d.ids[idx]
-	switch p.Lifecycle {
-	case cloud.LifecycleOnDemand:
-		if _, err := d.env.Provider.RunOnDemand(d.cfg.InstanceType, p.Region, id); err != nil {
-			return fmt.Errorf("experiment: provision %s on-demand: %w", id, err)
-		}
-	default:
-		if _, err := d.env.Provider.RequestSpot(d.cfg.InstanceType, p.Region, id); err != nil {
-			return fmt.Errorf("experiment: provision %s spot: %w", id, err)
-		}
-	}
-	return nil
-}
-
-// bucket returns the histogram slot for an instant, clamping anything
-// at or past the horizon into the last slot.
-func (d *shardDriver) bucket(at time.Time) int {
-	i := int(at.Sub(d.start) / DefaultFleetInterval)
-	if max := len(d.out.completionsPerInterval) - 1; i > max {
-		i = max
-	}
-	if i < 0 {
-		i = 0
-	}
-	return i
-}
-
-func (d *shardDriver) onLaunch(inst *cloud.Instance) {
-	idx, ok := d.indexOf(inst.Tag)
-	if !ok {
-		return
-	}
-	if d.f.Completed[idx] {
-		// A stale open request got fulfilled after completion.
-		_ = d.env.Provider.Terminate(inst.ID)
-		return
-	}
-	if d.activeInst[idx] != "" {
-		d.out.duplicateRelaunches++
-		_ = d.env.Provider.Terminate(inst.ID)
-		return
-	}
-	if err := d.f.BeginAttempt(idx); err != nil {
-		_ = d.env.Provider.Terminate(inst.ID)
-		return
-	}
-	now := d.env.Engine.Now()
-	d.activeInst[idx] = inst.ID
-	d.out.launchNs = append(d.out.launchNs, now.UnixNano())
-	d.out.launchesByRegion[inst.Region]++
-	if inst.Lifecycle == cloud.LifecycleOnDemand {
-		d.out.onDemandLaunches++
-	}
-	need := d.f.AttemptDuration(idx)
-	d.completionEv[idx] = d.env.Engine.ScheduleAfter(need, "workload-complete", d.compFns[idx])
-}
-
-func (d *shardDriver) complete(idx int) {
-	instID := d.activeInst[idx]
-	if instID == "" {
-		return
-	}
-	now := d.env.Engine.Now()
-	if err := d.f.MarkComplete(idx, now); err != nil {
-		return
-	}
-	d.out.completed++
-	d.out.completionsPerInterval[d.bucket(now)]++
-	d.completionEv[idx] = nil
-	if d.obs != nil {
-		d.obs.OnCompleted(d.ids[idx])
-	}
-	_ = d.env.Provider.Terminate(instID)
-}
-
-func (d *shardDriver) onTerminate(inst *cloud.Instance, interrupted bool) {
-	idx, ok := d.indexOf(inst.Tag)
-	if !ok {
-		return
-	}
-	d.out.costLog = append(d.out.costLog, indexedCost{gidx: d.f.Base + idx, usd: inst.CostUSD})
-	tracked := d.activeInst[idx] == inst.ID
-	if tracked {
-		d.activeInst[idx] = ""
-		d.out.stopNs = append(d.out.stopNs, d.env.Engine.Now().UnixNano())
-	}
-	if !interrupted || d.f.Completed[idx] || !tracked {
-		return
-	}
-	now := d.env.Engine.Now()
-	d.out.interruptions++
-	d.out.interruptionsByRegion[inst.Region]++
-	d.out.interruptionsPerInterval[d.bucket(now)]++
-	d.f.RecordInterruption(idx)
-	if ev := d.completionEv[idx]; ev != nil {
-		ev.Cancel()
-		d.completionEv[idx] = nil
-	}
-	if err := d.strat.OnInterrupted(inst.Tag, inst.Region, d.relFns[idx]); err != nil {
-		// A strategy that cannot place leaves the workload stranded; the
-		// run hits the horizon and reports it.
-		return
-	}
+// intervalIndex returns the histogram slot of an offset from the run
+// start among n slots, clamping anything at or past the horizon into
+// the last one.
+func intervalIndex(off time.Duration, n int) int {
+	return min(max(int(off/DefaultFleetInterval), 0), n-1)
 }
 
 // mergeShards folds per-shard aggregates into one FleetResult under
 // order-canonical reductions, so the merged bytes are independent of
 // both the shard count and the worker interleaving:
 //
-//   - counters and histograms are integer sums;
+//   - counters and the interruption histograms are integer sums;
 //   - instance cost stable-sorts the concatenated (global index, cost)
 //     log and sums in that order — within one workload, termination
 //     order is shard-count-invariant, so the float sum is too;
 //   - peak concurrency replays the sorted launch/stop stamps, with
 //     stops at an instant applied before launches at the same instant;
-//   - completion stats are recomputed from the fleet's CompletedAtNanos
-//     column in global index order.
+//   - completion stats and the completion histogram are recomputed from
+//     the fleet's CompletedAtNanos column in global index order.
 func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error) {
 	f := cfg.Fleet
 	n := f.Len()
@@ -544,9 +327,6 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 		}
 		for r, c := range o.launchesByRegion {
 			res.LaunchesByRegion[r] += c
-		}
-		for i, c := range o.completionsPerInterval {
-			res.CompletionsPerInterval[i] += c
 		}
 		for i, c := range o.interruptionsPerInterval {
 			res.InterruptionsPerInterval[i] += c
@@ -587,6 +367,7 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 				continue
 			}
 			at := f.CompletedAtNanos[i]
+			res.CompletionsPerInterval[intervalIndex(time.Duration(at-startNs), buckets)]++
 			sum += time.Duration(at - startNs).Hours()
 			if at > lastNs {
 				lastNs = at

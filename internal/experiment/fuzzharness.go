@@ -11,7 +11,6 @@ import (
 	"spotverse/internal/chaos"
 	"spotverse/internal/core"
 	"spotverse/internal/serve"
-	"spotverse/internal/services/stepfn"
 )
 
 // This file is the fault-space fuzzer's harness: it runs the full stack
@@ -149,8 +148,7 @@ func ChaosRun(cfg ChaosRunConfig) (*ChaosEvidence, error) {
 			ev.Breakers = append(ev.Breakers, BreakerTransition{Key: key, From: from, To: to, Trips: trips})
 		},
 	}
-	env.StepFn = stepfn.MustNew(env.Engine, env.Ledger,
-		stepfn.Config{MaxAttempts: 5, BaseBackoff: 30 * time.Second, BackoffRate: 2, Jitter: 0.4, Seed: cfg.Seed})
+	useJitteredStepFn(env, cfg.Seed)
 	ApplyChaos(env, inj)
 	sv, err := NewSpotVerse(env, coreCfg)
 	if err != nil {

@@ -151,15 +151,15 @@ func resilienceCell(name string, seed int64, intensity chaos.Intensity, n int) (
 			StaleAfter:       6 * time.Hour,
 			StaleCutoff:      48 * time.Hour,
 		}
-		sfCfg := stepfn.Config{MaxAttempts: 5, BaseBackoff: 30 * time.Second, BackoffRate: 2, Jitter: 0.4, Seed: seed}
 		if name == StrategyNoRetry {
 			cfg.DisableRecovery = true
 			cfg.DisableBreakers = true
 			cfg.StaleAfter = 0
 			cfg.StaleCutoff = 0
-			sfCfg = stepfn.Config{MaxAttempts: 1, BaseBackoff: 30 * time.Second}
+			env.StepFn = stepfn.MustNew(env.Engine, env.Ledger, stepfn.Config{MaxAttempts: 1, BaseBackoff: 30 * time.Second})
+		} else {
+			useJitteredStepFn(env, seed)
 		}
-		env.StepFn = stepfn.MustNew(env.Engine, env.Ledger, sfCfg)
 		ApplyChaos(env, inj)
 		s, err := NewSpotVerse(env, cfg)
 		if err != nil {

@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime/pprof"
 	"strconv"
 )
 
@@ -67,16 +65,10 @@ func Trials(n int, base int64, fn func(seed int64) (*Result, error)) (*TrialSumm
 	}
 	results, err := Gather(n, func(i int) (*Result, error) {
 		seed := base + int64(i)
-		var (
-			res  *Result
-			ferr error
-		)
 		// The seed label nests inside the CLI's experiment label and the
 		// runner's arm label, so -cpuprofile attributes samples per
 		// (experiment, seed, arm).
-		pprof.Do(context.Background(), pprof.Labels("seed", strconv.FormatInt(seed, 10)), func(context.Context) {
-			res, ferr = fn(seed)
-		})
+		res, ferr := labeled("seed", strconv.FormatInt(seed, 10), func() (*Result, error) { return fn(seed) })
 		if ferr != nil {
 			return nil, fmt.Errorf("trial seed %d: %w", seed, ferr)
 		}

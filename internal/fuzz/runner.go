@@ -267,9 +267,6 @@ type CampaignConfig struct {
 	DisableFencing bool
 	// Workloads, when positive, overrides every plan's workload count.
 	Workloads int
-	// ShrinkBudget bounds re-runs per shrink (default
-	// DefaultShrinkBudget).
-	ShrinkBudget int
 	// Log, when set, receives one progress line per trial.
 	Log func(format string, args ...any)
 }
@@ -307,7 +304,7 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 			continue
 		}
 		logf("seed %d: VIOLATION %v — shrinking", seed, violationNames(vs))
-		sr, err := Shrink(p, vs, cfg.ShrinkBudget)
+		sr, err := Shrink(p, vs, DefaultShrinkBudget)
 		if err != nil {
 			return nil, fmt.Errorf("fuzz: seed %d: shrink: %w", seed, err)
 		}

@@ -23,13 +23,14 @@ var (
 	ErrJobRunning   = errors.New("galaxy: job still running")
 )
 
+// throughputBytesPerSec converts a step's input bytes into processing
+// time on the 4-vCPU reference instance (2 MiB/s).
+const throughputBytesPerSec = 2 << 20
+
 // JobOptions tunes the duration model.
 type JobOptions struct {
 	// BasePerStep is each step's fixed cost (default 90 s).
 	BasePerStep time.Duration
-	// ThroughputBytesPerSec converts input bytes into processing time
-	// (default 2 MiB/s).
-	ThroughputBytesPerSec int64
 	// VCPUs scales throughput and base cost: a 2-vCPU instance runs at
 	// half the speed of the 4-vCPU reference (default 4).
 	VCPUs int
@@ -39,9 +40,6 @@ func (o JobOptions) normalized() JobOptions {
 	if o.BasePerStep <= 0 {
 		o.BasePerStep = 90 * time.Second
 	}
-	if o.ThroughputBytesPerSec <= 0 {
-		o.ThroughputBytesPerSec = 2 << 20
-	}
 	if o.VCPUs <= 0 {
 		o.VCPUs = 4
 	}
@@ -50,7 +48,7 @@ func (o JobOptions) normalized() JobOptions {
 
 // stepDuration models one step's runtime from its input volume.
 func (o JobOptions) stepDuration(inputBytes int64) time.Duration {
-	seconds := float64(inputBytes) / float64(o.ThroughputBytesPerSec)
+	seconds := float64(inputBytes) / throughputBytesPerSec
 	d := o.BasePerStep + time.Duration(seconds*float64(time.Second))
 	scale := 4.0 / float64(o.VCPUs)
 	return time.Duration(float64(d) * scale)
