@@ -82,10 +82,10 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.addr, "addr", ":8085", "live mode listen address")
 	fs.Int64Var(&o.seed, "seed", 42, "simulation seed (backend, chaos, trace generation)")
 	fs.StringVar(&o.intensity, "chaos", "off", "chaos intensity: off, low, medium, severe")
-	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = default)")
+	fs.IntVar(&o.workers, "workers", 0, "worker slots: concurrent backend calls (0 = default)")
 	fs.IntVar(&o.queue, "queue", 0, "admission queue depth (0 = default)")
 	fs.Float64Var(&o.rate, "rate", 0, "token bucket refill, cost units/s (0 = default)")
-	fs.Float64Var(&o.burst, "burst", 0, "token bucket capacity (0 = 2x rate)")
+	fs.Float64Var(&o.burst, "burst", 0, "token bucket capacity, at least 1 (0 = 2x rate)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "per-request deadline (0 = default)")
 	fs.DurationVar(&o.drain, "drain", 0, "drain deadline on shutdown (0 = default)")
 	fs.DurationVar(&o.svc, "svc", 0, "modeled service time per cost unit (0 = default)")

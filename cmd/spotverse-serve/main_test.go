@@ -287,6 +287,19 @@ func TestRealMainBadFlag(t *testing.T) {
 	}
 }
 
+// TestRealMainRejectsBurstBelowPlaceCost: -rate 0.3 defaults the burst
+// to 0.6, below one placement's cost, so the daemon must refuse to
+// start rather than shed every placement forever.
+func TestRealMainRejectsBurstBelowPlaceCost(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := realMain([]string{"-rate", "0.3", "-addr", "127.0.0.1:0"}, &out, &errb); code == 0 {
+		t.Fatal("-rate 0.3 exited 0, want non-zero")
+	}
+	if !strings.Contains(errb.String(), "burst 0.6") {
+		t.Fatalf("stderr does not name the burst: %s", errb.String())
+	}
+}
+
 func TestUsageMentionsModes(t *testing.T) {
 	var errb bytes.Buffer
 	if code := realMain([]string{"-h"}, &bytes.Buffer{}, &errb); code != 0 {

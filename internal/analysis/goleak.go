@@ -23,8 +23,8 @@ import (
 //     on, the sender blocks forever. Buffer the channel.
 //
 // Loops ranging over a channel are exempt from the exit-path rule: they
-// terminate when the channel closes, which is the join protocol the
-// worker pool uses.
+// terminate when the channel closes, which is the join protocol of a
+// worker draining a job channel (the benchmark's load generator uses it).
 var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc: "goroutines must have a cancellation or join path: no time.After in loops, " +

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Admission is the load controller in front of the worker pool. It
+// Admission is the load controller in front of the worker slots. It
 // bounds two things:
 //
 //   - queue depth: at most maxQueue admitted-but-unstarted requests,
@@ -18,8 +18,10 @@ import (
 //     joining a queue they would time out in.
 //
 // Admission hands out Tickets; a ticket transitions queued → inflight
-// at service start and releases at completion, so the controller's
-// picture of outstanding work matches the pool's.
+// when its request takes a worker slot and releases at completion, so
+// the controller's picture of outstanding work matches the slots'.
+// Close stops admission for good: AwaitIdle after Close therefore
+// means no backend call is running and none can start.
 type Admission struct {
 	mu       sync.Mutex
 	maxQueue int
@@ -30,6 +32,7 @@ type Admission struct {
 	queued     int
 	queuedCost float64
 	inflight   int
+	closed     bool
 
 	admitted  uint64
 	shedQueue uint64 // refused: queue depth at cap
@@ -40,8 +43,8 @@ type Admission struct {
 	notify chan struct{}
 }
 
-// NewAdmission builds a controller for a pool of workers, each serving
-// one cost unit per perUnit of time.
+// NewAdmission builds a controller for the given number of workers,
+// each serving one cost unit per perUnit of time.
 func NewAdmission(maxQueue int, maxWait, perUnit time.Duration, workers int) *Admission {
 	if workers < 1 {
 		workers = 1
@@ -73,9 +76,13 @@ func (a *Admission) projectedWait(extra float64) time.Duration {
 // Admit decides whether a request of the given cost may join the
 // queue. On refusal it reports the projected time for enough queued
 // work to drain — the Retry-After a well-behaved client should honor.
+// After Close every request is refused (with no Retry-After).
 func (a *Admission) Admit(cost float64) (t *Ticket, retryAfter time.Duration, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.closed {
+		return nil, 0, false
+	}
 	wait := a.projectedWait(cost)
 	switch {
 	case a.queued >= a.maxQueue:
@@ -97,8 +104,8 @@ func (a *Admission) Admit(cost float64) (t *Ticket, retryAfter time.Duration, ok
 	return nil, wait, false
 }
 
-// Start moves the ticket from queued to inflight (a worker picked the
-// request up).
+// Start moves the ticket from queued to inflight (the request took a
+// worker slot).
 func (t *Ticket) Start() {
 	if t == nil || t.started || t.done {
 		return
@@ -123,7 +130,7 @@ func (t *Ticket) Done() {
 	t.a.wake()
 }
 
-// Cancel releases a ticket that never reached a worker (queue abort).
+// Cancel releases a ticket that never took a worker slot (queue abort).
 func (t *Ticket) Cancel() {
 	if t == nil || t.done || t.started {
 		return
@@ -141,6 +148,14 @@ func (a *Admission) wake() {
 	case a.notify <- struct{}{}:
 	default:
 	}
+}
+
+// Close makes every later Admit refuse. Tickets already admitted are
+// unaffected and still count toward Outstanding.
+func (a *Admission) Close() {
+	a.mu.Lock()
+	a.closed = true
+	a.mu.Unlock()
 }
 
 // Outstanding reports queued plus inflight requests.

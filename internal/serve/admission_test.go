@@ -116,6 +116,40 @@ func TestAdmissionAwaitIdle(t *testing.T) {
 	tk2.Cancel()
 }
 
+func TestAdmissionClose(t *testing.T) {
+	a := NewAdmission(10, time.Hour, time.Millisecond, 2)
+	tk, _, ok := a.Admit(1)
+	if !ok {
+		t.Fatal("admit before close refused")
+	}
+	a.Close()
+	if _, _, ok := a.Admit(1); ok {
+		t.Fatal("admit after close succeeded")
+	}
+	// A closed refusal is neither a queue nor a wait shed.
+	if admitted, shedQueue, shedWait, _ := statsOf(a); admitted != 1 || shedQueue != 0 || shedWait != 0 {
+		t.Fatalf("stats after closed refusal = (%d, %d, %d), want (1, 0, 0)", admitted, shedQueue, shedWait)
+	}
+	// The ticket admitted before Close still holds AwaitIdle.
+	idle := make(chan bool, 1)
+	go func() { idle <- a.AwaitIdle(nil) }()
+	select {
+	case <-idle:
+		t.Fatal("AwaitIdle returned with a pre-close ticket outstanding")
+	case <-time.After(20 * time.Millisecond):
+	}
+	tk.Start()
+	tk.Done()
+	select {
+	case ok := <-idle:
+		if !ok {
+			t.Fatal("AwaitIdle reported not idle after release")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("AwaitIdle did not wake on release")
+	}
+}
+
 func statsOf(a *Admission) (admitted, shedQueue, shedWait uint64, hw int) {
 	return a.Stats()
 }

@@ -86,8 +86,9 @@ type MigrationsResponse struct {
 
 // Backend is the placement engine behind the server. Implementations
 // must honor ctx cancellation and be safe for concurrent use; the
-// worker pool bounds how many calls run at once. Place fills resp in
-// place so a warm caller can reuse one response across requests.
+// server's worker slots bound how many calls run at once. Place fills
+// resp in place so a warm caller can reuse one response across
+// requests.
 type Backend interface {
 	Place(ctx context.Context, req *PlaceRequest, resp *PlaceResponse) error
 	Advisor(ctx context.Context) (*AdvisorResponse, error)
@@ -108,7 +109,7 @@ type FaultFunc func(op string, region catalog.Region) error
 
 // SimBackend serves placements from a SpotVerse manager deployed on
 // the simulated cloud. The simulation engine is single-threaded, so
-// every call serialises on one mutex; the worker pool in front bounds
+// every call serialises on one mutex; the worker slots in front bound
 // how much work piles up on it.
 //
 // The hot path is memoized: the optimizer's region ranking and the

@@ -92,13 +92,6 @@ func (b *Breaker) Failure(now time.Time) {
 	}
 }
 
-// Open reports whether the breaker currently refuses non-probe calls.
-func (b *Breaker) Open(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state == breakerOpen && now.Sub(b.openedAt) < b.cooldown
-}
-
 // Trips reports how many times the breaker opened.
 func (b *Breaker) Trips() uint64 {
 	b.mu.Lock()

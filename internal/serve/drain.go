@@ -8,20 +8,22 @@ import (
 
 // ErrDrainTimeout reports that in-flight requests did not settle
 // inside the drain deadline; the stragglers were aborted via their
-// contexts and still each received an explicit response.
+// own request deadlines and still each received an explicit response.
 var ErrDrainTimeout = errors.New("serve: drain deadline exceeded with requests still in flight")
 
 // Drain performs graceful shutdown:
 //
-//  1. stop accepting — readyz flips to 503 draining and every new
-//     request is refused with 503 + Retry-After;
-//  2. finish in-flight — queued and executing requests run to
-//     completion, bounded by ctx (the caller passes a context carrying
-//     the drain deadline); past the deadline the remaining requests
-//     are aborted through their own contexts and answered explicitly;
+//  1. stop accepting — readyz flips to 503 draining, admission closes,
+//     and every new request is refused with 503 + Retry-After;
+//  2. finish in-flight — requests waiting for a worker slot and
+//     requests executing run to completion, bounded by ctx (the caller
+//     passes a context carrying the drain deadline); past the deadline
+//     Drain records ErrDrainTimeout and keeps waiting for the
+//     stragglers, which their own request deadlines abort and answer
+//     explicitly;
 //  3. flush — the backend's Flush barrier runs, then every OnDrain
-//     hook (trace recorders etc.);
-//  4. the worker pool shuts down.
+//     hook (trace recorders etc.). Admission is closed and idle, so no
+//     backend call runs during or after the flush.
 //
 // Drain is idempotent: the second and later calls wait for the first
 // to finish and return its error. A clean drain returns nil — the
@@ -33,14 +35,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	defer close(s.drained)
 
+	s.adm.Close()
 	var errs []error
 	if !s.adm.AwaitIdle(ctx.Done()) {
 		errs = append(errs, ErrDrainTimeout)
-		// Give the in-queue stragglers one more chance to be answered:
-		// workers pop them, see their (now likely expired) contexts or
-		// run them to completion; the pool close below waits for that.
+		s.adm.AwaitIdle(nil)
 	}
-	s.pool.Close()
 
 	// Flush with a fresh context: the drain deadline may already be
 	// spent, but the flush barrier must still run (it is the "journal

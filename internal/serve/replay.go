@@ -14,10 +14,11 @@ import (
 // Replay drives a recorded request trace through the server's full
 // gate pipeline — rate limiter, admission controller, queue, deadline,
 // breaker, degrade — on the simulation clock, with virtual workers
-// standing in for the live pool. The server must have been built with
-// the engine as its Clock. Everything is sequential and virtual-timed,
-// so a given (trace, config, seed) produces byte-stable outcomes: the
-// deterministic substrate for overload and brownout tests.
+// standing in for the live worker slots. The server must have been
+// built with the engine as its Clock. Everything is sequential and
+// virtual-timed, so a given (trace, config, seed) produces byte-stable
+// outcomes: the deterministic substrate for overload and brownout
+// tests.
 //
 // Virtual timing: each admitted request occupies one of Workers
 // virtual workers for EndpointCost(endpoint) * ServiceTime of
@@ -39,7 +40,6 @@ func (s *Server) Replay(eng *simclock.Engine, entries []TraceEntry, opts ReplayO
 		workers:  s.cfg.Workers,
 		outcomes: make([]replayOutcome, len(entries)),
 	}
-	ctx := context.Background()
 	for i := range entries {
 		e := &entries[i]
 		at := start.Add(time.Duration(e.AtMS) * time.Millisecond)
@@ -47,7 +47,7 @@ func (s *Server) Replay(eng *simclock.Engine, entries []TraceEntry, opts ReplayO
 		if err := r.advance(at); err != nil {
 			return nil, err
 		}
-		r.arrive(ctx, i, e, at)
+		r.arrive(i, e, at)
 	}
 	r.settle(time.Time{}, true)
 	return r.summary(opts, entries)
@@ -74,9 +74,7 @@ type replayOutcome struct {
 type completion struct {
 	finish time.Time
 	seq    uint64
-	idx    int
 	ticket *Ticket
-	arrive time.Time
 }
 
 type completionHeap []completion
@@ -178,13 +176,13 @@ func (r *replayer) startService(q queuedReq, at time.Time) bool {
 	svc := time.Duration(EndpointCost(q.entry.Endpoint) * float64(r.s.cfg.ServiceTime))
 	finish := at.Add(svc)
 	r.seq++
-	heap.Push(&r.busy, completion{finish: finish, seq: r.seq, idx: q.idx, ticket: q.ticket, arrive: q.arrival})
+	heap.Push(&r.busy, completion{finish: finish, seq: r.seq, ticket: q.ticket})
 	r.record(q.idx, out.Status, out.Code, finish.Sub(q.arrival).Milliseconds(), out.Err)
 	return true
 }
 
 // arrive pushes one trace entry through the gate at its arrival time.
-func (r *replayer) arrive(_ context.Context, idx int, e *TraceEntry, at time.Time) {
+func (r *replayer) arrive(idx int, e *TraceEntry, at time.Time) {
 	ticket, refusal, ok := r.s.gate(e.Endpoint, e.WorkloadID)
 	if !ok {
 		r.s.count(refusal)
@@ -193,9 +191,7 @@ func (r *replayer) arrive(_ context.Context, idx int, e *TraceEntry, at time.Tim
 	}
 	q := queuedReq{idx: idx, entry: e, arrival: at, ticket: ticket}
 	if len(r.busy) < r.workers && len(r.fifo) == 0 {
-		if !r.startService(q, at) {
-			return
-		}
+		r.startService(q, at)
 		return
 	}
 	r.fifo = append(r.fifo, q)

@@ -12,8 +12,10 @@
 //     controller that sheds with 429 + Retry-After *before* the queue
 //     saturates (when the projected queueing delay for the new request
 //     would exceed MaxEstimatedWait);
-//  4. bounded worker pool — admitted requests wait in a FIFO of at most
-//     QueueDepth entries for one of Workers workers;
+//  4. worker slots — each admitted request runs on its own handler
+//     goroutine once it holds one of Workers slots; at most QueueDepth
+//     admitted requests wait, and slots are granted first-in,
+//     first-out;
 //  5. per-request deadline — the request context carries a deadline
 //     propagated into every backend call; a request whose deadline
 //     expired while it queued is answered 504 without touching the
@@ -23,7 +25,7 @@
 //     cached advisor snapshot (best-effort placement included), never a
 //     hang and never silence;
 //  7. panic isolation — a panicking handler converts to a 500 for that
-//     request alone; the worker and server survive.
+//     request alone; its slot is released and the server survives.
 //
 // Every request therefore gets exactly one explicit outcome: an answer
 // (200), a degraded answer (503), a shed (429/503+Retry-After), a
@@ -88,7 +90,8 @@ type Config struct {
 	// RatePerSec is the token bucket's refill rate in request-cost
 	// units per second (default DefaultRatePerSec).
 	RatePerSec float64
-	// Burst is the token bucket's capacity (default 2*RatePerSec).
+	// Burst is the token bucket's capacity (default 2*RatePerSec). It
+	// must hold at least CostPlace, or no placement could ever pass.
 	Burst float64
 	// Deadline is the per-request deadline propagated into backend
 	// calls (default DefaultDeadline).
@@ -155,9 +158,6 @@ func (c Config) normalized() Config {
 
 // ErrNoClock rejects a Server built without a time source.
 var ErrNoClock = errors.New("serve: Config.Clock is required")
-
-// ErrDraining is returned by Submit paths once drain began.
-var ErrDraining = errors.New("serve: draining")
 
 // Status classifies a request's single explicit outcome.
 type Status int

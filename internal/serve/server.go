@@ -71,9 +71,11 @@ type Server struct {
 	backend Backend
 	limiter *TokenBucket
 	adm     *Admission
-	pool    *Pool
-	brk     *Breaker
-	cache   advisorCache
+	// slots holds one token per running request: its capacity is
+	// Workers, the bound on concurrent backend calls.
+	slots chan struct{}
+	brk   *Breaker
+	cache advisorCache
 
 	draining atomic.Bool
 	ready    atomic.Bool
@@ -88,11 +90,13 @@ type Server struct {
 	shedDrain   atomic.Uint64
 	deadline    atomic.Uint64
 	errorsN     atomic.Uint64
+	panics      atomic.Uint64
 
 	mux *http.ServeMux
 }
 
-// New builds a Server over a backend. The config must carry a Clock.
+// New builds a Server over a backend. The config must carry a Clock,
+// and its (normalized) Burst must cover one placement's cost.
 func New(cfg Config, backend Backend) (*Server, error) {
 	if cfg.Clock == nil {
 		return nil, ErrNoClock
@@ -101,13 +105,16 @@ func New(cfg Config, backend Backend) (*Server, error) {
 		return nil, errors.New("serve: backend is required")
 	}
 	cfg = cfg.normalized()
+	if cfg.Burst < CostPlace {
+		return nil, fmt.Errorf("serve: token bucket burst %g is below the placement cost %g, so every placement would be shed", cfg.Burst, CostPlace)
+	}
 	s := &Server{
 		cfg:     cfg,
 		clk:     cfg.Clock,
 		backend: backend,
 		limiter: NewTokenBucket(cfg.RatePerSec, cfg.Burst, cfg.Clock.Now()),
 		adm:     NewAdmission(cfg.QueueDepth, cfg.MaxEstimatedWait, cfg.ServiceTime, cfg.Workers),
-		pool:    NewPool(cfg.Workers, cfg.QueueDepth),
+		slots:   make(chan struct{}, cfg.Workers),
 		brk:     NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown),
 		drained: make(chan struct{}),
 	}
@@ -151,7 +158,7 @@ func (s *Server) Stats() Stats {
 		ShedDrain:      shedD,
 		Deadline:       s.deadline.Load(),
 		Errors:         s.errorsN.Load(),
-		Panics:         s.pool.Panics(),
+		Panics:         s.panics.Load(),
 		BreakerTrips:   s.brk.Trips(),
 		QueueHighWater: hw,
 		Draining:       s.draining.Load(),
@@ -175,7 +182,7 @@ func (s *Server) count(o Outcome) {
 	}
 }
 
-// gate runs the shared pre-worker pipeline: drain check, trace record,
+// gate runs the shared pre-slot pipeline: drain check, trace record,
 // rate limit, admission. A nil ticket with a non-nil outcome means the
 // request was refused at the gate.
 func (s *Server) gate(endpoint, workloadID string) (*Ticket, Outcome, bool) {
@@ -184,9 +191,7 @@ func (s *Server) gate(endpoint, workloadID string) (*Ticket, Outcome, bool) {
 		s.cfg.Trace.Record(TraceEntry{Endpoint: endpoint, WorkloadID: workloadID})
 	}
 	if s.draining.Load() {
-		s.shedDrain.Add(1)
-		return nil, Outcome{Status: StatusShed, Code: http.StatusServiceUnavailable,
-			RetryAfter: s.cfg.DrainDeadline, Err: "draining"}, false
+		return nil, s.shedDraining(), false
 	}
 	cost := EndpointCost(endpoint)
 	if ok, retry := s.limiter.Allow(now, cost); !ok {
@@ -196,11 +201,22 @@ func (s *Server) gate(endpoint, workloadID string) (*Ticket, Outcome, bool) {
 	}
 	ticket, retry, ok := s.adm.Admit(cost)
 	if !ok {
+		if s.draining.Load() {
+			// Drain closed admission after the check above.
+			return nil, s.shedDraining(), false
+		}
 		s.shedAdmit.Add(1)
 		return nil, Outcome{Status: StatusShed, Code: http.StatusTooManyRequests,
 			RetryAfter: retry, Err: "over capacity"}, false
 	}
 	return ticket, Outcome{}, true
+}
+
+// shedDraining counts and builds the 503 refusal of a draining server.
+func (s *Server) shedDraining() Outcome {
+	s.shedDrain.Add(1)
+	return Outcome{Status: StatusShed, Code: http.StatusServiceUnavailable,
+		RetryAfter: s.cfg.DrainDeadline, Err: "draining"}
 }
 
 // process executes one admitted request against the backend, degrading
@@ -278,55 +294,34 @@ func (s *Server) degrade(endpoint string, req *PlaceRequest, reason string) Outc
 		RetryAfter: retry, Degraded: d, Err: reason}
 }
 
-// execute runs the full post-gate path on a worker: deadline check,
-// panic isolation, backend call. It always replies exactly once.
-func (s *Server) execute(ctx context.Context, endpoint string, req *PlaceRequest, ticket *Ticket, reply chan<- Outcome) {
+// serveAdmitted runs an admitted request on the calling handler
+// goroutine: it waits FIFO for one of Workers slots (blocked channel
+// senders queue in arrival order), re-checks the deadline, and calls
+// the backend. A panic becomes this request's 500 alone. It always
+// returns exactly one outcome and always settles the ticket.
+func (s *Server) serveAdmitted(ctx context.Context, endpoint string, req *PlaceRequest, ticket *Ticket) (out Outcome) {
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		ticket.Cancel()
+		return Outcome{Status: StatusDeadline, Code: http.StatusGatewayTimeout, Err: "deadline exceeded in queue"}
+	}
+	ticket.Start()
 	defer func() {
 		if r := recover(); r != nil {
-			ticket.Done()
-			reply <- Outcome{Status: StatusError, Code: http.StatusInternalServerError,
+			s.panics.Add(1)
+			out = Outcome{Status: StatusError, Code: http.StatusInternalServerError,
 				Err: fmt.Sprintf("internal panic: %v", r)}
-			// Re-panic so the pool's isolation counter sees it; the
-			// reply already went out.
-			panic(r)
 		}
+		ticket.Done()
+		<-s.slots
 	}()
-	ticket.Start()
-	defer ticket.Done()
 	if err := ctx.Err(); err != nil {
-		// Deadline expired while the request sat in the queue: answer
+		// Deadline expired while the request waited for a slot: answer
 		// without touching the backend.
-		reply <- Outcome{Status: StatusDeadline, Code: http.StatusGatewayTimeout, Err: "deadline exceeded in queue"}
-		return
+		return Outcome{Status: StatusDeadline, Code: http.StatusGatewayTimeout, Err: "deadline exceeded in queue"}
 	}
-	reply <- s.process(ctx, endpoint, req)
-}
-
-// dispatch pushes an admitted request through the pool and waits for
-// its single outcome (or the request deadline, whichever first).
-func (s *Server) dispatch(ctx context.Context, endpoint string, req *PlaceRequest, ticket *Ticket) Outcome {
-	reply := make(chan Outcome, 1)
-	ok := s.pool.TrySubmit(task{ctx: ctx, run: func(ctx context.Context) {
-		s.execute(ctx, endpoint, req, ticket, reply)
-	}})
-	if !ok {
-		// The pool queue disagreed with admission (drain raced us, or a
-		// bug): refuse explicitly rather than block.
-		ticket.Cancel()
-		s.shedDrain.Add(1)
-		return Outcome{Status: StatusShed, Code: http.StatusServiceUnavailable,
-			RetryAfter: s.cfg.DrainDeadline, Err: "draining"}
-	}
-	select {
-	case out := <-reply:
-		return out
-	case <-ctx.Done():
-		// The worker will still pop the task, see the dead context, and
-		// release the ticket; its late reply lands in the buffered
-		// channel and is dropped. This request's one response is the
-		// deadline.
-		return Outcome{Status: StatusDeadline, Code: http.StatusGatewayTimeout, Err: "deadline exceeded"}
-	}
+	return s.process(ctx, endpoint, req)
 }
 
 // serveOutcome writes one outcome as the HTTP response.
@@ -386,7 +381,7 @@ func (s *Server) handleMigrations(w http.ResponseWriter, r *http.Request) {
 	s.handleEndpoint(w, r, EndpointMigrations, nil)
 }
 
-// handleEndpoint is the shared HTTP edge: gate, deadline, dispatch.
+// handleEndpoint is the shared HTTP edge: gate, deadline, serve.
 func (s *Server) handleEndpoint(w http.ResponseWriter, r *http.Request, endpoint string, req *PlaceRequest) {
 	workloadID := ""
 	if req != nil {
@@ -399,7 +394,7 @@ func (s *Server) handleEndpoint(w http.ResponseWriter, r *http.Request, endpoint
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
 	defer cancel()
-	s.serveOutcome(w, s.dispatch(ctx, endpoint, req, ticket))
+	s.serveOutcome(w, s.serveAdmitted(ctx, endpoint, req, ticket))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -66,6 +67,26 @@ func TestConfigNormalizedDefaults(t *testing.T) {
 		c.DrainDeadline != DefaultDrainDeadline || c.ServiceTime != DefaultServiceTime ||
 		c.BreakerFailures != DefaultBreakerFailures || c.BreakerCooldown != DefaultBreakerCooldown {
 		t.Fatalf("normalized defaults wrong: %+v", c)
+	}
+}
+
+// zeroClock and nopBackend satisfy New's required fields for tests
+// that never serve a request.
+type zeroClock struct{}
+
+func (zeroClock) Now() time.Time { return time.Time{} }
+
+type nopBackend struct{ Backend }
+
+func TestNewRejectsBurstBelowPlaceCost(t *testing.T) {
+	// A 0.3/s rate defaults Burst to 0.6, which can never hold one
+	// placement's cost: every /v1/place would be shed forever.
+	_, err := New(Config{RatePerSec: 0.3, Clock: zeroClock{}}, nopBackend{})
+	if err == nil || !strings.Contains(err.Error(), "burst 0.6") || !strings.Contains(err.Error(), "cost 1") {
+		t.Fatalf("New with burst 0.6 = %v, want an error naming burst 0.6 and cost 1", err)
+	}
+	if _, err := New(Config{RatePerSec: 0.3, Burst: CostPlace, Clock: zeroClock{}}, nopBackend{}); err != nil {
+		t.Fatalf("New with burst == CostPlace = %v, want nil", err)
 	}
 }
 

@@ -8,7 +8,8 @@
 #      service rate under severe chaos) and assert requests were shed
 #      and every request got exactly one outcome;
 #   4. boot the live server, wait for readiness, issue a placement,
-#      send SIGTERM, and assert a clean drain: exit code 0 and a
+#      then ~200 concurrent placements (each answered 200, 429, 503 or
+#      504), send SIGTERM, and assert a clean drain: exit code 0 and a
 #      flushed, replayable recorded trace.
 set -eu
 
@@ -50,6 +51,17 @@ done
 code=$(curl -s -o "$tmp/place.json" -w '%{http_code}' -X POST "http://$addr/v1/place" \
     -H 'Content-Type: application/json' -d '{"workload_id":"smoke-1"}')
 [ "$code" = "200" ] || { echo "place returned $code" >&2; cat "$tmp/place.json" >&2; exit 1; }
+
+echo "serve smoke: live concurrent placements"
+seq 1 200 | xargs -P 32 -I{} curl -s -o /dev/null -w '%{http_code}\n' -X POST "http://$addr/v1/place" \
+    -H 'Content-Type: application/json' -d '{"workload_id":"smoke-burst-{}"}' > "$tmp/codes.txt"
+[ "$(wc -l < "$tmp/codes.txt")" -eq 200 ] || { echo "concurrent placements: $(wc -l < "$tmp/codes.txt") answers, want 200" >&2; exit 1; }
+if grep -v -E '^(200|429|503|504)$' "$tmp/codes.txt" > "$tmp/bad.txt"; then
+    echo "concurrent placements got unexpected status codes:" >&2
+    sort "$tmp/bad.txt" | uniq -c >&2
+    exit 1
+fi
+sort "$tmp/codes.txt" | uniq -c
 
 kill -TERM "$pid"
 rc=0
