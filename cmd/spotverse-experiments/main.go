@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	spotverse-experiments [-exp all|list|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table1|table4|ext|chaos|crash|trials|fleet] [-seed N] [-csv dir] [-intensity off|low|medium|severe] [-parallel N] [-fleet sizes] [-fleet-shards N] [-cpuprofile file] [-memprofile file]
+//	spotverse-experiments [-exp all|list|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table1|table4|ext|chaos|crash|trials|fleet] [-seed N] [-csv dir] [-intensity off|low|medium|severe] [-parallel N] [-trials N] [-fleet sizes] [-fleet-shards N] [-cpuprofile file] [-memprofile file]
 //
 // Each experiment prints an ASCII rendering of the corresponding table or
 // figure; -csv additionally writes raw series files into the directory.
@@ -59,7 +59,7 @@ import (
 
 // usageLine is appended to flag-validation errors so a bad invocation
 // prints the accepted values without the caller digging through -h.
-const usageLine = "usage: spotverse-experiments [-exp all|list|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table1|table4|ext|chaos|crash|trials|fleet] [-seed N] [-csv dir] [-intensity off|low|medium|severe] [-parallel N] [-fleet sizes] [-fleet-shards N] [-cpuprofile file] [-memprofile file]"
+const usageLine = "usage: spotverse-experiments [-exp all|list|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table1|table4|ext|chaos|crash|trials|fleet] [-seed N] [-csv dir] [-intensity off|low|medium|severe] [-parallel N] [-trials N] [-fleet sizes] [-fleet-shards N] [-cpuprofile file] [-memprofile file]"
 
 func main() {
 	var (
@@ -186,7 +186,15 @@ func run(w io.Writer, exp string, seed int64, csvDir string, trials, parallel in
 		}
 	}
 	runners := map[string]func(w io.Writer) error{
-		"trials": func(w io.Writer) error { return runTrials(w, seed, trials) },
+		// -trials, -fleet and -fleet-shards are validated inside their
+		// runners, not up front: only those experiments read them, so a
+		// malformed value must not break other experiments.
+		"trials": func(w io.Writer) error {
+			if trials < 1 {
+				return fmt.Errorf("invalid -trials %d (must be >= 1)\n%s", trials, usageLine)
+			}
+			return runTrials(w, seed, trials)
+		},
 		"fig2":   func(w io.Writer) error { return runFig2(w, seed, csvDir) },
 		"fig3":   func(w io.Writer) error { return runFig3(w, seed) },
 		"fig4":   func(w io.Writer) error { return runFig4(w, seed, csvDir) },
@@ -199,9 +207,6 @@ func run(w io.Writer, exp string, seed int64, csvDir string, trials, parallel in
 		"ext":    func(w io.Writer) error { return runExtensions(w, seed) },
 		"chaos":  func(w io.Writer) error { return runChaos(w, seed) },
 		"crash":  func(w io.Writer) error { return runCrash(w, seed, inten) },
-		// -fleet and -fleet-shards are validated here, not up front: only
-		// the fleet sweep reads them, so a malformed value must not break
-		// other experiments.
 		"fleet": func(w io.Writer) error {
 			sizes, err := parseFleetSizes(fleetSizes)
 			if err != nil {

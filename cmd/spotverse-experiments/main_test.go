@@ -44,6 +44,30 @@ func TestInvalidParallelRejected(t *testing.T) {
 	}
 }
 
+func TestInvalidTrialsRejected(t *testing.T) {
+	for _, bad := range []int{0, -1} {
+		var out bytes.Buffer
+		err := run(&out, "trials", 42, "", bad, 1, "medium", "1000", "")
+		if err == nil {
+			t.Fatalf("-trials %d should error", bad)
+		}
+		if !strings.Contains(err.Error(), "usage:") {
+			t.Fatalf("error should carry the usage line, got: %v", err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-trials %d wrote to stdout before failing:\n%s", bad, out.String())
+		}
+	}
+}
+
+// TestTrialsOnlyValidatedForTrials keeps the flag inert elsewhere: a
+// bad -trials value must not break experiments that never read it.
+func TestTrialsOnlyValidatedForTrials(t *testing.T) {
+	if err := run(io.Discard, "table1", 42, "", 0, 1, "medium", "1000", ""); err != nil {
+		t.Fatalf("table1 should ignore -trials: %v", err)
+	}
+}
+
 func TestInvalidFleetSizesRejected(t *testing.T) {
 	for _, bad := range []string{"0", "-5", "many", "1000,", "1000,0", "12.5", ""} {
 		err := run(io.Discard, "fleet", 42, "", 3, 1, "medium", bad, "")

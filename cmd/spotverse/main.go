@@ -66,6 +66,14 @@ func run(strategyName, instanceType string, n int, kind string, threshold, maxRe
 	var strat strategy.Strategy
 	switch strategyName {
 	case "spotverse":
+		// core.Config reads zero as "use the default", so 0 and negative
+		// values would silently run as something else.
+		if threshold < 1 {
+			return fmt.Errorf("invalid -threshold %d (must be >= 1)", threshold)
+		}
+		if maxRegions < 1 {
+			return fmt.Errorf("invalid -regions %d (must be >= 1)", maxRegions)
+		}
 		cfg := core.Config{InstanceType: it, Threshold: threshold, MaxRegions: maxRegions, Seed: seed}
 		if !spread {
 			cfg.FixedStartRegion = catalog.Region(startRegion)

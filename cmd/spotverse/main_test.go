@@ -32,4 +32,9 @@ func TestRunValidation(t *testing.T) {
 	if err := run("spotverse", "m5.xlarge", 3, "weird", 5, 4, "ca-central-1", false, 42); err == nil {
 		t.Fatal("unknown kind should error")
 	}
+	for _, bad := range []struct{ threshold, regions int }{{0, 4}, {-3, 4}, {5, 0}, {5, -2}} {
+		if err := run("spotverse", "m5.xlarge", 3, "standard", bad.threshold, bad.regions, "ca-central-1", false, 42); err == nil {
+			t.Fatalf("-threshold %d -regions %d should error", bad.threshold, bad.regions)
+		}
+	}
 }

@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"spotverse"
 )
@@ -35,10 +34,10 @@ func run() error {
 		InstanceType:     spotverse.M5XLarge,
 		Threshold:        5,
 		FixedStartRegion: "ca-central-1",
-		// Degraded-mode settings: discount advisor snapshots as they
-		// age, and drop regions whose data is older than two days.
-		StaleAfter:  6 * time.Hour,
-		StaleCutoff: 48 * time.Hour,
+		// Degraded mode: discount advisor snapshots one point per six
+		// hours of age, and drop regions whose data is older than two
+		// days.
+		DiscountStale: true,
 	})
 	if err != nil {
 		return err

@@ -88,7 +88,7 @@ type Partition struct {
 // rival controller incarnation runs concurrently with the primary,
 // both subscribed to interruption events and both sweeping the same
 // journal. The injector cannot spawn controllers itself; harnesses
-// (see experiment.ScheduleSplitBrains) actuate the windows. Surviving
+// (the experiment package's chaos cells) actuate the windows. Surviving
 // one requires the lease-fenced commit path (core.Config.Lease).
 type SplitBrain struct {
 	Window

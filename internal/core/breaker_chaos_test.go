@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -25,16 +26,10 @@ func (f *lambdaBrownout) fault(op string, _ catalog.Region) error {
 }
 
 // breakerHarness deploys a manager whose handler Lambda is behind a
-// switchable brownout, with a single-failure breaker so one exhausted
-// execution trips it.
+// switchable brownout.
 func breakerHarness(t *testing.T, seed int64) (*SpotVerse, Deps, *lambdaBrownout, map[string]bool) {
 	t.Helper()
-	sv, deps := newSpotVerse(t, Config{
-		Seed:            seed,
-		Threshold:       5,
-		BreakerFailures: 1,
-		BreakerCooldown: 30 * time.Minute,
-	})
+	sv, deps := newSpotVerse(t, Config{Seed: seed, Threshold: 5})
 	bo := &lambdaBrownout{on: true}
 	deps.Lambda.SetFault(bo.fault)
 	relaunched := make(map[string]bool)
@@ -50,39 +45,51 @@ func interruptWorkload(t *testing.T, sv *SpotVerse, id string, relaunched map[st
 	}
 }
 
-func TestBreakerChaosHalfOpenProbeCloses(t *testing.T) {
-	sv, deps, bo, relaunched := breakerHarness(t, 31)
-	interruptWorkload(t, sv, "w1", relaunched)
-	// Step Functions exhausts its retries against the brownout; the final
-	// failure trips the one-failure breaker.
+// tripBreaker interrupts DefaultBreakerFailures workloads into the
+// brownout; once Step Functions exhausts each execution's retries, the
+// last failure trips the breaker. It returns the interrupted IDs.
+func tripBreaker(t *testing.T, sv *SpotVerse, deps Deps, relaunched map[string]bool) []string {
+	t.Helper()
+	ids := make([]string, DefaultBreakerFailures)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("w%d", i+1)
+		interruptWorkload(t, sv, ids[i], relaunched)
+	}
 	if err := deps.Engine.Run(simclock.Epoch.Add(5 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	_, trips, _ := sv.Controller().ResilienceStats()
-	if trips != 1 {
-		t.Fatalf("trips = %d after exhausted execution, want 1", trips)
+	if _, trips, _ := sv.Controller().ResilienceStats(); trips != 1 {
+		t.Fatalf("trips = %d after %d exhausted executions, want 1", trips, DefaultBreakerFailures)
 	}
+	return ids
+}
+
+func TestBreakerChaosHalfOpenProbeCloses(t *testing.T) {
+	sv, deps, bo, relaunched := breakerHarness(t, 31)
+	ids := tripBreaker(t, sv, deps, relaunched)
 	// While open, new interruptions are deferred, not burned into the
 	// browned-out dependency.
-	interruptWorkload(t, sv, "w2", relaunched)
+	interruptWorkload(t, sv, "late", relaunched)
 	if err := deps.Engine.Run(simclock.Epoch.Add(20 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, skips := sv.Controller().ResilienceStats(); skips == 0 {
 		t.Fatal("open breaker deferred nothing")
 	}
-	if relaunched["w2"] {
-		t.Fatal("w2 relaunched while the breaker was open")
+	if relaunched["late"] {
+		t.Fatal("late relaunched while the breaker was open")
 	}
 	// The brownout lifts. Past the cooldown the recovery sweep's trial
-	// execution half-opens the breaker; its success closes it and both
-	// migrations complete.
+	// execution half-opens the breaker; its success closes it and every
+	// migration completes.
 	bo.on = false
 	if err := deps.Engine.Run(simclock.Epoch.Add(2 * time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if !relaunched["w1"] || !relaunched["w2"] {
-		t.Fatalf("relaunches after recovery: w1=%v w2=%v, want both", relaunched["w1"], relaunched["w2"])
+	for _, id := range append(ids, "late") {
+		if !relaunched[id] {
+			t.Fatalf("%s not relaunched after recovery", id)
+		}
 	}
 	if _, trips, _ := sv.Controller().ResilienceStats(); trips != 1 {
 		t.Fatalf("trips = %d after successful probe, want still 1 (half-open closed, not re-tripped)", trips)
@@ -91,7 +98,7 @@ func TestBreakerChaosHalfOpenProbeCloses(t *testing.T) {
 
 func TestBreakerChaosHalfOpenProbeReTrips(t *testing.T) {
 	sv, deps, _, relaunched := breakerHarness(t, 32)
-	interruptWorkload(t, sv, "w1", relaunched)
+	ids := tripBreaker(t, sv, deps, relaunched)
 	// The brownout never lifts: every post-cooldown trial execution fails
 	// and re-trips the breaker immediately.
 	if err := deps.Engine.Run(simclock.Epoch.Add(2 * time.Hour)); err != nil {
@@ -104,8 +111,10 @@ func TestBreakerChaosHalfOpenProbeReTrips(t *testing.T) {
 	if skips == 0 {
 		t.Fatal("sustained brownout deferred nothing")
 	}
-	if relaunched["w1"] {
-		t.Fatal("w1 relaunched through a permanent brownout")
+	for _, id := range ids {
+		if relaunched[id] {
+			t.Fatalf("%s relaunched through a permanent brownout", id)
+		}
 	}
 }
 

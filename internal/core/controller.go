@@ -273,7 +273,7 @@ func (c *Controller) execute(p *pendingMigration) bool {
 			return false
 		}
 	}
-	if !c.cfg.DisableBreakers && c.anyBreakerOpen(c.deps.Engine.Now()) {
+	if !c.cfg.DisableHardening && c.anyBreakerOpen(c.deps.Engine.Now()) {
 		c.breakerSkips++
 		return false
 	}
@@ -350,7 +350,7 @@ func (c *Controller) noteFailure(err error, now time.Time) {
 	key := breakerKey(err)
 	b, ok := c.breakers[key]
 	if !ok {
-		b = newBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown)
+		b = newBreaker(DefaultBreakerFailures, DefaultBreakerCooldown)
 		c.breakers[key] = b
 	}
 	before, trips := b.state, b.trips
@@ -430,7 +430,7 @@ func (c *Controller) observeBreaker(key string, before breakerState, beforeTrips
 // retries exhausted, or its executions deferred by a breaker — is
 // re-executed, subject to its backoff deadline.
 func (c *Controller) recoverPending(now time.Time) {
-	if c.cfg.DisableRecovery || len(c.pending) == 0 {
+	if c.cfg.DisableHardening || len(c.pending) == 0 {
 		return
 	}
 	ids := make([]string, 0, len(c.pending))

@@ -32,7 +32,7 @@ import (
 )
 
 // Defaults for Config fields left zero, and the control plane's fixed
-// periods.
+// periods and thresholds.
 const (
 	DefaultThreshold  = 5
 	DefaultMaxRegions = 4
@@ -46,6 +46,12 @@ const (
 	// DefaultRecoveryAfter is how long a pending migration may sit
 	// unresolved before the sweep retries it.
 	DefaultRecoveryAfter = 5 * time.Minute
+	// StaleAfter is the advisor-snapshot age per point of score discount
+	// under Config.DiscountStale.
+	StaleAfter = 6 * time.Hour
+	// StaleCutoff is the advisor-snapshot age past which a region is
+	// excluded under Config.DiscountStale.
+	StaleCutoff = 48 * time.Hour
 	// DefaultLeaseTTL is how long a held controller lease lives without
 	// renewal before a rival may take over, bumping the fencing token.
 	// Renewals ride the sweep and every commit. Three sweep intervals:
@@ -143,31 +149,21 @@ type Config struct {
 	// Seed feeds the random migration pick.
 	Seed int64
 
-	// BreakerFailures is the consecutive-failure count that trips a
-	// per-(service, region) circuit breaker in the Controller (default
-	// DefaultBreakerFailures).
-	BreakerFailures int
-	// BreakerCooldown is how long a tripped breaker stays open before a
-	// trial retry is allowed through (default DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 	// RecoveryAfter is how long a pending migration may sit unresolved
 	// before the 15-minute sweep retries it; it is also the base of the
 	// retry backoff (default DefaultRecoveryAfter).
 	RecoveryAfter time.Duration
-	// DisableRecovery turns off the notice-loss recovery sweep — the
-	// ablation that shows what the sweep buys under dropped EventBridge
-	// deliveries.
-	DisableRecovery bool
-	// DisableBreakers turns off the Controller's circuit breakers.
-	DisableBreakers bool
-	// StaleAfter, when positive, discounts a region's combined score by
-	// one point per StaleAfter of advisor-snapshot age beyond the first
-	// StaleAfter — the degraded-mode Optimizer trusting old data less.
-	StaleAfter time.Duration
-	// StaleCutoff, when positive, excludes regions whose advisor snapshot
-	// is older than the cutoff entirely; when every region ages out the
-	// Optimizer falls back to cheapest on-demand.
-	StaleCutoff time.Duration
+	// DisableHardening is the hardening ablation: it turns off the
+	// notice-loss recovery sweep and the Controller's circuit breakers.
+	// The experiment harness also runs such a deployment on a
+	// single-attempt Step Functions machine.
+	DisableHardening bool
+	// DiscountStale turns on the degraded-mode Optimizer: a region's
+	// combined score drops one point per StaleAfter of advisor-snapshot
+	// age beyond the first StaleAfter, and regions whose snapshot is
+	// older than StaleCutoff are excluded; when every region ages out
+	// the Optimizer falls back to cheapest on-demand.
+	DiscountStale bool
 	// Journal enables the Controller's DynamoDB write-ahead journal:
 	// pending-migration transitions are persisted before in-memory
 	// mutations, relaunches commit through a conditional write, and
@@ -217,12 +213,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Scoring == 0 {
 		c.Scoring = ScoreCombined
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = DefaultBreakerFailures
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
 	}
 	if c.RecoveryAfter <= 0 {
 		c.RecoveryAfter = DefaultRecoveryAfter

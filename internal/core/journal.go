@@ -252,7 +252,7 @@ func (j *journal) replay() (pending map[string]*pendingMigration, breakers map[s
 	bitems, err := j.deps.Dynamo.Scan(JournalTable, breakerPrefix)
 	if err == nil {
 		for _, it := range bitems {
-			b := newBreaker(j.cfg.BreakerFailures, j.cfg.BreakerCooldown)
+			b := newBreaker(DefaultBreakerFailures, DefaultBreakerCooldown)
 			st, _ := strconv.Atoi(it.Attrs["state"])
 			b.state = breakerState(st)
 			b.consecutive, _ = strconv.Atoi(it.Attrs["consecutive"])

@@ -103,7 +103,7 @@ func TestCrashRestartReplaysBreakerState(t *testing.T) {
 	c := sv.Controller()
 	now := deps.Engine.Now()
 	// Trip a breaker, snapshot lands in the journal table.
-	for i := 0; i < c.cfg.BreakerFailures; i++ {
+	for i := 0; i < DefaultBreakerFailures; i++ {
 		c.noteFailure(errTestFault, now)
 	}
 	if !c.anyBreakerOpen(now) {

@@ -34,11 +34,11 @@ type RegionScore struct {
 }
 
 // ScoreRegions returns every offering region with its combined score and
-// price (Algorithm 1's ScoreRegions). In degraded mode — the Monitor's
-// collector silenced and snapshots aging — scores are discounted by
-// snapshot age (StaleAfter) and regions past StaleCutoff are dropped
-// outright; when everything ages out, the empty result engages the
-// on-demand fallback downstream.
+// price (Algorithm 1's ScoreRegions). In degraded mode
+// (Config.DiscountStale) — the Monitor's collector silenced and
+// snapshots aging — scores are discounted by snapshot age (StaleAfter)
+// and regions past StaleCutoff are dropped outright; when everything
+// ages out, the empty result engages the on-demand fallback downstream.
 func (o *Optimizer) ScoreRegions() ([]RegionScore, error) {
 	entries, err := o.mon.LatestAged()
 	if err != nil {
@@ -48,7 +48,7 @@ func (o *Optimizer) ScoreRegions() ([]RegionScore, error) {
 	out := make([]RegionScore, 0, len(entries))
 	for _, e := range entries {
 		age := now.Sub(e.CollectedAt)
-		if o.cfg.StaleCutoff > 0 && age > o.cfg.StaleCutoff {
+		if o.cfg.DiscountStale && age > StaleCutoff {
 			continue
 		}
 		score := e.CombinedScore
@@ -59,8 +59,8 @@ func (o *Optimizer) ScoreRegions() ([]RegionScore, error) {
 			// Every region passes any threshold; the price sort decides.
 			score = 1 << 20
 		}
-		if o.cfg.StaleAfter > 0 && age > o.cfg.StaleAfter {
-			score -= int(age / o.cfg.StaleAfter)
+		if o.cfg.DiscountStale && age > StaleAfter {
+			score -= int(age / StaleAfter)
 		}
 		out = append(out, RegionScore{
 			Region:       e.Region,

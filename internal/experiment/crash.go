@@ -9,6 +9,7 @@ import (
 	"spotverse/internal/chaos"
 	"spotverse/internal/core"
 	"spotverse/internal/report"
+	"spotverse/internal/simclock"
 )
 
 // ---------------------------------------------------------------------
@@ -111,29 +112,23 @@ func crashSchedule(start time.Time, intensity chaos.Intensity) chaos.Schedule {
 
 // crashCell runs one strategy through the crash schedule.
 func crashCell(name string, seed int64, intensity chaos.Intensity, n int) (*CrashRow, error) {
-	env := NewEnv(seed)
-	start := env.Engine.Now()
-	inj := chaos.NewInjector(env.Engine, seed, crashSchedule(start, intensity))
-
 	cfg := core.Config{
 		InstanceType:     catalog.M5XLarge,
 		Threshold:        5,
 		FixedStartRegion: BaselineRegionM5XLarge,
 		Seed:             seed,
 		RecoveryAfter:    crashRecoveryAfter,
+		Journal:          name == StrategyJournaled,
 	}
 	durability := DurabilitySingle
-	if name == StrategyJournaled {
-		cfg.Journal = true
+	if cfg.Journal {
 		durability = DurabilityReplicated
 	}
-	useJitteredStepFn(env, seed)
-	ApplyChaos(env, inj)
-	sv, err := NewSpotVerse(env, cfg)
+	cell, err := newChaosCell(seed, crashSchedule(simclock.Epoch, intensity), &cfg)
 	if err != nil {
 		return nil, fmt.Errorf("crash %s: %w", name, err)
 	}
-	ScheduleControllerKills(env, inj, sv)
+	env, sv := cell.env, cell.sv
 
 	ws, err := genCheckpoint(seed, n)
 	if err != nil {

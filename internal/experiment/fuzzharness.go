@@ -29,38 +29,6 @@ const (
 	ManifestPrefix = manifestPrefix
 )
 
-// ScheduleSplitBrains schedules the schedule's split-brain windows
-// against one SpotVerse deployment: at each window's From a rival
-// controller incarnation spawns (core.SpotVerse.NewRival) and races the
-// primary for every relaunch commit until the window's To retires it.
-// onSpawn, when non-nil, observes each spawn attempt's outcome.
-// Zero-length windows are skipped — like every chaos Window, [t, t)
-// contains nothing.
-func ScheduleSplitBrains(env *Env, inj *chaos.Injector, sv *core.SpotVerse, onSpawn func(rival *core.Controller, err error)) {
-	sched := inj.Schedule()
-	if !sched.Enabled() {
-		return
-	}
-	for i, sb := range sched.SplitBrains {
-		idx, win := i, sb.Window
-		if !win.To.After(win.From) || !win.From.After(env.Engine.Now()) {
-			continue
-		}
-		_, _ = env.Engine.ScheduleAt(win.From, "chaos-split-brain", func() {
-			rival, err := sv.NewRival(fmt.Sprintf("sb%d", idx))
-			if onSpawn != nil {
-				onSpawn(rival, err)
-			}
-			if err != nil {
-				return
-			}
-			_, _ = env.Engine.ScheduleAt(win.To, "chaos-split-brain-stop", func() {
-				rival.Stop()
-			})
-		})
-	}
-}
-
 // BreakerTransition is one observed circuit-breaker state change, keyed
 // "<controllerID>/<breakerKey>" (see core.Config.BreakerObserver).
 type BreakerTransition struct {
@@ -131,11 +99,8 @@ func ChaosRun(cfg ChaosRunConfig) (*ChaosEvidence, error) {
 	if cfg.Workloads <= 0 {
 		cfg.Workloads = CrashWorkloads
 	}
-	env := NewEnv(cfg.Seed)
-	inj := chaos.NewInjector(env.Engine, cfg.Seed, cfg.Schedule)
-
 	ev := &ChaosEvidence{}
-	coreCfg := core.Config{
+	cell, err := newChaosCell(cfg.Seed, cfg.Schedule, &core.Config{
 		InstanceType:     catalog.M5XLarge,
 		Threshold:        5,
 		FixedStartRegion: BaselineRegionM5XLarge,
@@ -147,29 +112,18 @@ func ChaosRun(cfg ChaosRunConfig) (*ChaosEvidence, error) {
 		BreakerObserver: func(key, from, to string, trips int) {
 			ev.Breakers = append(ev.Breakers, BreakerTransition{Key: key, From: from, To: to, Trips: trips})
 		},
-	}
-	useJitteredStepFn(env, cfg.Seed)
-	ApplyChaos(env, inj)
-	sv, err := NewSpotVerse(env, coreCfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fuzz harness: %w", err)
 	}
-	ScheduleControllerKills(env, inj, sv)
-	ScheduleSplitBrains(env, inj, sv, func(_ *core.Controller, err error) {
-		if err != nil {
-			ev.RivalSpawnErrors++
-			return
-		}
-		ev.RivalsSpawned++
-	})
 
 	ws, err := genCheckpoint(cfg.Seed, cfg.Workloads)
 	if err != nil {
 		return nil, err
 	}
-	res, err := Run(env, RunConfig{
+	res, err := Run(cell.env, RunConfig{
 		Workloads:       ws,
-		Strategy:        sv,
+		Strategy:        cell.sv,
 		InstanceType:    catalog.M5XLarge,
 		AllowIncomplete: true,
 		Durability:      DurabilityReplicated,
@@ -180,10 +134,11 @@ func ChaosRun(cfg ChaosRunConfig) (*ChaosEvidence, error) {
 		return nil, fmt.Errorf("fuzz harness: %w", err)
 	}
 	ev.Result = res
+	ev.RivalsSpawned, ev.RivalSpawnErrors = cell.rivalsSpawned, cell.rivalSpawnErrors
 	ev.Restarts, ev.Replayed, ev.DroppedPendings, ev.RefusedRelaunches, ev.JournalLost, _ =
-		sv.Controller().RecoveryStats()
+		cell.sv.Controller().RecoveryStats()
 	ev.LeaseAcquires, ev.LeaseRenewals, ev.LeaseTakeovers, ev.LeaseFenced, ev.LeaseLost, ev.CommitDeferrals =
-		sv.Controller().LeaseStats()
+		cell.sv.Controller().LeaseStats()
 	return ev, nil
 }
 
@@ -234,20 +189,16 @@ func (e *ChaosEvidence) Fingerprint() string {
 // own short-timebase schedules instead of the intensity presets.
 // Windowed events must be anchored at simclock.Epoch.
 func NewServeSimWith(seed int64, sched chaos.Schedule) (*ServeSim, error) {
-	env := NewEnv(seed)
-	inj := chaos.NewInjector(env.Engine, seed, sched)
-	ApplyChaos(env, inj)
-	mgr, err := NewSpotVerse(env, core.Config{
-		InstanceType: catalog.M5XLarge,
-		Threshold:    5,
-		Seed:         seed,
-		StaleAfter:   6 * time.Hour,
-		StaleCutoff:  48 * time.Hour,
+	cell, err := newChaosCell(seed, sched, &core.Config{
+		InstanceType:  catalog.M5XLarge,
+		Threshold:     5,
+		Seed:          seed,
+		DiscountStale: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve sim: %w", err)
 	}
-	backend := serve.NewSimBackend(env.Engine, mgr)
-	backend.SetFault(inj.ServiceFault(chaos.ServiceServe))
-	return &ServeSim{Env: env, Manager: mgr, Backend: backend, Injector: inj}, nil
+	backend := serve.NewSimBackend(cell.env.Engine, cell.sv)
+	backend.SetFault(cell.inj.ServiceFault(chaos.ServiceServe))
+	return &ServeSim{Env: cell.env, Manager: cell.sv, Backend: backend, Injector: cell.inj}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"spotverse/internal/core"
 	"spotverse/internal/report"
 	"spotverse/internal/services/stepfn"
+	"spotverse/internal/simclock"
 	"spotverse/internal/strategy"
 )
 
@@ -25,7 +26,8 @@ const ResilienceWorkloads = 20
 // Resilience strategy labels.
 const (
 	StrategySpotVerse = "spotverse"
-	// StrategyNoRetry is the hardening ablation: single-attempt Step
+	// StrategyNoRetry is the hardening ablation (core.Config
+	// DisableHardening, DiscountStale off): single-attempt Step
 	// Functions, no recovery sweep, no breakers, no staleness handling.
 	StrategyNoRetry  = "spotverse-noretry"
 	StrategySkyPilot = "skypilot"
@@ -67,13 +69,57 @@ type ResilienceRow struct {
 	DroppedEvents  int64
 }
 
+// chaosCell is one assembled chaos cell: a fresh environment with the
+// injector's interceptors installed and, when the cell runs SpotVerse,
+// the deployed manager with the schedule's controller kills and
+// split-brain windows armed against it.
+type chaosCell struct {
+	env *Env
+	inj *chaos.Injector
+	// sv is the deployed manager; nil for a baseline cell.
+	sv *core.SpotVerse
+	// rivalsSpawned and rivalSpawnErrors count split-brain windows whose
+	// rival controller spawned, and windows whose spawn failed.
+	rivalsSpawned, rivalSpawnErrors int
+}
+
+// newChaosCell is the one way the chaos, crash, fuzz and serve paths
+// build a cell at seed under sched (windowed events anchored at
+// simclock.Epoch). It owns the order: fresh Env → injector → Step
+// Functions machine (one attempt under cfg.DisableHardening, else five
+// with exponential backoff from 30 s and 40% jitter) → ApplyChaos →
+// SpotVerse, only when cfg is non-nil (a baseline cell builds its
+// strategy on the returned Env) → controller kills → split-brain
+// windows, kills first so same-instant ties keep that order.
+func newChaosCell(seed int64, sched chaos.Schedule, cfg *core.Config) (*chaosCell, error) {
+	env := NewEnv(seed)
+	c := &chaosCell{env: env, inj: chaos.NewInjector(env.Engine, seed, sched)}
+	machine := stepfn.Config{MaxAttempts: 5, BaseBackoff: 30 * time.Second, BackoffRate: 2, Jitter: 0.4, Seed: seed}
+	if cfg != nil && cfg.DisableHardening {
+		machine = stepfn.Config{MaxAttempts: 1, BaseBackoff: 30 * time.Second}
+	}
+	env.StepFn = stepfn.MustNew(env.Engine, env.Ledger, machine)
+	ApplyChaos(env, c.inj)
+	if cfg == nil {
+		return c, nil
+	}
+	sv, err := NewSpotVerse(env, *cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.sv = sv
+	ScheduleControllerKills(env, c.inj, sv)
+	c.scheduleSplitBrains()
+	return c, nil
+}
+
 // ApplyChaos installs the injector's interceptors on every service in
-// the environment. Call it after any service swaps (e.g. replacing
-// Env.StepFn with a jittered machine) and before constructing the
-// strategy, so rules and schedules registered later are also covered.
-// Data-loss events in the schedule — bucket losses — are scheduled on
-// the engine here; controller kills need a manager reference and are
-// scheduled separately (ScheduleControllerKills).
+// the environment. Call it after any service swaps and before
+// constructing the strategy, so rules and schedules registered later
+// are also covered (newChaosCell owns that order for the experiment
+// cells). Data-loss events in the schedule — bucket losses — are
+// scheduled on the engine here; controller kills need a manager
+// reference and are scheduled separately (ScheduleControllerKills).
 func ApplyChaos(env *Env, inj *chaos.Injector) {
 	env.Dynamo.SetFault(inj.ServiceFault(chaos.ServiceDynamo))
 	env.S3.SetFault(inj.ServiceFault(chaos.ServiceS3))
@@ -86,8 +132,7 @@ func ApplyChaos(env *Env, inj *chaos.Injector) {
 	env.CloudWatch.SetFault(inj.ServiceFault(chaos.ServiceCloudWatch))
 	env.StepFn.SetFault(inj.ServiceFault(chaos.ServiceStepFn))
 	if sched := inj.Schedule(); sched.Enabled() {
-		for _, bl := range sched.BucketLosses {
-			loss := bl
+		for _, loss := range sched.BucketLosses {
 			if !loss.At.After(env.Engine.Now()) {
 				continue
 			}
@@ -107,13 +152,44 @@ func ScheduleControllerKills(env *Env, inj *chaos.Injector, sv *core.SpotVerse) 
 	if !sched.Enabled() {
 		return
 	}
-	for _, k := range sched.ControllerKills {
-		kill := k
+	for _, kill := range sched.ControllerKills {
 		if !kill.At.After(env.Engine.Now()) {
 			continue
 		}
 		_, _ = env.Engine.ScheduleAt(kill.At, "chaos-controller-kill", func() {
 			sv.CrashRestart()
+		})
+	}
+}
+
+// scheduleSplitBrains schedules the schedule's split-brain windows
+// against the cell's manager: at each window's From a rival controller
+// incarnation spawns (core.SpotVerse.NewRival) and races the primary
+// for every relaunch commit until the window's To retires it. Each
+// spawn attempt's outcome lands in the cell's counters. Zero-length
+// windows are skipped — like every chaos Window, [t, t) contains
+// nothing.
+func (c *chaosCell) scheduleSplitBrains() {
+	sched := c.inj.Schedule()
+	if !sched.Enabled() {
+		return
+	}
+	eng := c.env.Engine
+	for i, sb := range sched.SplitBrains {
+		win := sb.Window
+		if !win.To.After(win.From) || !win.From.After(eng.Now()) {
+			continue
+		}
+		_, _ = eng.ScheduleAt(win.From, "chaos-split-brain", func() {
+			rival, err := c.sv.NewRival(fmt.Sprintf("sb%d", i))
+			if err != nil {
+				c.rivalSpawnErrors++
+				return
+			}
+			c.rivalsSpawned++
+			_, _ = eng.ScheduleAt(win.To, "chaos-split-brain-stop", func() {
+				rival.Stop()
+			})
 		})
 	}
 }
@@ -135,53 +211,35 @@ func resilienceSchedule(i chaos.Intensity, start time.Time) chaos.Schedule {
 
 // resilienceCell runs one (strategy, intensity) cell.
 func resilienceCell(name string, seed int64, intensity chaos.Intensity, n int) (*ResilienceRow, error) {
-	env := NewEnv(seed)
-	start := env.Engine.Now()
-	inj := chaos.NewInjector(env.Engine, seed, resilienceSchedule(intensity, start))
-
-	var strat strategy.Strategy
-	var sv *core.SpotVerse
-	switch name {
-	case StrategySpotVerse, StrategyNoRetry:
-		cfg := core.Config{
+	var cfg *core.Config
+	if name == StrategySpotVerse || name == StrategyNoRetry {
+		cfg = &core.Config{
 			InstanceType:     catalog.M5XLarge,
 			Threshold:        5,
 			FixedStartRegion: BaselineRegionM5XLarge,
 			Seed:             seed,
-			StaleAfter:       6 * time.Hour,
-			StaleCutoff:      48 * time.Hour,
+			DisableHardening: name == StrategyNoRetry,
+			DiscountStale:    name == StrategySpotVerse,
 		}
-		if name == StrategyNoRetry {
-			cfg.DisableRecovery = true
-			cfg.DisableBreakers = true
-			cfg.StaleAfter = 0
-			cfg.StaleCutoff = 0
-			env.StepFn = stepfn.MustNew(env.Engine, env.Ledger, stepfn.Config{MaxAttempts: 1, BaseBackoff: 30 * time.Second})
-		} else {
-			useJitteredStepFn(env, seed)
-		}
-		ApplyChaos(env, inj)
-		s, err := NewSpotVerse(env, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("resilience %s: %w", name, err)
-		}
-		sv, strat = s, s
+	}
+	cell, err := newChaosCell(seed, resilienceSchedule(intensity, simclock.Epoch), cfg)
+	if err != nil {
+		return nil, fmt.Errorf("resilience %s: %w", name, err)
+	}
+	env := cell.env
+	var strat strategy.Strategy
+	switch name {
+	case StrategySpotVerse, StrategyNoRetry:
+		strat = cell.sv
 	case StrategySkyPilot:
-		ApplyChaos(env, inj)
-		s, err := baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
-		if err != nil {
-			return nil, fmt.Errorf("resilience %s: %w", name, err)
-		}
-		strat = s
+		strat, err = baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
 	case StrategyOnDemand:
-		ApplyChaos(env, inj)
-		s, err := baselines.NewOnDemand(env.Catalog(), catalog.M5XLarge)
-		if err != nil {
-			return nil, fmt.Errorf("resilience %s: %w", name, err)
-		}
-		strat = s
+		strat, err = baselines.NewOnDemand(env.Catalog(), catalog.M5XLarge)
 	default:
 		return nil, fmt.Errorf("resilience: unknown strategy %q", name)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("resilience %s: %w", name, err)
 	}
 
 	ws, err := genCheckpoint(seed, n)
@@ -210,11 +268,11 @@ func resilienceCell(name string, seed int64, intensity chaos.Intensity, n int) (
 		Interruptions:  res.Interruptions,
 		Retries:        transitions - executions,
 		Exhausted:      exhausted,
-		FaultsInjected: inj.Stats().Total,
+		FaultsInjected: cell.inj.Stats().Total,
 		DroppedEvents:  env.Bus.Dropped(),
 	}
-	if sv != nil {
-		row.Recoveries, row.BreakerTrips, _ = sv.Controller().ResilienceStats()
+	if cell.sv != nil {
+		row.Recoveries, row.BreakerTrips, _ = cell.sv.Controller().ResilienceStats()
 	}
 	return row, nil
 }

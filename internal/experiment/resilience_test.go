@@ -140,7 +140,7 @@ func TestRecoveryAblationStrandsWorkloads(t *testing.T) {
 		Threshold:        5,
 		FixedStartRegion: BaselineRegionM5XLarge,
 		Seed:             42,
-		DisableRecovery:  true,
+		DisableHardening: true,
 	})
 	if err != nil {
 		t.Fatal(err)

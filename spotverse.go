@@ -64,7 +64,9 @@ type (
 	Placement = strategy.Placement
 	// Manager is the SpotVerse manager (Monitor+Optimizer+Controller).
 	Manager = core.SpotVerse
-	// ManagerConfig parameterises a Manager.
+	// ManagerConfig parameterises a Manager. DiscountStale turns on the
+	// degraded-mode Optimizer; DisableHardening is the hardening
+	// ablation (no recovery sweep, no circuit breakers).
 	ManagerConfig = core.Config
 	// Workload tracks one workload's progress.
 	Workload = workload.State
@@ -299,9 +301,11 @@ func (s *Simulation) InjectOutage(r Region, from, to time.Time) error {
 
 // InjectChaos builds a deterministic fault injector from the schedule
 // and installs it on every control-plane service in the simulation. Call
-// it before NewManager so rules registered later are covered too; an Off
-// schedule leaves runs bit-identical to an uninjected simulation. The
-// returned injector exposes Stats for post-run accounting.
+// it before NewManager so rules registered later are covered too, then
+// arm ScheduleControllerKills on the manager — the order the experiment
+// harness's chaos cells follow. An Off schedule leaves runs
+// bit-identical to an uninjected simulation. The returned injector
+// exposes Stats for post-run accounting.
 func (s *Simulation) InjectChaos(sched ChaosSchedule) *ChaosInjector {
 	inj := chaos.NewInjector(s.env.Engine, s.seed, sched)
 	experiment.ApplyChaos(s.env, inj)
