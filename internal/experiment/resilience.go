@@ -132,7 +132,8 @@ func ApplyChaos(env *Env, inj *chaos.Injector) {
 	env.CloudWatch.SetFault(inj.ServiceFault(chaos.ServiceCloudWatch))
 	env.StepFn.SetFault(inj.ServiceFault(chaos.ServiceStepFn))
 	if sched := inj.Schedule(); sched.Enabled() {
-		for _, loss := range sched.BucketLosses {
+		for _, bl := range sched.BucketLosses {
+			loss := bl
 			if !loss.At.After(env.Engine.Now()) {
 				continue
 			}
@@ -152,7 +153,8 @@ func ScheduleControllerKills(env *Env, inj *chaos.Injector, sv *core.SpotVerse) 
 	if !sched.Enabled() {
 		return
 	}
-	for _, kill := range sched.ControllerKills {
+	for _, k := range sched.ControllerKills {
+		kill := k
 		if !kill.At.After(env.Engine.Now()) {
 			continue
 		}
