@@ -1,9 +1,13 @@
 package galaxy
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
+	"spotverse/internal/bioinf/fastq"
+	"spotverse/internal/bioinf/synth"
 	"spotverse/internal/simclock"
 )
 
@@ -126,5 +130,79 @@ func TestAuthenticateDuplicateKeyDeterministic(t *testing.T) {
 		if user != "ann@example.org" {
 			t.Fatalf("Authenticate resolved shared key to %q, want ann@example.org", user)
 		}
+	}
+}
+
+// ngsShardInputs builds one FASTQ shard for the NGS preprocessing workflow.
+func ngsShardInputs(t *testing.T, seed int64) map[string]Dataset {
+	t.Helper()
+	rng := simclock.Stream(seed, "ngs-test")
+	tmpl, err := synth.Genome(rng, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, err := synth.Reads(rng, tmpl, synth.ReadsOptions{Count: 300, Length: 120, ErrorRate: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]Dataset{
+		"reads": {Name: "shard0.fastq", Format: "fastq", Data: []byte(fastq.String(reads))},
+	}
+}
+
+// The synchronous loop (RunWorkflow) and the clocked one (JobRunner) must
+// produce the same invocation for the workflows the examples run: the
+// same step results, the same history datasets in the same order, and
+// the same bytes.
+func TestRunWorkflowMatchesJobRunner(t *testing.T) {
+	cases := []struct {
+		wf     *Workflow
+		inputs map[string]Dataset
+	}{
+		{GenomeReconstructionWorkflow(), genomeInputs(t, 301)},
+		{NGSPreprocessingShardWorkflow(), ngsShardInputs(t, 302)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.wf.Name, func(t *testing.T) {
+			direct, err := newGalaxy(t).RunWorkflow(tc.wf, tc.inputs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := simclock.NewEngine()
+			h, err := NewJobRunner(eng, newGalaxy(t), JobOptions{}).Start(tc.wf, tc.inputs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			timed, err := h.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !direct.Completed || !timed.Completed {
+				t.Fatalf("completed: direct=%v timed=%v", direct.Completed, timed.Completed)
+			}
+			if len(direct.Results) != len(tc.wf.Steps) || len(timed.Results) != len(direct.Results) {
+				t.Fatalf("results: direct=%d timed=%d steps=%d", len(direct.Results), len(timed.Results), len(tc.wf.Steps))
+			}
+			for i, a := range direct.Results {
+				b := timed.Results[i]
+				if a.StepID != b.StepID || a.Tool != b.Tool || strings.Join(a.Outputs, ",") != strings.Join(b.Outputs, ",") || a.Err != nil || b.Err != nil {
+					t.Fatalf("result %d: direct=%+v timed=%+v", i, a, b)
+				}
+			}
+			names := direct.History.Datasets()
+			if got := timed.History.Datasets(); strings.Join(got, ",") != strings.Join(names, ",") {
+				t.Fatalf("datasets: direct=%v timed=%v", names, got)
+			}
+			for _, name := range names {
+				a, _ := direct.History.Get(name)
+				b, _ := timed.History.Get(name)
+				if a.Format != b.Format || !bytes.Equal(a.Data, b.Data) {
+					t.Fatalf("dataset %q differs between executors", name)
+				}
+			}
+		})
 	}
 }
