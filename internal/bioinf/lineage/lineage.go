@@ -65,13 +65,6 @@ func (c *Classifier) AddLineage(name, genome string) error {
 	return nil
 }
 
-// Lineages returns the registered lineage names, sorted.
-func (c *Classifier) Lineages() []string {
-	out := make([]string, len(c.names))
-	copy(out, c.names)
-	return out
-}
-
 // Classify assigns the genome to its nearest lineage.
 func (c *Classifier) Classify(genome string) (Assignment, error) {
 	if len(c.profiles) == 0 {

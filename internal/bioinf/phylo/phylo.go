@@ -1,6 +1,7 @@
 // Package phylo builds phylogenetic trees with the neighbour-joining
 // algorithm over k-mer distance matrices and renders them in Newick
-// format — the phylogeny step of the QIIME 2-style workflow.
+// format — the phylogenetic-placement step of the genome-reconstruction
+// workflow.
 package phylo
 
 import (

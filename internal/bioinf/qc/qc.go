@@ -1,13 +1,10 @@
-// Package qc implements FastQC-style per-file quality reports and a
-// MultiQC-style aggregation across files — the first two tools of the NGS
-// Data Preprocessing workflow.
+// Package qc implements FastQC-style per-file quality reports, the
+// quality-assessment steps of the NGS Data Preprocessing workflow.
 package qc
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"spotverse/internal/bioinf/fastq"
 )
@@ -124,63 +121,4 @@ func gradeGC(gc float64) Verdict {
 	default:
 		return VerdictFail
 	}
-}
-
-// Aggregate is a MultiQC-style roll-up over per-file reports.
-type Aggregate struct {
-	Files        int
-	TotalReads   int
-	MeanQuality  float64
-	WorstQuality float64
-	BestQuality  float64
-	FailCount    int
-	WarnCount    int
-	PassCount    int
-	// Rows are per-report one-line summaries, sorted by name.
-	Rows []string
-}
-
-// Combine rolls reports into an aggregate.
-func Combine(reports []*Report) (*Aggregate, error) {
-	if len(reports) == 0 {
-		return nil, ErrNoReads
-	}
-	agg := &Aggregate{Files: len(reports), BestQuality: -1, WorstQuality: 1e9}
-	var qualSum float64
-	sorted := make([]*Report, len(reports))
-	copy(sorted, reports)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	for _, rep := range sorted {
-		agg.TotalReads += rep.ReadCount
-		qualSum += rep.MeanQuality
-		if rep.MeanQuality > agg.BestQuality {
-			agg.BestQuality = rep.MeanQuality
-		}
-		if rep.MeanQuality < agg.WorstQuality {
-			agg.WorstQuality = rep.MeanQuality
-		}
-		switch rep.QualityVerdict {
-		case VerdictPass:
-			agg.PassCount++
-		case VerdictWarn:
-			agg.WarnCount++
-		default:
-			agg.FailCount++
-		}
-		agg.Rows = append(agg.Rows, fmt.Sprintf("%s\treads=%d\tmeanQ=%.1f\tQ20=%.1f%%\t%s",
-			rep.Name, rep.ReadCount, rep.MeanQuality, rep.Q20Fraction*100, rep.QualityVerdict))
-	}
-	agg.MeanQuality = qualSum / float64(len(reports))
-	return agg, nil
-}
-
-// String renders the aggregate as a small text report.
-func (a *Aggregate) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "multiqc: %d files, %d reads, meanQ %.1f (worst %.1f, best %.1f), pass/warn/fail %d/%d/%d\n",
-		a.Files, a.TotalReads, a.MeanQuality, a.WorstQuality, a.BestQuality, a.PassCount, a.WarnCount, a.FailCount)
-	for _, row := range a.Rows {
-		sb.WriteString("  " + row + "\n")
-	}
-	return sb.String()
 }

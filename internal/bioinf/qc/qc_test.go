@@ -88,37 +88,6 @@ func TestPerPositionQualityVariableLengths(t *testing.T) {
 	}
 }
 
-func TestCombine(t *testing.T) {
-	a, _ := Analyze("b-shard", mkReads('I', 10, 50))
-	b, _ := Analyze("a-shard", mkReads('#', 5, 50))
-	agg, err := Combine([]*Report{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Files != 2 || agg.TotalReads != 15 {
-		t.Fatalf("agg = %+v", agg)
-	}
-	if agg.PassCount != 1 || agg.FailCount != 1 {
-		t.Fatalf("verdict counts = %+v", agg)
-	}
-	if agg.BestQuality != 40 || agg.WorstQuality != 2 {
-		t.Fatalf("best/worst = %v/%v", agg.BestQuality, agg.WorstQuality)
-	}
-	// Rows sorted by name: a-shard first.
-	if !strings.HasPrefix(agg.Rows[0], "a-shard") {
-		t.Fatalf("rows = %v", agg.Rows)
-	}
-	if !strings.Contains(agg.String(), "multiqc: 2 files") {
-		t.Fatalf("String() = %q", agg.String())
-	}
-}
-
-func TestCombineEmpty(t *testing.T) {
-	if _, err := Combine(nil); err == nil {
-		t.Fatal("want ErrNoReads")
-	}
-}
-
 func TestAnalyzeSyntheticReads(t *testing.T) {
 	rng := simclock.Stream(3, "qc-test")
 	tmpl, err := synth.Genome(rng, 1000)

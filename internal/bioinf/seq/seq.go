@@ -1,7 +1,6 @@
 // Package seq provides core sequence operations shared by the workflow
-// tools: k-mer profiles and distances, adapter trimming (Cutadapt's job),
-// quality trimming, reverse complement, and barcode demultiplexing
-// (QIIME 2's demux step).
+// tools: GC content, k-mer profiles and distances, adapter trimming
+// (Cutadapt's job), and quality trimming.
 package seq
 
 import (
@@ -15,33 +14,9 @@ import (
 
 // Errors returned by the package.
 var (
-	ErrBadK          = errors.New("seq: k must be positive")
-	ErrEmptyAdapter  = errors.New("seq: empty adapter")
-	ErrEmptyBarcodes = errors.New("seq: no barcodes supplied")
+	ErrBadK         = errors.New("seq: k must be positive")
+	ErrEmptyAdapter = errors.New("seq: empty adapter")
 )
-
-// ReverseComplement returns the reverse complement of a DNA sequence;
-// unknown symbols map to 'N'.
-func ReverseComplement(s string) string {
-	out := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		var c byte
-		switch s[len(s)-1-i] {
-		case 'A', 'a':
-			c = 'T'
-		case 'C', 'c':
-			c = 'G'
-		case 'G', 'g':
-			c = 'C'
-		case 'T', 't', 'U', 'u':
-			c = 'A'
-		default:
-			c = 'N'
-		}
-		out[i] = c
-	}
-	return string(out)
-}
 
 // GCContent returns the fraction of G/C symbols, 0 for empty input.
 func GCContent(s string) float64 {
@@ -174,55 +149,4 @@ func QualityTrim(r fastq.Read, threshold int) fastq.Read {
 		}
 	}
 	return cut(r, bestIdx)
-}
-
-// DemuxResult maps sample names to their assigned reads; unassigned reads
-// land under the empty key.
-type DemuxResult struct {
-	BySample   map[string][]fastq.Read
-	Unassigned []fastq.Read
-}
-
-// Demultiplex assigns reads to samples by matching the read prefix
-// against the barcode map (sample -> barcode) with at most maxMismatch
-// mismatches, stripping the barcode from assigned reads. Ambiguous reads
-// (two barcodes within budget) are unassigned.
-func Demultiplex(reads []fastq.Read, barcodes map[string]string, maxMismatch int) (*DemuxResult, error) {
-	if len(barcodes) == 0 {
-		return nil, ErrEmptyBarcodes
-	}
-	res := &DemuxResult{BySample: make(map[string][]fastq.Read, len(barcodes))}
-	for sample := range barcodes {
-		res.BySample[sample] = nil
-	}
-	for _, r := range reads {
-		best, bestSample := math.MaxInt, ""
-		ambiguous := false
-		for sample, bc := range barcodes {
-			if len(r.Seq) < len(bc) {
-				continue
-			}
-			d, err := Hamming(r.Seq[:len(bc)], bc)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case d < best:
-				best, bestSample, ambiguous = d, sample, false
-			case d == best:
-				ambiguous = true
-			}
-		}
-		if bestSample == "" || best > maxMismatch || ambiguous {
-			res.Unassigned = append(res.Unassigned, r)
-			continue
-		}
-		bc := barcodes[bestSample]
-		res.BySample[bestSample] = append(res.BySample[bestSample], cutPrefix(r, len(bc)))
-	}
-	return res, nil
-}
-
-func cutPrefix(r fastq.Read, n int) fastq.Read {
-	return fastq.Read{ID: r.ID, Seq: r.Seq[n:], Qual: r.Qual[n:]}
 }

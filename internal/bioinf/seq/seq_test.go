@@ -2,42 +2,10 @@ package seq
 
 import (
 	"testing"
-	"testing/quick"
 
 	"spotverse/internal/bioinf/fastq"
 	"spotverse/internal/simclock"
 )
-
-func TestReverseComplement(t *testing.T) {
-	cases := map[string]string{
-		"ACGT":  "ACGT",
-		"AAAA":  "TTTT",
-		"GATTA": "TAATC",
-		"acgu":  "ACGT",
-		"ANA":   "TNT",
-		"":      "",
-	}
-	for in, want := range cases {
-		if got := ReverseComplement(in); got != want {
-			t.Errorf("ReverseComplement(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestReverseComplementInvolution(t *testing.T) {
-	g := simclock.NewRNG(5)
-	bases := "ACGT"
-	f := func(n uint8) bool {
-		s := make([]byte, n%50+1)
-		for i := range s {
-			s[i] = bases[g.Intn(4)]
-		}
-		return ReverseComplement(ReverseComplement(string(s))) == string(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestGCContent(t *testing.T) {
 	if got := GCContent("GGCC"); got != 1 {
@@ -224,65 +192,5 @@ func TestQualityTrimNeverLengthens(t *testing.T) {
 		if len(out.Seq) > n || len(out.Seq) != len(out.Qual) {
 			t.Fatalf("bad trim: %d -> %d", n, len(out.Seq))
 		}
-	}
-}
-
-func TestDemultiplex(t *testing.T) {
-	barcodes := map[string]string{"s1": "AAAA", "s2": "CCCC"}
-	reads := []fastq.Read{
-		read("AAAAGGGG"), // s1
-		read("CCCCGGGG"), // s2
-		read("AAAT GGG"), // 1 mismatch vs s1... contains space; replace
-	}
-	reads[2] = read("AAATGGGG") // 1 mismatch vs s1
-	res, err := Demultiplex(reads, barcodes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.BySample["s1"]) != 2 || len(res.BySample["s2"]) != 1 {
-		t.Fatalf("assignment = s1:%d s2:%d", len(res.BySample["s1"]), len(res.BySample["s2"]))
-	}
-	if res.BySample["s1"][0].Seq != "GGGG" {
-		t.Fatalf("barcode not stripped: %q", res.BySample["s1"][0].Seq)
-	}
-}
-
-func TestDemultiplexUnassigned(t *testing.T) {
-	barcodes := map[string]string{"s1": "AAAA"}
-	res, err := Demultiplex([]fastq.Read{read("GGGGTTTT")}, barcodes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Unassigned) != 1 || len(res.BySample["s1"]) != 0 {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestDemultiplexAmbiguous(t *testing.T) {
-	barcodes := map[string]string{"s1": "AAAA", "s2": "AAAT"}
-	// Read prefix AAAC is distance 1 from both.
-	res, err := Demultiplex([]fastq.Read{read("AAACGGGG")}, barcodes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Unassigned) != 1 {
-		t.Fatalf("ambiguous read assigned: %+v", res)
-	}
-}
-
-func TestDemultiplexNoBarcodes(t *testing.T) {
-	if _, err := Demultiplex(nil, nil, 0); err == nil {
-		t.Fatal("no barcodes should error")
-	}
-}
-
-func TestDemultiplexShortRead(t *testing.T) {
-	barcodes := map[string]string{"s1": "AAAAAAAA"}
-	res, err := Demultiplex([]fastq.Read{read("AAA")}, barcodes, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Unassigned) != 1 {
-		t.Fatal("read shorter than barcode must be unassigned")
 	}
 }

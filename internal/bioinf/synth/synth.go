@@ -111,11 +111,6 @@ type ReadsOptions struct {
 	Length int
 	// ErrorRate is the per-base sequencing error probability.
 	ErrorRate float64
-	// Barcode, when non-empty, is prepended to every read (for demux
-	// workloads).
-	Barcode string
-	// IDPrefix prefixes read identifiers; defaults to "read".
-	IDPrefix string
 }
 
 // Reads samples error-bearing reads uniformly from the template sequence.
@@ -130,10 +125,6 @@ func Reads(rng *simclock.RNG, template string, opts ReadsOptions) ([]fastq.Read,
 	}
 	if opts.ErrorRate < 0 || opts.ErrorRate > 1 {
 		return nil, ErrBadRate
-	}
-	prefix := opts.IDPrefix
-	if prefix == "" {
-		prefix = "read"
 	}
 	out := make([]fastq.Read, 0, opts.Count)
 	for i := 0; i < opts.Count; i++ {
@@ -151,37 +142,7 @@ func Reads(rng *simclock.RNG, template string, opts ReadsOptions) ([]fastq.Read,
 				q[j] = byte(fastq.PhredOffset + 28 + rng.Intn(12)) // Q28-Q39
 			}
 		}
-		read := fastq.Read{
-			ID:   fmt.Sprintf("%s-%06d", prefix, i),
-			Seq:  opts.Barcode + string(s),
-			Qual: qualFor(opts.Barcode, rng) + string(q),
-		}
-		out = append(out, read)
-	}
-	return out, nil
-}
-
-func qualFor(barcode string, rng *simclock.RNG) string {
-	q := make([]byte, len(barcode))
-	for i := range q {
-		q[i] = byte(fastq.PhredOffset + 30 + rng.Intn(8))
-	}
-	return string(q)
-}
-
-// CommunityProfile generates per-sample species abundance vectors for
-// diversity analyses: n samples over s species with log-normal abundances.
-func CommunityProfile(rng *simclock.RNG, samples, species int) ([][]float64, error) {
-	if samples <= 0 || species <= 0 {
-		return nil, ErrBadCount
-	}
-	out := make([][]float64, samples)
-	for i := range out {
-		row := make([]float64, species)
-		for j := range row {
-			row[j] = rng.LogNormalAround(10, 1.2)
-		}
-		out[i] = row
+		out = append(out, fastq.Read{ID: fmt.Sprintf("read-%06d", i), Seq: string(s), Qual: string(q)})
 	}
 	return out, nil
 }

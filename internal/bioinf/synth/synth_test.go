@@ -116,23 +116,6 @@ func TestReads(t *testing.T) {
 	}
 }
 
-func TestReadsWithBarcode(t *testing.T) {
-	r := rng()
-	tmpl, _ := Genome(r, 500)
-	reads, err := Reads(r, tmpl, ReadsOptions{Count: 10, Length: 50, Barcode: "AACCGGTT"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rd := range reads {
-		if !strings.HasPrefix(rd.Seq, "AACCGGTT") {
-			t.Fatalf("barcode missing: %q", rd.Seq[:12])
-		}
-		if len(rd.Seq) != len(rd.Qual) {
-			t.Fatal("length mismatch with barcode")
-		}
-	}
-}
-
 func TestReadsErrorRateRealized(t *testing.T) {
 	r := rng()
 	tmpl, _ := Genome(r, 400)
@@ -174,25 +157,5 @@ func TestReadsValidation(t *testing.T) {
 	}
 	if _, err := Reads(r, tmpl, ReadsOptions{Count: 1, Length: 50, ErrorRate: 2}); err == nil {
 		t.Fatal("bad error rate should error")
-	}
-}
-
-func TestCommunityProfile(t *testing.T) {
-	prof, err := CommunityProfile(rng(), 5, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof) != 5 || len(prof[0]) != 30 {
-		t.Fatalf("shape = %dx%d", len(prof), len(prof[0]))
-	}
-	for _, row := range prof {
-		for _, v := range row {
-			if v <= 0 {
-				t.Fatal("non-positive abundance")
-			}
-		}
-	}
-	if _, err := CommunityProfile(rng(), 0, 5); err == nil {
-		t.Fatal("want error")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"spotverse/internal/bioinf/fastq"
-	"spotverse/internal/bioinf/synth"
 	"spotverse/internal/simclock"
 )
 
@@ -130,23 +128,6 @@ func TestAuthenticateDuplicateKeyDeterministic(t *testing.T) {
 		if user != "ann@example.org" {
 			t.Fatalf("Authenticate resolved shared key to %q, want ann@example.org", user)
 		}
-	}
-}
-
-// ngsShardInputs builds one FASTQ shard for the NGS preprocessing workflow.
-func ngsShardInputs(t *testing.T, seed int64) map[string]Dataset {
-	t.Helper()
-	rng := simclock.Stream(seed, "ngs-test")
-	tmpl, err := synth.Genome(rng, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads, err := synth.Reads(rng, tmpl, synth.ReadsOptions{Count: 300, Length: 120, ErrorRate: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Dataset{
-		"reads": {Name: "shard0.fastq", Format: "fastq", Data: []byte(fastq.String(reads))},
 	}
 }
 

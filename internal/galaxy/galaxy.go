@@ -1,10 +1,13 @@
 // Package galaxy implements a Galaxy-like workflow management substrate:
 // a tool registry ("toolshed"), histories holding named datasets, workflow
 // DAGs executed in topological order, admin-gated tool installation, and a
-// Planemo-style runner. It hosts the paper's three workloads — the
-// 23-step Genome Reconstruction workflow, the checkpointable NGS Data
-// Preprocessing workflow, and the QIIME 2-style standard general workload
-// — with every step backed by real computation from internal/bioinf.
+// Planemo-style runner. It hosts the paper's two Galaxy workloads — the
+// 23-step Genome Reconstruction workflow and the checkpointable NGS Data
+// Preprocessing workflow — with every step backed by real computation
+// from internal/bioinf. One executor runs a workflow, either in a
+// synchronous loop (RunWorkflow) or as timed jobs on the simulation clock
+// (JobRunner). Only the examples run Galaxy; every -exp experiment models
+// its workloads as workload.Spec durations instead.
 package galaxy
 
 import (
@@ -15,15 +18,14 @@ import (
 
 // Errors returned by the engine.
 var (
-	ErrNotAdmin      = errors.New("galaxy: user is not an administrator")
-	ErrBadAPIKey     = errors.New("galaxy: invalid API key")
-	ErrUnknownTool   = errors.New("galaxy: unknown tool")
-	ErrToolExists    = errors.New("galaxy: tool already installed")
-	ErrCycle         = errors.New("galaxy: workflow has a cycle")
-	ErrUnknownInput  = errors.New("galaxy: step references unknown input")
-	ErrDupStep       = errors.New("galaxy: duplicate step id")
-	ErrMissingInput  = errors.New("galaxy: workflow input not supplied")
-	ErrNoSuchHistory = errors.New("galaxy: no such history")
+	ErrNotAdmin     = errors.New("galaxy: user is not an administrator")
+	ErrBadAPIKey    = errors.New("galaxy: invalid API key")
+	ErrUnknownTool  = errors.New("galaxy: unknown tool")
+	ErrToolExists   = errors.New("galaxy: tool already installed")
+	ErrCycle        = errors.New("galaxy: workflow has a cycle")
+	ErrUnknownInput = errors.New("galaxy: step references unknown input")
+	ErrDupStep      = errors.New("galaxy: duplicate step id")
+	ErrMissingInput = errors.New("galaxy: workflow input not supplied")
 )
 
 // Dataset is a named, typed blob in a history — Galaxy's unit of data.
@@ -59,16 +61,12 @@ type Config struct {
 
 // Instance is one deployed Galaxy.
 type Instance struct {
-	cfg       Config
-	shed      map[string]Tool
-	histories map[string]*History
-	histSeq   int
+	cfg  Config
+	shed map[string]Tool
 }
 
 // History is an ordered collection of datasets.
 type History struct {
-	ID       string
-	Name     string
 	datasets map[string]Dataset
 	order    []string
 }
@@ -82,9 +80,8 @@ func New(cfg Config) *Instance {
 		keys[k] = v
 	}
 	return &Instance{
-		cfg:       Config{AdminUsers: admins, APIKeys: keys},
-		shed:      make(map[string]Tool),
-		histories: make(map[string]*History),
+		cfg:  Config{AdminUsers: admins, APIKeys: keys},
+		shed: make(map[string]Tool),
 	}
 }
 
@@ -147,25 +144,9 @@ func (g *Instance) Tools() []string {
 	return out
 }
 
-// NewHistory creates a history.
-func (g *Instance) NewHistory(name string) *History {
-	g.histSeq++
-	h := &History{
-		ID:       fmt.Sprintf("hist-%04d", g.histSeq),
-		Name:     name,
-		datasets: make(map[string]Dataset),
-	}
-	g.histories[h.ID] = h
-	return h
-}
-
-// History fetches a history by ID.
-func (g *Instance) History(id string) (*History, error) {
-	h, ok := g.histories[id]
-	if !ok {
-		return nil, fmt.Errorf("history %q: %w", id, ErrNoSuchHistory)
-	}
-	return h, nil
+// newHistory creates an empty history.
+func newHistory() *History {
+	return &History{datasets: make(map[string]Dataset)}
 }
 
 // Add stores a dataset in the history (latest wins by name).
@@ -292,9 +273,20 @@ type Invocation struct {
 // StepHook observes step completion (used by checkpointing integrations).
 type StepHook func(stepID string, outputs map[string]Dataset)
 
-// RunWorkflow executes the workflow against the supplied workflow inputs,
-// recording outputs into a fresh history. hook may be nil.
-func (g *Instance) RunWorkflow(w *Workflow, inputs map[string]Dataset, hook StepHook) (*Invocation, error) {
+// execution is one invocation in flight, shared by both executors:
+// RunWorkflow steps it in a synchronous loop and JobRunner steps it on
+// the simulation clock.
+type execution struct {
+	shed     map[string]Tool
+	steps    []Step // in topological order
+	inputs   map[string]Dataset
+	produced map[string]map[string]Dataset
+	inv      *Invocation
+}
+
+// newExecution validates the workflow, checks that every tool is
+// installed, and opens a fresh history for the invocation.
+func (g *Instance) newExecution(w *Workflow, inputs map[string]Dataset) (*execution, error) {
 	order, err := w.Validate()
 	if err != nil {
 		return nil, err
@@ -304,52 +296,90 @@ func (g *Instance) RunWorkflow(w *Workflow, inputs map[string]Dataset, hook Step
 			return nil, fmt.Errorf("step %q: tool %q: %w", s.ID, s.Tool, ErrUnknownTool)
 		}
 	}
-	inv := &Invocation{Workflow: w.Name, History: g.NewHistory("invocation: " + w.Name)}
-	produced := make(map[string]map[string]Dataset, len(w.Steps))
-	for _, i := range order {
-		s := w.Steps[i]
-		in := make(map[string]Dataset, len(s.Inputs))
-		for _, name := range sortedKeys(s.Inputs) {
-			ref := s.Inputs[name]
-			if ref.Workflow != "" {
-				d, ok := inputs[ref.Workflow]
-				if !ok {
-					return nil, fmt.Errorf("step %q input %q: workflow input %q: %w", s.ID, name, ref.Workflow, ErrMissingInput)
-				}
-				in[name] = d
-				continue
-			}
-			outs, ok := produced[ref.Step]
+	steps := make([]Step, len(order))
+	for k, i := range order {
+		steps[k] = w.Steps[i]
+	}
+	return &execution{
+		shed:     g.shed,
+		steps:    steps,
+		inputs:   inputs,
+		produced: make(map[string]map[string]Dataset, len(w.Steps)),
+		inv:      &Invocation{Workflow: w.Name, History: newHistory()},
+	}, nil
+}
+
+// resolve gathers a step's inputs from the workflow inputs and earlier
+// steps' outputs, and sums their sizes.
+func (x *execution) resolve(s Step) (map[string]Dataset, int64, error) {
+	in := make(map[string]Dataset, len(s.Inputs))
+	var size int64
+	for _, name := range sortedKeys(s.Inputs) {
+		ref := s.Inputs[name]
+		if ref.Workflow != "" {
+			d, ok := x.inputs[ref.Workflow]
 			if !ok {
-				return nil, fmt.Errorf("step %q input %q: step %q has no outputs yet: %w", s.ID, name, ref.Step, ErrUnknownInput)
-			}
-			d, ok := outs[ref.Output]
-			if !ok {
-				return nil, fmt.Errorf("step %q input %q: step %q lacks output %q: %w", s.ID, name, ref.Step, ref.Output, ErrUnknownInput)
+				return nil, 0, fmt.Errorf("step %q input %q: workflow input %q: %w", s.ID, name, ref.Workflow, ErrMissingInput)
 			}
 			in[name] = d
+			size += int64(len(d.Data))
+			continue
 		}
-		tool := g.shed[s.Tool]
-		outs, err := tool.Run(in, s.Params)
-		res := StepResult{StepID: s.ID, Tool: s.Tool, Err: err}
+		outs, ok := x.produced[ref.Step]
+		if !ok {
+			return nil, 0, fmt.Errorf("step %q input %q: step %q has no outputs yet: %w", s.ID, name, ref.Step, ErrUnknownInput)
+		}
+		d, ok := outs[ref.Output]
+		if !ok {
+			return nil, 0, fmt.Errorf("step %q input %q: step %q lacks output %q: %w", s.ID, name, ref.Step, ref.Output, ErrUnknownInput)
+		}
+		in[name] = d
+		size += int64(len(d.Data))
+	}
+	return in, size, nil
+}
+
+// run executes a step's tool on its resolved inputs and records the
+// outcome: a failed step's error, or its outputs in the history and the
+// step's result.
+func (x *execution) run(s Step, in map[string]Dataset) (map[string]Dataset, error) {
+	outs, err := x.shed[s.Tool].Run(in, s.Params)
+	if err != nil {
+		x.inv.Results = append(x.inv.Results, StepResult{StepID: s.ID, Tool: s.Tool, Err: err})
+		return nil, fmt.Errorf("step %q (%s): %w", s.ID, s.Tool, err)
+	}
+	x.produced[s.ID] = outs
+	// Sorted so the invocation history records datasets in the same
+	// order every run regardless of map iteration.
+	names := sortedKeys(outs)
+	for _, name := range names {
+		d := outs[name]
+		x.inv.History.Add(Dataset{Name: s.ID + "/" + name, Format: d.Format, Data: d.Data})
+	}
+	x.inv.Results = append(x.inv.Results, StepResult{StepID: s.ID, Tool: s.Tool, Outputs: names})
+	return outs, nil
+}
+
+// RunWorkflow executes the workflow against the supplied workflow inputs,
+// recording outputs into a fresh history. hook may be nil.
+func (g *Instance) RunWorkflow(w *Workflow, inputs map[string]Dataset, hook StepHook) (*Invocation, error) {
+	x, err := g.newExecution(w, inputs)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range x.steps {
+		in, _, err := x.resolve(s)
 		if err != nil {
-			inv.Results = append(inv.Results, res)
-			return inv, fmt.Errorf("step %q (%s): %w", s.ID, s.Tool, err)
+			return nil, err
 		}
-		produced[s.ID] = outs
-		// Sorted so the invocation history records datasets in the same
-		// order every run regardless of map iteration.
-		names := sortedKeys(outs)
-		for _, name := range names {
-			d := outs[name]
-			inv.History.Add(Dataset{Name: s.ID + "/" + name, Format: d.Format, Data: d.Data})
+		outs, err := x.run(s, in)
+		if err != nil {
+			return x.inv, err
 		}
-		res.Outputs = names
-		inv.Results = append(inv.Results, res)
 		if hook != nil {
 			hook(s.ID, outs)
 		}
 	}
-	inv.Completed = true
-	return inv, nil
+	x.inv.Completed = true
+	return x.inv, nil
 }

@@ -24,24 +24,18 @@ var (
 )
 
 // throughputBytesPerSec converts a step's input bytes into processing
-// time on the 4-vCPU reference instance (2 MiB/s).
+// time on a 4-vCPU instance such as the paper's m5.xlarge (2 MiB/s).
 const throughputBytesPerSec = 2 << 20
 
 // JobOptions tunes the duration model.
 type JobOptions struct {
 	// BasePerStep is each step's fixed cost (default 90 s).
 	BasePerStep time.Duration
-	// VCPUs scales throughput and base cost: a 2-vCPU instance runs at
-	// half the speed of the 4-vCPU reference (default 4).
-	VCPUs int
 }
 
 func (o JobOptions) normalized() JobOptions {
 	if o.BasePerStep <= 0 {
 		o.BasePerStep = 90 * time.Second
-	}
-	if o.VCPUs <= 0 {
-		o.VCPUs = 4
 	}
 	return o
 }
@@ -49,9 +43,7 @@ func (o JobOptions) normalized() JobOptions {
 // stepDuration models one step's runtime from its input volume.
 func (o JobOptions) stepDuration(inputBytes int64) time.Duration {
 	seconds := float64(inputBytes) / throughputBytesPerSec
-	d := o.BasePerStep + time.Duration(seconds*float64(time.Second))
-	scale := 4.0 / float64(o.VCPUs)
-	return time.Duration(float64(d) * scale)
+	return o.BasePerStep + time.Duration(seconds*float64(time.Second))
 }
 
 // JobState is a job's lifecycle state.
@@ -148,14 +140,9 @@ func NewJobRunner(eng *simclock.Engine, g *Instance, opts JobOptions) *JobRunner
 // topological order; each step's tool runs at its completion instant so
 // outputs exist exactly when downstream steps start.
 func (jr *JobRunner) Start(w *Workflow, inputs map[string]Dataset, done func(*JobHandle)) (*JobHandle, error) {
-	order, err := w.Validate()
+	x, err := jr.galaxy.newExecution(w, inputs)
 	if err != nil {
 		return nil, err
-	}
-	for _, s := range w.Steps {
-		if _, ok := jr.galaxy.shed[s.Tool]; !ok {
-			return nil, fmt.Errorf("step %q: tool %q: %w", s.ID, s.Tool, ErrUnknownTool)
-		}
 	}
 	h := &JobHandle{
 		runner:     jr,
@@ -165,17 +152,12 @@ func (jr *JobRunner) Start(w *Workflow, inputs map[string]Dataset, done func(*Jo
 		started:    jr.eng.Now(),
 		done:       done,
 	}
-	inv := &Invocation{Workflow: w.Name, History: jr.galaxy.NewHistory("job: " + w.Name)}
-	produced := make(map[string]map[string]Dataset, len(w.Steps))
 
 	var runStep func(k int)
 	runStep = func(k int) {
-		if h.state != JobRunning {
-			return
-		}
-		if k == len(order) {
-			inv.Completed = true
-			h.inv = inv
+		if k == len(x.steps) {
+			x.inv.Completed = true
+			h.inv = x.inv
 			h.state = JobCompleted
 			h.finished = jr.eng.Now()
 			if h.done != nil {
@@ -183,8 +165,8 @@ func (jr *JobRunner) Start(w *Workflow, inputs map[string]Dataset, done func(*Jo
 			}
 			return
 		}
-		s := w.Steps[order[k]]
-		in, size, err := jr.gatherInputs(s, inputs, produced)
+		s := x.steps[k]
+		in, size, err := x.resolve(s)
 		if err != nil {
 			h.fail(err)
 			return
@@ -193,22 +175,10 @@ func (jr *JobRunner) Start(w *Workflow, inputs map[string]Dataset, done func(*Jo
 			if h.state != JobRunning {
 				return
 			}
-			outs, err := jr.galaxy.shed[s.Tool].Run(in, s.Params)
-			if err != nil {
-				inv.Results = append(inv.Results, StepResult{StepID: s.ID, Tool: s.Tool, Err: err})
-				h.fail(fmt.Errorf("step %q (%s): %w", s.ID, s.Tool, err))
+			if _, err := x.run(s, in); err != nil {
+				h.fail(err)
 				return
 			}
-			produced[s.ID] = outs
-			// Sorted so StepResult.Outputs and the history dataset
-			// order are identical on every run; the unsorted map range
-			// here previously leaked iteration order into both.
-			names := sortedKeys(outs)
-			for _, name := range names {
-				d := outs[name]
-				inv.History.Add(Dataset{Name: s.ID + "/" + name, Format: d.Format, Data: d.Data})
-			}
-			inv.Results = append(inv.Results, StepResult{StepID: s.ID, Tool: s.Tool, Outputs: names})
 			h.stepsCompleted++
 			runStep(k + 1)
 		})
@@ -224,33 +194,4 @@ func (h *JobHandle) fail(err error) {
 	if h.done != nil {
 		h.done(h)
 	}
-}
-
-// gatherInputs resolves a step's inputs and sums their sizes.
-func (jr *JobRunner) gatherInputs(s Step, inputs map[string]Dataset, produced map[string]map[string]Dataset) (map[string]Dataset, int64, error) {
-	in := make(map[string]Dataset, len(s.Inputs))
-	var size int64
-	for _, name := range sortedKeys(s.Inputs) {
-		ref := s.Inputs[name]
-		if ref.Workflow != "" {
-			d, ok := inputs[ref.Workflow]
-			if !ok {
-				return nil, 0, fmt.Errorf("step %q input %q: workflow input %q: %w", s.ID, name, ref.Workflow, ErrMissingInput)
-			}
-			in[name] = d
-			size += int64(len(d.Data))
-			continue
-		}
-		outs, ok := produced[ref.Step]
-		if !ok {
-			return nil, 0, fmt.Errorf("step %q input %q: step %q not finished: %w", s.ID, name, ref.Step, ErrUnknownInput)
-		}
-		d, ok := outs[ref.Output]
-		if !ok {
-			return nil, 0, fmt.Errorf("step %q input %q: step %q lacks output %q: %w", s.ID, name, ref.Step, ref.Output, ErrUnknownInput)
-		}
-		in[name] = d
-		size += int64(len(d.Data))
-	}
-	return in, size, nil
 }

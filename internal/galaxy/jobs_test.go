@@ -48,34 +48,6 @@ func TestTimedWorkflowCompletes(t *testing.T) {
 	}
 }
 
-func TestTimedWorkflowDurationScalesWithVCPUs(t *testing.T) {
-	inputs4 := genomeInputsSeed(t, 202)
-	eng4 := simclock.NewEngine()
-	g4 := newGalaxy(t)
-	h4, err := NewJobRunner(eng4, g4, JobOptions{VCPUs: 4}).Start(GenomeReconstructionWorkflow(), inputs4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = eng4.Run(time.Time{})
-
-	eng2 := simclock.NewEngine()
-	g2 := newGalaxy(t)
-	h2, err := NewJobRunner(eng2, g2, JobOptions{VCPUs: 2}).Start(GenomeReconstructionWorkflow(), genomeInputsSeed(t, 202), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = eng2.Run(time.Time{})
-
-	if h2.Elapsed() <= h4.Elapsed() {
-		t.Fatalf("2-vCPU run %v not slower than 4-vCPU %v", h2.Elapsed(), h4.Elapsed())
-	}
-}
-
-func genomeInputsSeed(t *testing.T, seed int64) map[string]Dataset {
-	t.Helper()
-	return genomeInputs(t, seed)
-}
-
 func TestCancelMidWorkflow(t *testing.T) {
 	eng, jr, _ := newJobRunner(t)
 	h, err := jr.Start(GenomeReconstructionWorkflow(), genomeInputs(t, 203), nil)

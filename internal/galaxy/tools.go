@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"spotverse/internal/bioinf/denoise"
-	"spotverse/internal/bioinf/diversity"
 	"spotverse/internal/bioinf/fasta"
 	"spotverse/internal/bioinf/fastq"
 	"spotverse/internal/bioinf/lineage"
@@ -47,9 +45,6 @@ func StandardTools() []Tool {
 		toolMultiQC(),
 		toolCutadapt(),
 		toolQualityTrim(),
-		toolDemultiplex(),
-		toolDADA2(),
-		toolDiversity(),
 	}
 }
 
@@ -619,125 +614,6 @@ func toolQualityTrim() Tool {
 				}
 			}
 			return map[string]Dataset{"output": ds("qtrimmed.fastq", "fastq", []byte(fastq.String(out)))}, nil
-		},
-	}
-}
-
-func toolDemultiplex() Tool {
-	return Tool{
-		ID:          "demultiplex",
-		Description: "Assign reads to samples by barcode (QIIME 2 demux)",
-		Run: func(in map[string]Dataset, params map[string]string) (map[string]Dataset, error) {
-			reads, err := fastq.ParseString(string(in["input"].Data))
-			if err != nil {
-				return nil, err
-			}
-			barcodes := map[string]string{}
-			for _, line := range strings.Split(strings.TrimSpace(string(in["barcodes"].Data)), "\n") {
-				if line == "" {
-					continue
-				}
-				sample, bc, found := strings.Cut(line, "\t")
-				if !found {
-					return nil, fmt.Errorf("demultiplex: bad barcode line %q", line)
-				}
-				barcodes[sample] = bc
-			}
-			mm, err := strconv.Atoi(params["max_mismatch"])
-			if err != nil {
-				mm = 1
-			}
-			res, err := seq.Demultiplex(reads, barcodes, mm)
-			if err != nil {
-				return nil, err
-			}
-			outs := map[string]Dataset{}
-			var summary strings.Builder
-			samples := make([]string, 0, len(res.BySample))
-			for s := range res.BySample {
-				samples = append(samples, s)
-			}
-			sort.Strings(samples)
-			for _, s := range samples {
-				outs["sample_"+s] = ds(s+".fastq", "fastq", []byte(fastq.String(res.BySample[s])))
-				fmt.Fprintf(&summary, "%s\t%d\n", s, len(res.BySample[s]))
-			}
-			fmt.Fprintf(&summary, "unassigned\t%d\n", len(res.Unassigned))
-			outs["report"] = txt("demux.tsv", summary.String())
-			return outs, nil
-		},
-	}
-}
-
-func toolDADA2() Tool {
-	return Tool{
-		ID:          "dada2_denoise",
-		Description: "Dereplicate and denoise amplicon reads (DADA2-like)",
-		Run: func(in map[string]Dataset, params map[string]string) (map[string]Dataset, error) {
-			reads, err := fastq.ParseString(string(in["input"].Data))
-			if err != nil {
-				return nil, err
-			}
-			minQ, err := strconv.ParseFloat(params["min_quality"], 64)
-			if err != nil {
-				minQ = 20
-			}
-			res, err := denoise.Run(reads, denoise.Options{MinQuality: minQ})
-			if err != nil {
-				return nil, err
-			}
-			var tab strings.Builder
-			for i, v := range res.Variants {
-				fmt.Fprintf(&tab, "ASV%d\t%d\t%s\n", i+1, v.Abundance, v.Seq)
-			}
-			report := fmt.Sprintf("input=%d dropped=%d unique=%d variants=%d absorbed=%d\n",
-				res.Input, res.QualityDropped, res.UniqueBefore, len(res.Variants), res.Absorbed)
-			return map[string]Dataset{
-				"table":  txt("asv_table.tsv", tab.String()),
-				"report": txt("dada2.txt", report),
-			}, nil
-		},
-	}
-}
-
-func toolDiversity() Tool {
-	return Tool{
-		ID:          "diversity_analysis",
-		Description: "Alpha diversity over an ASV abundance table",
-		Run: func(in map[string]Dataset, _ map[string]string) (map[string]Dataset, error) {
-			var abundances []float64
-			for _, line := range strings.Split(strings.TrimSpace(string(in["table"].Data)), "\n") {
-				if line == "" {
-					continue
-				}
-				cols := strings.Split(line, "\t")
-				if len(cols) < 2 {
-					return nil, fmt.Errorf("diversity: bad table line %q", line)
-				}
-				n, err := strconv.ParseFloat(cols[1], 64)
-				if err != nil {
-					return nil, fmt.Errorf("diversity: bad abundance %q: %w", cols[1], err)
-				}
-				abundances = append(abundances, n)
-			}
-			h, err := diversity.Shannon(abundances)
-			if err != nil {
-				return nil, err
-			}
-			simp, err := diversity.Simpson(abundances)
-			if err != nil {
-				return nil, err
-			}
-			obs, err := diversity.Observed(abundances)
-			if err != nil {
-				return nil, err
-			}
-			even, err := diversity.Pielou(abundances)
-			if err != nil {
-				return nil, err
-			}
-			report := fmt.Sprintf("observed=%d shannon=%.4f simpson=%.4f evenness=%.4f\n", obs, h, simp, even)
-			return map[string]Dataset{"report": txt("diversity.txt", report)}, nil
 		},
 	}
 }

@@ -299,55 +299,3 @@ func TestToolQualityTrim(t *testing.T) {
 		t.Fatalf("kept = %d reads", len(kept))
 	}
 }
-
-func TestToolDemultiplex(t *testing.T) {
-	mk := func(prefix string) fastq.Read {
-		s := prefix + "GGGG"
-		return fastq.Read{ID: "r", Seq: s, Qual: strings.Repeat("I", len(s))}
-	}
-	reads := []fastq.Read{mk("AAAA"), mk("AAAA"), mk("CCCC"), mk("TTTT")}
-	out := runTool(t, "demultiplex", map[string]Dataset{
-		"input":    fastqDS(reads),
-		"barcodes": {Data: []byte("s1\tAAAA\ns2\tCCCC\n")},
-	}, nil)
-	rep := string(out["report"].Data)
-	if !strings.Contains(rep, "s1\t2") || !strings.Contains(rep, "s2\t1") || !strings.Contains(rep, "unassigned\t1") {
-		t.Fatalf("report = %q", rep)
-	}
-	s1, _ := fastq.ParseString(string(out["sample_s1"].Data))
-	if len(s1) != 2 || s1[0].Seq != "GGGG" {
-		t.Fatalf("s1 = %+v", s1)
-	}
-	runToolErr(t, "demultiplex", map[string]Dataset{
-		"input": fastqDS(reads), "barcodes": {Data: []byte("malformed-line-no-tab")},
-	}, nil)
-}
-
-func TestToolDADA2(t *testing.T) {
-	mk := func(seq string, n int) []fastq.Read {
-		out := make([]fastq.Read, n)
-		for i := range out {
-			out[i] = fastq.Read{ID: "r", Seq: seq, Qual: strings.Repeat("I", len(seq))}
-		}
-		return out
-	}
-	reads := append(mk("ACGTACGTAC", 20), mk("ACGTACGTAT", 2)...) // error variant absorbed
-	out := runTool(t, "dada2_denoise", map[string]Dataset{"input": fastqDS(reads)}, nil)
-	if !strings.Contains(string(out["table"].Data), "ASV1\t22\tACGTACGTAC") {
-		t.Fatalf("table = %q", out["table"].Data)
-	}
-	if !strings.Contains(string(out["report"].Data), "absorbed=1") {
-		t.Fatalf("report = %q", out["report"].Data)
-	}
-}
-
-func TestToolDiversity(t *testing.T) {
-	table := Dataset{Data: []byte("ASV1\t10\tACGT\nASV2\t10\tTGCA\n")}
-	out := runTool(t, "diversity_analysis", map[string]Dataset{"table": table}, nil)
-	rep := string(out["report"].Data)
-	if !strings.Contains(rep, "observed=2") || !strings.Contains(rep, "shannon=0.6931") {
-		t.Fatalf("report = %q", rep)
-	}
-	runToolErr(t, "diversity_analysis", map[string]Dataset{"table": {Data: []byte("bad line")}}, nil)
-	runToolErr(t, "diversity_analysis", map[string]Dataset{"table": {Data: []byte("ASV1\tnot-a-number\n")}}, nil)
-}

@@ -1,6 +1,6 @@
 package galaxy
 
-// This file defines the paper's three workloads as Galaxy workflows
+// This file defines the paper's two Galaxy workloads as workflows
 // (Section 5.1.1). Input dataset names expected by each workflow are
 // documented on its constructor.
 
@@ -103,32 +103,6 @@ func NGSPreprocessingShardWorkflow() *Workflow {
 				"pre":     stepOut("p1_fastqc_pre", "report"),
 				"post":    stepOut("p4_fastqc_post", "report"),
 				"trimlog": stepOut("p2_cutadapt", "report"),
-			}},
-		},
-	}
-}
-
-// QIIME2Workflow is the paper's standard general workload: demultiplexing,
-// DADA2 denoising, phylogeny-adjacent profiling, and diversity analysis of
-// a microbial community.
-//
-// Workflow inputs: "reads" (multiplexed FASTQ), "barcodes" (TSV
-// sample\tbarcode).
-func QIIME2Workflow(sample string) *Workflow {
-	return &Workflow{
-		Name: "qiime2-microbiome",
-		Steps: []Step{
-			{ID: "q1_demux", Tool: "demultiplex", Inputs: map[string]InputRef{
-				"input":    wfInput("reads"),
-				"barcodes": wfInput("barcodes"),
-			}},
-			{ID: "q2_qtrim", Tool: "quality_trim", Inputs: map[string]InputRef{"input": stepOut("q1_demux", "sample_"+sample)}},
-			{ID: "q3_dada2", Tool: "dada2_denoise", Inputs: map[string]InputRef{"input": stepOut("q2_qtrim", "output")}},
-			{ID: "q4_diversity", Tool: "diversity_analysis", Inputs: map[string]InputRef{"table": stepOut("q3_dada2", "table")}},
-			{ID: "q5_summary", Tool: "summary_report", Inputs: map[string]InputRef{
-				"demux":     stepOut("q1_demux", "report"),
-				"dada2":     stepOut("q3_dada2", "report"),
-				"diversity": stepOut("q4_diversity", "report"),
 			}},
 		},
 	}
