@@ -146,7 +146,8 @@ const (
 // losing the condition means another incarnation of the Controller
 // already relaunched this migration, so the caller must not. A missing
 // entry (its record write was lost to a fault) falls back to the
-// caller's in-memory dedupe and proceeds.
+// caller's in-memory dedupe and proceeds; in fenced mode it is instead
+// inserted already closed, and losing that insert skips the relaunch.
 //
 // Without a lease, an unreachable journal proceeds — an availability
 // choice that is safe with a single incarnation (the in-memory done
@@ -170,6 +171,23 @@ func (j *journal) markDone(p *pendingMigration) commitVerdict {
 		}
 	}
 	if errors.Is(err, dynamo.ErrItemNotFound) {
+		if !j.fencing() {
+			return commitProceed
+		}
+		// Another incarnation may have lost its record write too and be
+		// committing the same migration: only the first to insert the
+		// closed entry actuates.
+		err = j.deps.Dynamo.PutIfAbsent(JournalTable, journalItem(p, journalRelaunched))
+		switch {
+		case errors.Is(err, dynamo.ErrConditionFailed):
+			j.skips++
+			return commitSkip
+		case err != nil:
+			j.lost++
+			j.deferrals++
+			return commitDefer
+		}
+		j.note(nil)
 		return commitProceed
 	}
 	if err == nil && cur.Attrs["open"] != "1" {

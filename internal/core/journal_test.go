@@ -98,6 +98,50 @@ func TestJournalMarkDoneExactlyOnce(t *testing.T) {
 	}
 }
 
+// Two incarnations that both lost their record write for one migration
+// win the lease in turn and each reach the commit point. Fenced, the
+// first commit inserts the entry already closed, so only one relaunch
+// actuates; unfenced, both fall back to in-memory dedupe and actuate.
+func TestMarkDoneAfterLostRecordsActuatesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		disableFencing bool
+		want           int
+	}{{false, 1}, {true, 2}} {
+		deps := newDeps(905)
+		incarnation := func(holder string) *journal {
+			j, err := newJournal(Config{Journal: true, Lease: true, DisableFencing: tc.disableFencing}, deps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.fence = &lease{deps: deps, holder: holder, ttl: time.Hour}
+			return j
+		}
+		a, b := incarnation("a"), incarnation("b")
+		p := &pendingMigration{id: "w1", region: testRegion, since: deps.Engine.Now()}
+		deps.Dynamo.SetFault(failEverything)
+		a.record(p)
+		b.record(p)
+		deps.Dynamo.SetFault(nil)
+		if a.lost != 1 || b.lost != 1 {
+			t.Fatalf("lost records = %d/%d, want 1/1", a.lost, b.lost)
+		}
+		actuated := 0
+		if a.markDone(p) == commitProceed {
+			actuated++
+		}
+		// a's lease expires and b takes it over before committing.
+		if err := deps.Engine.RunFor(2 * time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if b.markDone(p) == commitProceed {
+			actuated++
+		}
+		if actuated != tc.want {
+			t.Fatalf("disableFencing=%v: %d relaunches actuated, want %d", tc.disableFencing, actuated, tc.want)
+		}
+	}
+}
+
 func TestCrashRestartReplaysBreakerState(t *testing.T) {
 	sv, deps := newSpotVerse(t, Config{Journal: true, Seed: 904})
 	c := sv.Controller()
