@@ -150,8 +150,12 @@ func dedupe(in []string) []string {
 }
 
 // runCampaign fuzzes -seeds plans; the bool reports whether any
-// invariant was violated.
+// invariant was violated. The -out directory is created before the
+// first trial, so a bad path fails fast instead of after the campaign.
 func runCampaign(o *options, stdout io.Writer) (bool, error) {
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		return false, err
+	}
 	seeds := make([]int64, o.seeds)
 	for i := range seeds {
 		seeds[i] = o.seed + int64(i)

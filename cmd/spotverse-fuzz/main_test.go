@@ -126,6 +126,19 @@ func TestBrokenFencingCaughtShrunkReplayed(t *testing.T) {
 	}
 }
 
+// A campaign creates a missing nested -out directory before its first
+// trial, so its repros land there instead of being lost at the end.
+func TestCampaignCreatesOutDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "soak", "repros")
+	code, out, stderr := run(t, "-seed", "7", "-seeds", "1", "-disable-fencing", "-out", dir)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stdout %q stderr %q)", code, out, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fuzz-repro-7.json")); err != nil {
+		t.Fatalf("repro not written to the new directory: %v (stdout %q)", err, out)
+	}
+}
+
 // TestCampaignOutputDeterministic runs the same campaign twice and
 // requires identical bytes on stdout.
 func TestCampaignOutputDeterministic(t *testing.T) {
