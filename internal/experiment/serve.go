@@ -147,7 +147,6 @@ type ServeTraceRecorder struct {
 	start time.Time
 	bw    *bufio.Writer
 	last  int64
-	n     int
 	err   error
 }
 
@@ -179,9 +178,7 @@ func (r *ServeTraceRecorder) Record(e serve.TraceEntry) {
 	}
 	if err != nil {
 		r.err = fmt.Errorf("trace record: %w", err)
-		return
 	}
-	r.n++
 }
 
 // Flush drains the buffer; use it as a serve OnDrain hook so SIGTERM
@@ -193,13 +190,6 @@ func (r *ServeTraceRecorder) Flush() error {
 		return r.err
 	}
 	return r.bw.Flush()
-}
-
-// Recorded reports how many entries were written.
-func (r *ServeTraceRecorder) Recorded() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
 }
 
 // marshalTraceEntry renders one JSONL line via serve.WriteTrace, so the

@@ -35,20 +35,12 @@ type Service struct {
 	metrics map[string][]Datapoint
 	tickers []*simclock.Ticker
 	fault   FaultFunc
-
-	missedTicks    int64
-	droppedMetrics int64
 }
 
 // SetFault installs a fault interceptor; a faulted scheduled rule skips
 // that tick (the rule keeps firing), a faulted PutMetric loses the
 // datapoint. Nil (the default) disables injection.
 func (s *Service) SetFault(fn FaultFunc) { s.fault = fn }
-
-// Faults reports ticks skipped and datapoints lost to injection.
-func (s *Service) Faults() (missedTicks, droppedMetrics int64) {
-	return s.missedTicks, s.droppedMetrics
-}
 
 // New returns a service on the engine charging the ledger.
 func New(eng *simclock.Engine, ledger *cost.Ledger) *Service {
@@ -65,11 +57,8 @@ func (s *Service) Schedule(name string, interval time.Duration, target func(now 
 		return fmt.Errorf("schedule %q: non-positive interval %v", name, interval)
 	}
 	t := s.eng.Every(interval, "cw:"+name, func(now time.Time) {
-		if s.fault != nil {
-			if err := s.fault("rule:"+name, ""); err != nil {
-				s.missedTicks++
-				return
-			}
+		if s.fault != nil && s.fault("rule:"+name, "") != nil {
+			return
 		}
 		target(now)
 	})
@@ -88,11 +77,8 @@ func (s *Service) StopAll() {
 
 // PutMetric records one observation under the metric name.
 func (s *Service) PutMetric(name string, value float64) {
-	if s.fault != nil {
-		if err := s.fault("put-metric:"+name, ""); err != nil {
-			s.droppedMetrics++
-			return
-		}
+	if s.fault != nil && s.fault("put-metric:"+name, "") != nil {
+		return
 	}
 	s.metrics[name] = append(s.metrics[name], Datapoint{Time: s.eng.Now(), Value: value})
 	s.ledger.MustAdd(cost.CategoryCloudWatch, cost.CloudWatchUSDPerMetricPut)
