@@ -11,11 +11,10 @@ import (
 // The paper's workloads run Galaxy jobs on cloud instances whose
 // durations — not just their outputs — matter: interruptions land in the
 // middle of step execution. JobRunner executes a workflow as timed jobs
-// on the simulation clock: each step occupies simulated time proportional
-// to its input size and the instance's compute capacity, tools run at
-// their step's completion instant, and an in-flight run can be cancelled
-// the way a spot reclaim kills an instance, reporting how many steps had
-// finished.
+// on the simulation clock: each step occupies a fixed cost plus simulated
+// time proportional to its input size, tools run at their step's
+// completion instant, and an in-flight run can be cancelled the way a
+// spot reclaim kills an instance, reporting how many steps had finished.
 
 // Errors returned by the job runner.
 var (
