@@ -13,7 +13,7 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Region identifies a cloud region, e.g. "ca-central-1".
@@ -110,12 +110,22 @@ type RegionInfo struct {
 }
 
 // Catalog is an immutable inventory of regions and instance types.
+//
+// The list accessors (Regions, Zones, InstanceTypes, OfferedRegions)
+// return slices built once by Default and shared by every caller: they
+// are read-only, and a caller that needs to change one copies it first.
 type Catalog struct {
 	regions map[Region]RegionInfo
 	types   map[InstanceType]InstanceSpec
 	// typeSpotTilt skews a specific (type, region) spot discount so that
 	// per-type cheapest regions differ (Table 1 of the paper).
 	typeSpotTilt map[InstanceType]map[Region]float64
+
+	// sortedRegions and sortedTypes hold every region and instance type
+	// sorted by name; offered holds each type's offering regions, sorted.
+	sortedRegions []Region
+	sortedTypes   []InstanceType
+	offered       map[InstanceType][]Region
 }
 
 // Default returns the inventory used throughout the reproduction.
@@ -131,18 +141,30 @@ func Default() *Catalog {
 	for _, t := range defaultTypes {
 		c.types[t.Type] = t
 	}
+	for r := range c.regions {
+		c.sortedRegions = append(c.sortedRegions, r)
+	}
+	slices.Sort(c.sortedRegions)
+	for t := range c.types {
+		c.sortedTypes = append(c.sortedTypes, t)
+	}
+	slices.Sort(c.sortedTypes)
+	c.offered = make(map[InstanceType][]Region, len(c.types))
+	for _, t := range c.sortedTypes {
+		var offered []Region
+		for _, r := range c.sortedRegions {
+			if c.Offered(t, r) {
+				offered = append(offered, r)
+			}
+		}
+		c.offered[t] = slices.Clip(offered)
+	}
 	return c
 }
 
-// Regions returns all regions sorted by name.
-func (c *Catalog) Regions() []Region {
-	out := make([]Region, 0, len(c.regions))
-	for r := range c.regions {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Regions returns all regions sorted by name. The slice is shared and
+// read-only.
+func (c *Catalog) Regions() []Region { return c.sortedRegions }
 
 // RegionInfo returns the region record.
 func (c *Catalog) RegionInfo(r Region) (RegionInfo, error) {
@@ -153,26 +175,13 @@ func (c *Catalog) RegionInfo(r Region) (RegionInfo, error) {
 	return info, nil
 }
 
-// Zones returns the availability zones of a region.
-func (c *Catalog) Zones(r Region) []AZ {
-	info, ok := c.regions[r]
-	if !ok {
-		return nil
-	}
-	out := make([]AZ, len(info.Zones))
-	copy(out, info.Zones)
-	return out
-}
+// Zones returns the availability zones of a region, nil for an unknown
+// one. The slice is shared and read-only.
+func (c *Catalog) Zones(r Region) []AZ { return c.regions[r].Zones }
 
-// InstanceTypes returns all instance types sorted by name.
-func (c *Catalog) InstanceTypes() []InstanceType {
-	out := make([]InstanceType, 0, len(c.types))
-	for t := range c.types {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// InstanceTypes returns all instance types sorted by name. The slice is
+// shared and read-only.
+func (c *Catalog) InstanceTypes() []InstanceType { return c.sortedTypes }
 
 // Spec returns the hardware specification of an instance type.
 func (c *Catalog) Spec(t InstanceType) (InstanceSpec, error) {
@@ -199,16 +208,9 @@ func (c *Catalog) Offered(t InstanceType, r Region) bool {
 	return true
 }
 
-// OfferedRegions returns the regions offering the instance type, sorted.
-func (c *Catalog) OfferedRegions(t InstanceType) []Region {
-	var out []Region
-	for _, r := range c.Regions() {
-		if c.Offered(t, r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// OfferedRegions returns the regions offering the instance type, sorted,
+// and nil for an unknown type. The slice is shared and read-only.
+func (c *Catalog) OfferedRegions(t InstanceType) []Region { return c.offered[t] }
 
 // OnDemandPrice returns the hourly on-demand USD price of t in r.
 func (c *Catalog) OnDemandPrice(t InstanceType, r Region) (float64, error) {

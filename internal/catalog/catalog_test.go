@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,51 @@ func TestDefaultInventoryShape(t *testing.T) {
 	}
 	if got := len(c.InstanceTypes()); got != 6 {
 		t.Fatalf("types = %d, want 6", got)
+	}
+}
+
+// TestSharedListsContract pins what the list accessors promise: the
+// same contents a fresh recomputation from the inventory gives, in one
+// backing array built by Default, so a call never allocates.
+func TestSharedListsContract(t *testing.T) {
+	c := Default()
+	var all []Region
+	for _, info := range defaultRegions {
+		all = append(all, info.Region)
+	}
+	slices.Sort(all)
+	if got := c.Regions(); len(got) != 16 || !slices.Equal(got, all) {
+		t.Fatalf("Regions() = %v, want the 16 inventory regions sorted: %v", got, all)
+	}
+	same := func(a, b []Region) bool { return len(a) > 0 && &a[0] == &b[0] }
+	if !same(c.Regions(), c.Regions()) {
+		t.Fatal("Regions() returns a new backing array per call")
+	}
+	for _, typ := range c.InstanceTypes() {
+		var want []Region
+		for _, r := range all {
+			if c.Offered(typ, r) {
+				want = append(want, r)
+			}
+		}
+		got := c.OfferedRegions(typ)
+		if !slices.Equal(got, want) {
+			t.Errorf("OfferedRegions(%s) = %v, want %v", typ, got, want)
+		}
+		if !same(got, c.OfferedRegions(typ)) {
+			t.Errorf("OfferedRegions(%s) returns a new backing array per call", typ)
+		}
+	}
+	if got := c.OfferedRegions("z9.nano"); got != nil {
+		t.Errorf("OfferedRegions of an unknown type = %v, want nil", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = c.Regions()
+		_ = c.OfferedRegions(M5XLarge)
+		_ = c.OfferedRegions(P32XLarge)
+	})
+	if allocs != 0 {
+		t.Errorf("Regions and OfferedRegions allocate %v times per call, want 0", allocs)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // rawShard is one shard's output as the shard engine records it: the
-// (global index, cost) log in termination order and the launch and stop
+// cost log in termination order, keyed by global workload index, and the launch and stop
 // instants in the order the engine appended them.
 type rawShard struct {
 	costLog          []indexedCost
@@ -32,7 +32,7 @@ func referenceMerge(shards []rawShard) (cost float64, peak int) {
 		launches = append(launches, s.launchNs...)
 		stops = append(stops, s.stopNs...)
 	}
-	sort.SliceStable(costs, func(i, j int) bool { return costs[i].gidx < costs[j].gidx })
+	sort.SliceStable(costs, func(i, j int) bool { return costs[i].i < costs[j].i })
 	for _, c := range costs {
 		cost += c.usd
 	}
@@ -72,7 +72,7 @@ func randomShards(rng *rand.Rand, n, k int) []rawShard {
 				shards[s].launchNs = append(shards[s].launchNs, at)
 				shards[s].stopNs = append(shards[s].stopNs, stop)
 				usd := rng.Float64() * math.Pow(10, float64(rng.IntN(17)))
-				terms = append(terms, term{at: stop, cost: indexedCost{gidx: g, usd: usd}})
+				terms = append(terms, term{at: stop, cost: indexedCost{i: g, usd: usd}})
 				at = stop + int64(rng.IntN(3))
 			}
 		}
@@ -84,7 +84,7 @@ func randomShards(rng *rand.Rand, n, k int) []rawShard {
 			if terms[i].at != terms[j].at {
 				return terms[i].at < terms[j].at
 			}
-			return rank[terms[i].cost.gidx-lo] < rank[terms[j].cost.gidx-lo]
+			return rank[terms[i].cost.i-lo] < rank[terms[j].cost.i-lo]
 		})
 		for _, t := range terms {
 			shards[s].costLog = append(shards[s].costLog, t.cost)
@@ -152,7 +152,11 @@ func shardOutFor(raw rawShard, lo, hi int) *shardOut {
 	if lo == hi {
 		return &shardOut{}
 	}
-	o := &shardOut{strategyName: "random", costLog: raw.costLog}
+	log := make([]indexedCost, len(raw.costLog))
+	for j, c := range raw.costLog {
+		log[j] = indexedCost{i: c.i - lo, usd: c.usd}
+	}
+	o := &shardOut{strategyName: "random", costs: bucketCosts(log, hi-lo)}
 	o.launchNs, o.stopNs = raw.launchNs, raw.stopNs
 	return o
 }

@@ -1,8 +1,9 @@
 package experiment
 
 import (
+	"container/heap"
+	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -58,6 +59,59 @@ type FleetResult struct {
 	EventsFired uint64
 }
 
+// Check verifies the accounting laws every FleetResult obeys whatever the
+// arm, size or shard count: per-region and per-interval counts sum to
+// their totals, cost splits into instance and service spend, and — once
+// every workload completed without a duplicate relaunch — each launch is
+// one engine event ending in either a completion or an interruption. It
+// returns every broken law, joined.
+func (res *FleetResult) Check() error {
+	var errs []error
+	broken := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	launches := sumValues(res.LaunchesByRegion)
+	if byRegion, perInterval := sumValues(res.InterruptionsByRegion), sumInts(res.InterruptionsPerInterval); byRegion != res.Interruptions || perInterval != res.Interruptions {
+		broken("interruptions by region %d, per interval %d, total %d", byRegion, perInterval, res.Interruptions)
+	}
+	if perInterval := sumInts(res.CompletionsPerInterval); perInterval != res.Completed {
+		broken("completions per interval %d, completed %d", perInterval, res.Completed)
+	}
+	if res.TotalCostUSD != res.InstanceCostUSD+res.ServiceCostUSD {
+		broken("total cost %v != instance %v + service %v", res.TotalCostUSD, res.InstanceCostUSD, res.ServiceCostUSD)
+	}
+	if res.OnDemandLaunches > launches {
+		broken("%d on-demand launches of %d", res.OnDemandLaunches, launches)
+	}
+	if res.PeakRunning > res.Workloads {
+		broken("peak running %d > %d workloads", res.PeakRunning, res.Workloads)
+	}
+	if res.MeanCompletionHours > res.MakespanHours {
+		broken("mean completion %vh > makespan %vh", res.MeanCompletionHours, res.MakespanHours)
+	}
+	if res.Completed == res.Workloads && res.DuplicateRelaunches == 0 {
+		if uint64(launches) != res.EventsFired || launches != res.Completed+res.Interruptions {
+			broken("%d launches, %d events, %d completions + %d interruptions",
+				launches, res.EventsFired, res.Completed, res.Interruptions)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+func sumInts(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+func sumValues(m map[catalog.Region]int) int {
+	n := 0
+	for _, x := range m {
+		n += x
+	}
+	return n
+}
+
 // splitmixFleetStream names the per-workload draw family. Workload i's
 // trajectory draws come from SplitMixAt(SplitMixFamily(seed, name), i),
 // so the stream is a pure function of (seed, global index) — the
@@ -100,8 +154,8 @@ type FleetShardedConfig struct {
 // sentinel, and per-workload SplitMix64 draw streams keyed by global
 // index; shards run concurrently on the bounded worker pool; and the
 // per-shard streaming aggregates merge under order-canonical rules
-// (sorted cost log, sorted launch/stop logs, index-ordered completion
-// stats). Every quantity in the result is a function of per-workload
+// (index-ordered costs, time-ordered launch/stop stamps, index-ordered
+// completion stats). Every quantity in the result is a function of per-workload
 // trajectories plus a canonical reduction, and each trajectory is a
 // pure function of (seed, global index, market) — so the output is
 // byte-identical at any shard count and any worker count.
@@ -146,8 +200,8 @@ func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 }
 
 // shardOut is one shard's contribution to the merged FleetResult: the
-// driver's tally, the shard's cost log, and its count of per-workload
-// engine events. Everything here is either a per-workload quantity or
+// driver's tally, the shard's instance costs, and its count of
+// per-workload engine events. Everything here is either a per-workload quantity or
 // reduced under a shard-count-invariant rule by mergeShards.
 type shardOut struct {
 	tally
@@ -156,10 +210,12 @@ type shardOut struct {
 
 	// interruptionsPerInterval is the shard's interruption histogram.
 	interruptionsPerInterval []int
-	// costLog records (global index, final cost) per terminated
-	// instance, in termination order — which within one workload is
-	// shard-count-invariant. The merge stable-sorts by index and sums.
-	costLog []indexedCost
+	// costs holds the final cost of every terminated instance in
+	// (workload index, termination) order. Termination order within one
+	// workload is shard-count-invariant, and shards are contiguous index
+	// ranges, so summing the shards' costs in shard order adds one
+	// sequence of floats at every shard count.
+	costs []float64
 
 	// firedAdj is the shard's engine events minus the engine-shape
 	// bookkeeping (sweep ticks, the horizon sentinel, batched-fulfill
@@ -171,11 +227,30 @@ type shardOut struct {
 	serviceCostUSD float64
 }
 
-// indexedCost is one terminated instance's cost, keyed by the global
+// indexedCost is one terminated instance's cost, keyed by the shard-local
 // index of the workload it served.
 type indexedCost struct {
-	gidx int
-	usd  float64
+	i   int
+	usd float64
+}
+
+// bucketCosts orders a shard's cost log, kept in termination order, by
+// workload index among n workloads: a stable counting sort, so each
+// workload's costs keep their termination order.
+func bucketCosts(log []indexedCost, n int) []float64 {
+	next := make([]int, n+1)
+	for _, c := range log {
+		next[c.i+1]++
+	}
+	for i := 1; i < n; i++ {
+		next[i] += next[i-1]
+	}
+	out := make([]float64, len(log))
+	for _, c := range log {
+		out[next[c.i]] = c.usd
+		next[c.i]++
+	}
+	return out
 }
 
 func runFleetShard(seed int64, family uint64, cfg *FleetShardedConfig, f *workload.FleetState) (*shardOut, error) {
@@ -221,7 +296,7 @@ func runFleetShard(seed int64, family uint64, cfg *FleetShardedConfig, f *worklo
 	interruptions := make([]int, buckets)
 	var costLog []indexedCost
 	d := newDriver(env, strat, cfg.InstanceType, f, index, func(inst *cloud.Instance, i int, interrupted bool) {
-		costLog = append(costLog, indexedCost{gidx: f.Base + i, usd: inst.CostUSD})
+		costLog = append(costLog, indexedCost{i: i, usd: inst.CostUSD})
 		if interrupted {
 			interruptions[intervalIndex(inst.TerminatedAt.Sub(start), buckets)]++
 		}
@@ -251,7 +326,7 @@ func runFleetShard(seed int64, family uint64, cfg *FleetShardedConfig, f *worklo
 		strategyName:             strat.Name(),
 		startNs:                  start.UnixNano(),
 		interruptionsPerInterval: interruptions,
-		costLog:                  costLog,
+		costs:                    bucketCosts(costLog, n),
 		firedAdj:                 eng.Fired() - sweepFired - sentinelFired - prov.BatchEventsFired(),
 		serviceCostUSD:           env.Ledger.Total(),
 	}, nil
@@ -290,13 +365,16 @@ func intervalIndex(off time.Duration, n int) int {
 // both the shard count and the worker interleaving:
 //
 //   - counters and the interruption histograms are integer sums;
-//   - instance cost stable-sorts the concatenated (global index, cost)
-//     log and sums in that order — within one workload, termination
-//     order is shard-count-invariant, so the float sum is too;
-//   - peak concurrency replays the sorted launch/stop stamps, with
-//     stops at an instant applied before launches at the same instant;
+//   - instance cost adds each shard's index-ordered costs in shard
+//     order, which is the global (index, termination) order — within one
+//     workload, termination order is shard-count-invariant, so the float
+//     sum is too;
+//   - peak concurrency replays the launch/stop stamps in time order (see
+//     peakRunning);
 //   - completion stats and the completion histogram are recomputed from
 //     the fleet's CompletedAtNanos column in global index order.
+//
+// The merged result must pass Check.
 func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error) {
 	f := cfg.Fleet
 	n := f.Len()
@@ -311,8 +389,6 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 		InterruptionsPerInterval: make([]int, buckets),
 	}
 
-	var costs []indexedCost
-	var launches, stops []int64
 	for _, o := range outs {
 		if o.strategyName != "" {
 			res.StrategyName = o.strategyName
@@ -333,30 +409,12 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 		}
 		res.EventsFired += o.firedAdj
 		res.ServiceCostUSD += o.serviceCostUSD
-		costs = append(costs, o.costLog...)
-		launches = append(launches, o.launchNs...)
-		stops = append(stops, o.stopNs...)
-	}
-
-	sort.SliceStable(costs, func(i, j int) bool { return costs[i].gidx < costs[j].gidx })
-	for _, c := range costs {
-		res.InstanceCostUSD += c.usd
+		for _, c := range o.costs {
+			res.InstanceCostUSD += c
+		}
 	}
 	res.TotalCostUSD = res.InstanceCostUSD + res.ServiceCostUSD
-
-	sort.Slice(launches, func(i, j int) bool { return launches[i] < launches[j] })
-	sort.Slice(stops, func(i, j int) bool { return stops[i] < stops[j] })
-	running, j := 0, 0
-	for _, t := range launches {
-		for j < len(stops) && stops[j] <= t {
-			running--
-			j++
-		}
-		running++
-		if running > res.PeakRunning {
-			res.PeakRunning = running
-		}
-	}
+	res.PeakRunning = peakRunning(outs)
 
 	if res.Completed > 0 {
 		var sum float64
@@ -381,5 +439,67 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 		return nil, fmt.Errorf("%w: %d/%d done after %v (strategy %s)",
 			ErrHorizon, res.Completed, n, cfg.Horizon, res.StrategyName)
 	}
+	if err := res.Check(); err != nil {
+		return nil, fmt.Errorf("experiment: fleet merge (strategy %s): %w", res.StrategyName, err)
+	}
 	return res, nil
+}
+
+// peakRunning replays every shard's launch and stop stamps in time
+// order, applying stops before launches at an equal instant, and returns
+// the high-water mark of running instances. Each shard's stamps are
+// already nondecreasing — the driver appends them at the shard engine's
+// monotone clock, and terminateAll stops the survivors at the final
+// instant — so a k-way merge of the runs stands in for a sort.
+func peakRunning(outs []*shardOut) int {
+	var launches, stops stampRuns
+	for _, o := range outs {
+		launches.add(o.launchNs)
+		stops.add(o.stopNs)
+	}
+	heap.Init(&launches)
+	heap.Init(&stops)
+	running, peak := 0, 0
+	for len(launches) > 0 {
+		t := launches.next()
+		for len(stops) > 0 && stops[0][0] <= t {
+			stops.next()
+			running--
+		}
+		running++
+		peak = max(peak, running)
+	}
+	return peak
+}
+
+// stampRuns is a min-heap of nonempty, nondecreasing stamp runs keyed by
+// their first stamp; next pops the smallest stamp of all runs.
+type stampRuns [][]int64
+
+func (h *stampRuns) add(run []int64) {
+	if len(run) > 0 {
+		*h = append(*h, run)
+	}
+}
+
+func (h *stampRuns) next() int64 {
+	s := *h
+	t := s[0][0]
+	if s[0] = s[0][1:]; len(s[0]) == 0 {
+		heap.Pop(h)
+	} else {
+		heap.Fix(h, 0)
+	}
+	return t
+}
+
+func (h stampRuns) Len() int           { return len(h) }
+func (h stampRuns) Less(i, j int) bool { return h[i][0] < h[j][0] }
+func (h stampRuns) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *stampRuns) Push(x any)        { *h = append(*h, x.([]int64)) }
+func (h *stampRuns) Pop() any {
+	s := *h
+	run := s[len(s)-1]
+	*h = s[:len(s)-1]
+	return run
 }

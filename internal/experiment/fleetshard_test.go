@@ -3,8 +3,8 @@ package experiment
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spotverse/internal/catalog"
@@ -40,7 +40,6 @@ func runShardedCell(t *testing.T, arm string, size, shards int) *FleetResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFleetConservation(t, fmt.Sprintf("%s n=%d shards=%d", arm, size, shards), res)
 	return res
 }
 
@@ -113,6 +112,33 @@ func TestFleetShardedWorkerCountInvariant(t *testing.T) {
 	par := runShardedCell(t, "skypilot", 120, 4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("worker count changed the merged result:\n  1 worker:  %+v\n  4 workers: %+v", seq, par)
+	}
+}
+
+// TestFleetResultCheck breaks each accounting law in turn on a real
+// merged result; Check must pass the result as merged and report every
+// broken copy.
+func TestFleetResultCheck(t *testing.T) {
+	good := runShardedCell(t, "single-region", 50, 2)
+	if err := good.Check(); err != nil {
+		t.Fatalf("merged result fails its own check: %v", err)
+	}
+	breaks := map[string]func(r *FleetResult){
+		"interruptions":    func(r *FleetResult) { r.Interruptions++ },
+		"completions":      func(r *FleetResult) { r.CompletionsPerInterval[0]++ },
+		"total-cost":       func(r *FleetResult) { r.TotalCostUSD++ },
+		"on-demand":        func(r *FleetResult) { r.OnDemandLaunches = sumValues(r.LaunchesByRegion) + 1 },
+		"peak-running":     func(r *FleetResult) { r.PeakRunning = r.Workloads + 1 },
+		"mean-completion":  func(r *FleetResult) { r.MeanCompletionHours = r.MakespanHours + 1 },
+		"launch-per-event": func(r *FleetResult) { r.EventsFired++ },
+	}
+	for name, brk := range breaks {
+		r := *good
+		r.CompletionsPerInterval = slices.Clone(good.CompletionsPerInterval)
+		brk(&r)
+		if err := r.Check(); err == nil {
+			t.Errorf("%s: Check passed a broken result", name)
+		}
 	}
 }
 
