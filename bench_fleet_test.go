@@ -109,15 +109,10 @@ func skyPilotArm(env *experiment.Env) (strategy.Strategy, error) {
 }
 
 // runShardedBench executes one RunFleetSharded of n standard workloads
-// under the single-region arm over the given shard count (sharded runs
-// own their per-shard environments, so only the result survives for
-// retention measurement).
-func runShardedBench(n, shards int) (*experiment.FleetResult, error) {
-	return runShardedArm(n, shards, singleRegionArm)
-}
-
-// runShardedArm is runShardedBench under any arm.
-func runShardedArm(n, shards int, arm func(*experiment.Env) (strategy.Strategy, error)) (*experiment.FleetResult, error) {
+// under the given arm over the given shard count (sharded runs own their
+// per-shard environments, so only the result survives for retention
+// measurement).
+func runShardedBench(n, shards int, arm func(*experiment.Env) (strategy.Strategy, error)) (*experiment.FleetResult, error) {
 	f, err := workload.GenerateFleet(simclock.Stream(benchSeed, "wl-standard"),
 		workload.GenOptions{Kind: workload.KindStandard, Count: n})
 	if err != nil {
@@ -135,7 +130,7 @@ func runShardedArm(n, shards int, arm func(*experiment.Env) (strategy.Strategy, 
 func benchShardedPath(b *testing.B, n, shards int) {
 	var last *experiment.FleetResult
 	for i := 0; i < b.N; i++ {
-		res, err := runShardedBench(n, shards)
+		res, err := runShardedBench(n, shards, singleRegionArm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +140,7 @@ func benchShardedPath(b *testing.B, n, shards int) {
 	perOp := b.Elapsed().Seconds() / float64(b.N)
 	b.ReportMetric(float64(n)/perOp, "workloads/s")
 	b.ReportMetric(retainedPerWorkload(b, n, func() (any, any, error) {
-		res, err := runShardedBench(n, shards)
+		res, err := runShardedBench(n, shards, singleRegionArm)
 		return nil, res, err
 	}), "retained_B/wl")
 	b.ReportMetric(float64(last.Interruptions), "interruptions")
@@ -170,11 +165,10 @@ func BenchmarkFleetSharded100kShards8(b *testing.B) { benchShardedPath(b, 100000
 // decision's catalog reads, which single-region never makes. Each
 // budget sits within 10% above what the engine measures on a 2-vCPU
 // Linux host: single-region 29.8 allocs and 3,598 B, skypilot 25.7
-// allocs and 3,103 B (43.3 and 4,941 B while the catalog rebuilt its
-// region lists per call). Mallocs and TotalAlloc are
-// process-global counters, so the assertion is skipped under -race
-// (shadow-memory allocations) and takes the best of two runs to ride
-// out unrelated background allocation.
+// allocs and 3,103 B. Mallocs and TotalAlloc are process-global
+// counters, so the assertion is skipped under -race (shadow-memory
+// allocations) and takes the best of two runs to ride out unrelated
+// background allocation.
 func TestFleetShardedAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates shadow memory; alloc budget is meaningless")
@@ -192,7 +186,7 @@ func TestFleetShardedAllocBudget(t *testing.T) {
 		{name: "skypilot", build: skyPilotArm, allocs: 28, bytes: 3400},
 	}
 	// Warm the shared market snapshot and the worker pool.
-	if _, err := runShardedBench(100, 1); err != nil {
+	if _, err := runShardedBench(100, 1, singleRegionArm); err != nil {
 		t.Fatal(err)
 	}
 	for _, arm := range arms {
@@ -201,7 +195,7 @@ func TestFleetShardedAllocBudget(t *testing.T) {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				res, err := runShardedArm(n, 1, arm.build)
+				res, err := runShardedBench(n, 1, arm.build)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +228,7 @@ func TestFleetRetention(t *testing.T) {
 	}
 	const n = 10000
 	// Warm the shared market snapshot so retention deltas exclude it.
-	if _, err := runShardedBench(100, 1); err != nil {
+	if _, err := runShardedBench(100, 1, singleRegionArm); err != nil {
 		t.Fatal(err)
 	}
 	// Best of two runs per path rides out unrelated background heap.
@@ -246,7 +240,7 @@ func TestFleetRetention(t *testing.T) {
 		return env, res, err
 	})
 	fleetRet := measure(func() (any, any, error) {
-		res, err := runShardedBench(n, 1)
+		res, err := runShardedBench(n, 1, singleRegionArm)
 		return nil, res, err
 	})
 	retRatio := slowRet / fleetRet

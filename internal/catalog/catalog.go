@@ -141,10 +141,14 @@ func Default() *Catalog {
 	for _, t := range defaultTypes {
 		c.types[t.Type] = t
 	}
+	// Every shared list is allocated at its exact length, so a caller's
+	// append copies instead of writing into another caller's view.
+	c.sortedRegions = make([]Region, 0, len(c.regions))
 	for r := range c.regions {
 		c.sortedRegions = append(c.sortedRegions, r)
 	}
 	slices.Sort(c.sortedRegions)
+	c.sortedTypes = make([]InstanceType, 0, len(c.types))
 	for t := range c.types {
 		c.sortedTypes = append(c.sortedTypes, t)
 	}

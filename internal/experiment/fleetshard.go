@@ -155,10 +155,10 @@ type FleetShardedConfig struct {
 // index; shards run concurrently on the bounded worker pool; and the
 // per-shard streaming aggregates merge under order-canonical rules
 // (index-ordered costs, time-ordered launch/stop stamps, index-ordered
-// completion stats). Every quantity in the result is a function of per-workload
-// trajectories plus a canonical reduction, and each trajectory is a
-// pure function of (seed, global index, market) — so the output is
-// byte-identical at any shard count and any worker count.
+// completion stats). Every quantity in the result is a function of
+// per-workload trajectories plus a canonical reduction, and each
+// trajectory is a pure function of (seed, global index, market) — so
+// the output is byte-identical at any shard count and any worker count.
 //
 // For the stateless baseline arms, with the same per-workload streams
 // installed on Run's provider (cloud.SetWorkloadRand), every trajectory
@@ -201,8 +201,8 @@ func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 
 // shardOut is one shard's contribution to the merged FleetResult: the
 // driver's tally, the shard's instance costs, and its count of
-// per-workload engine events. Everything here is either a per-workload quantity or
-// reduced under a shard-count-invariant rule by mergeShards.
+// per-workload engine events. Everything here is either a per-workload
+// quantity or reduced under a shard-count-invariant rule by mergeShards.
 type shardOut struct {
 	tally
 	strategyName string
