@@ -47,8 +47,9 @@ serve-smoke:
 
 # fleet-smoke drives the fleet-scale path end to end: a 10k-workload
 # `-exp fleet` sweep under the race detector, byte-identical across
-# worker counts, inside a wall-clock budget and an RSS ceiling (see
-# scripts/fleet_smoke.sh for the budgets).
+# partition and worker counts, inside a wall-clock budget and an RSS
+# ceiling, then a race-free 100k sweep at -parallel 2 under a 200 MB
+# RSS ceiling (see scripts/fleet_smoke.sh for the budgets).
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 

@@ -70,7 +70,7 @@ func main() {
 		intensity   = flag.String("intensity", "medium", "background-fault intensity for -exp crash: off, low, medium, severe")
 		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool bound for the experiment harness (1 = sequential; output is byte-identical either way)")
 		fleetSizes  = flag.String("fleet", "1000,10000,50000,100000", "comma-separated workload counts for -exp fleet (each must be a positive integer)")
-		fleetShards = flag.String("fleet-shards", "", "shard count for -exp fleet runs (default: the -parallel value; output is byte-identical for every shard count)")
+		fleetShards = flag.String("fleet-shards", "", "minimum partition count for -exp fleet runs (default: the -parallel value; a large fleet is cut into more, cache-sized blocks; output is byte-identical for every value)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
@@ -474,8 +474,9 @@ func parseFleetSizes(s string) ([]int, error) {
 }
 
 // parseFleetShards validates the -fleet-shards flag: a positive integer
-// shard count, defaulting to the worker-pool bound so a parallel sweep
-// shards each fleet run across its workers out of the box.
+// minimum partition count, defaulting to the worker-pool bound so a
+// parallel sweep shards each fleet run across its workers out of the
+// box.
 func parseFleetShards(s string, parallel int) (int, error) {
 	if s == "" {
 		return parallel, nil

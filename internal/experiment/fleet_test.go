@@ -19,6 +19,11 @@ import (
 type fleetGoldenArm struct {
 	name  string
 	build builder
+	// stateful marks an arm whose decisions depend on more than the one
+	// workload and the pure market: its fleet result depends on how the
+	// fleet is partitioned, so it is compared only at sizes one engine
+	// simulates whole.
+	stateful bool
 }
 
 func fleetGoldenArms(seed int64) []fleetGoldenArm {
@@ -26,7 +31,9 @@ func fleetGoldenArms(seed int64) []fleetGoldenArm {
 		{name: "single-region", build: singleRegion(catalog.M5XLarge, BaselineRegionM5XLarge)},
 		{name: "on-demand", build: onDemand(catalog.M5XLarge)},
 		{name: "skypilot", build: skyPilot(catalog.M5XLarge)},
-		{name: "naive-multi-region", build: naiveMultiRegion(catalog.M5XLarge, MotivationRegions, seed)},
+		// naive-multi-region round-robins regions by slice position and
+		// draws from one RNG shared by the whole fleet (ROADMAP item 4).
+		{name: "naive-multi-region", build: naiveMultiRegion(catalog.M5XLarge, MotivationRegions, seed), stateful: true},
 	}
 }
 
@@ -159,13 +166,22 @@ func intervalHistogram(stamps []time.Time, start time.Time, interval time.Durati
 // CloudWatch-billed sweep has no counterpart on the fleet engine, so
 // ServiceCostUSD is the one field left out. Each workload's attempts,
 // interruptions and completion instant are compared too, so equal
-// totals cannot hide compensating per-workload differences.
+// totals cannot hide compensating per-workload differences. N=2500 is
+// more than one block, so the fleet path cuts it into several engines
+// even at Shards 1; a stateful arm stops at N=200, inside one block.
 func TestFleetPathBitIdenticalToSlowPath(t *testing.T) {
 	const seed = 42
 	for _, arm := range fleetGoldenArms(seed) {
 		arm := arm
 		t.Run(arm.name, func(t *testing.T) {
-			for _, n := range []int{20, 200} {
+			sizes := []int{20, 200, 2500}
+			if arm.stateful {
+				sizes = sizes[:2]
+				if sizes[1] > fleetBlock {
+					t.Fatalf("stateful arm compared at N=%d, above the %d-workload block", sizes[1], fleetBlock)
+				}
+			}
+			for _, n := range sizes {
 				n := n
 				t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 					res, f := runGoldenFleet(t, seed, arm, n)

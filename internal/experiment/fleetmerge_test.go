@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
+	"time"
 
 	"spotverse/internal/simclock"
 	"spotverse/internal/workload"
@@ -52,11 +53,13 @@ func referenceMerge(shards []rawShard) (cost float64, peak int) {
 
 // randomShards draws the outputs of a fleet of n workloads split over k
 // contiguous shards. Each workload runs a few back-to-back instances on
-// a coarse time grid, so launches and stops often share an instant
-// within and across shards, and a relaunch may start at the instant its
-// predecessor stopped. Costs span sixteen orders of magnitude, so
+// a coarse 20-minute grid, so launches and stops often share an instant
+// within and across shards, a relaunch may start at the instant its
+// predecessor stopped, and the stamps span several of the hour-wide
+// windows peakRunning reads. Costs span sixteen orders of magnitude, so
 // summing them in any other order changes the bits.
 func randomShards(rng *rand.Rand, n, k int) []rawShard {
+	const tick = int64(20 * time.Minute)
 	type term struct {
 		at   int64
 		cost indexedCost
@@ -66,14 +69,14 @@ func randomShards(rng *rand.Rand, n, k int) []rawShard {
 		lo, hi := workload.ShardBounds(n, k, s)
 		var terms []term
 		for g := lo; g < hi; g++ {
-			at := int64(rng.IntN(4))
+			at := tick * int64(rng.IntN(4))
 			for range rng.IntN(5) {
-				stop := at + int64(rng.IntN(4))
+				stop := at + tick*int64(rng.IntN(4))
 				shards[s].launchNs = append(shards[s].launchNs, at)
 				shards[s].stopNs = append(shards[s].stopNs, stop)
 				usd := rng.Float64() * math.Pow(10, float64(rng.IntN(17)))
 				terms = append(terms, term{at: stop, cost: indexedCost{i: g, usd: usd}})
-				at = stop + int64(rng.IntN(3))
+				at = stop + tick*int64(rng.IntN(3))
 			}
 		}
 		// The engine appends in time order; workloads interleave at equal
@@ -96,16 +99,16 @@ func randomShards(rng *rand.Rand, n, k int) []rawShard {
 }
 
 // TestMergeShardsMatchesReference feeds random shard outputs — one to
-// eight shards, empty shards, several terminations per workload, costs
-// whose sum depends on order, and equal instants across shards — to
-// mergeShards and requires the reference reduction's exact cost bits and
-// peak concurrency.
+// 128 shards, as many as a large fleet's blocks, empty shards, several
+// terminations per workload, costs whose sum depends on order, and
+// equal instants across shards — to mergeShards and requires the
+// reference reduction's exact cost bits and peak concurrency.
 func TestMergeShardsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 7))
 	orderMattered := 0
 	for trial := 0; trial < 400; trial++ {
-		n := 1 + rng.IntN(24)
-		k := 1 + rng.IntN(8)
+		n := 1 + rng.IntN(256)
+		k := 1 + rng.IntN(128)
 		shards := randomShards(rng, n, k)
 		f, err := workload.GenerateFleet(simclock.Stream(int64(trial), "wl"),
 			workload.GenOptions{Kind: workload.KindStandard, Count: n})

@@ -1,9 +1,9 @@
 package experiment
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -128,10 +128,15 @@ type FleetShardedConfig struct {
 	// Fleet holds the workloads in struct-of-arrays form (mutated by the
 	// run).
 	Fleet *workload.FleetState
-	// NewStrategy builds one strategy instance per shard over that
-	// shard's Env. The fleet arms are per-workload stateless — decisions
-	// depend only on the pure market at the decision instant — which is
-	// what lets per-shard instances behave identically to one shared one.
+	// NewStrategy builds one strategy instance per partition over that
+	// partition's Env. The fleet arms are per-workload stateless —
+	// decisions depend only on the pure market at the decision instant —
+	// which is what lets per-partition instances behave identically to
+	// one shared one. A stateful strategy (one that round-robins by
+	// position or shares an RNG across workloads) still runs, but its
+	// result depends on the partition, and every fleet larger than one
+	// block (fleetBlock, 512 workloads) is partitioned whatever Shards
+	// says.
 	NewStrategy func(env *Env) (strategy.Strategy, error)
 	// InstanceType used by every workload.
 	InstanceType catalog.InstanceType
@@ -139,17 +144,39 @@ type FleetShardedConfig struct {
 	Horizon time.Duration
 	// AllowIncomplete tolerates unfinished workloads at the horizon.
 	AllowIncomplete bool
-	// Shards is the number of contiguous fleet partitions (default 1).
-	// Each shard gets its own engine and provider and runs on the worker
-	// pool; the merged result is byte-identical at every shard count.
+	// Shards is the minimum number of contiguous fleet partitions
+	// (default 1). The run cuts the fleet into at least this many, and
+	// into enough that none holds more than fleetBlock workloads, but
+	// never into more than there are workloads. Each partition gets its
+	// own engine and provider and runs on the worker pool; the merged
+	// result is byte-identical at every shard count.
 	Shards int
 	// ProfLabel names the run's pprof "arm" label.
 	ProfLabel string
 }
 
+// fleetBlock is the most workloads one shard engine simulates. A shard's
+// engine heap, instance map and live pointers grow with its workload
+// count; blocks of this size keep one engine's working set near a
+// core's L2 cache and leave the garbage collector little live heap to
+// mark. It was picked from a measured ladder of 256 to 8192 (see
+// DESIGN.md "Fleet engine"). A stateful arm's result depends on the
+// partition, so the tests that pin one against Run stay at sizes below
+// this.
+const fleetBlock = 512
+
+// fleetPartitions returns how many contiguous partitions RunFleetSharded
+// cuts n >= 1 workloads into: at least shards, enough that none holds
+// more than fleetBlock workloads, and at most n, so no partition is
+// empty.
+func fleetPartitions(n, shards int) int {
+	return min(max(shards, (n-1)/fleetBlock+1), n)
+}
+
 // RunFleetSharded executes a fleet-scale experiment partitioned across
 // independent shard engines. The fleet's SoA columns are split into
-// contiguous [lo, hi) views (workload.ShardBounds); each shard gets a
+// fleetPartitions contiguous [lo, hi) views (workload.ShardBounds), so
+// a large fleet runs as many cache-sized blocks; each shard gets a
 // fresh Env over the shared immutable market snapshot, a horizon
 // sentinel, and per-workload SplitMix64 draw streams keyed by global
 // index; shards run concurrently on the bounded worker pool; and the
@@ -157,17 +184,18 @@ type FleetShardedConfig struct {
 // (index-ordered costs, time-ordered launch/stop stamps, index-ordered
 // completion stats). Every quantity in the result is a function of
 // per-workload trajectories plus a canonical reduction, and each
-// trajectory is a pure function of (seed, global index, market) — so
-// the output is byte-identical at any shard count and any worker count.
+// trajectory of a per-workload stateless strategy is a pure function of
+// (seed, global index, market) — so for such a strategy the output is
+// byte-identical at any shard count and any worker count.
 //
 // For the stateless baseline arms, with the same per-workload streams
 // installed on Run's provider (cloud.SetWorkloadRand), every trajectory
-// equals Run's; the golden test pins that. The one intentional difference from Run: the
-// 15-minute open-request sweep is self-scheduled on each shard engine
-// rather than billed through CloudWatch, because per-shard tick counts
-// vary with the shard count and their billing would leak into
-// ServiceCostUSD. Standard workloads use no other billed service, so
-// ServiceCostUSD is zero on this path.
+// equals Run's; the golden test pins that. The one intentional
+// difference from Run: the 15-minute open-request sweep is
+// self-scheduled on each shard engine rather than billed through
+// CloudWatch, because per-shard tick counts vary with the shard count
+// and their billing would leak into ServiceCostUSD. Standard workloads
+// use no other billed service, so ServiceCostUSD is zero on this path.
 func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 	if cfg.Fleet == nil || cfg.Fleet.Len() == 0 {
 		return nil, ErrNoWorkloads
@@ -183,12 +211,10 @@ func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 	}
 
 	n := cfg.Fleet.Len()
+	parts := fleetPartitions(n, cfg.Shards)
 	family := simclock.SplitMixFamily(seed, splitmixFleetStream)
-	outs, err := Gather(cfg.Shards, func(k int) (*shardOut, error) {
-		lo, hi := workload.ShardBounds(n, cfg.Shards, k)
-		if lo == hi {
-			return &shardOut{}, nil
-		}
+	outs, err := Gather(parts, func(k int) (*shardOut, error) {
+		lo, hi := workload.ShardBounds(n, parts, k)
 		return labeled("arm", cfg.ProfLabel, func() (*shardOut, error) {
 			return runFleetShard(seed, family, &cfg, cfg.Fleet.Shard(lo, hi))
 		})
@@ -445,61 +471,147 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 	return res, nil
 }
 
-// peakRunning replays every shard's launch and stop stamps in time
-// order, applying stops before launches at an equal instant, and returns
-// the high-water mark of running instances. Each shard's stamps are
-// already nondecreasing — the driver appends them at the shard engine's
-// monotone clock, and terminateAll stops the survivors at the final
-// instant — so a k-way merge of the runs stands in for a sort.
+// peakRunning returns the high-water mark of running instances across
+// every shard: the largest L(t) - S(t) over launch instants t, where L
+// and S count the launch and stop stamps at or before t (so stops come
+// before launches at an equal instant). Each shard's stamps are already
+// nondecreasing — the driver appends them at the shard engine's monotone
+// clock, and terminateAll stops the survivors at the final instant — so
+// no sort is needed. The runs are read in hour-wide windows. Within a
+// window the count can rise at most by the window's launches, so a
+// window that could not lift it past the peak so far is passed over by
+// counting; only the others are replayed in time order (replayWindow).
+// Once the fleet starts to drain no window can, so only the first hours
+// are replayed.
 func peakRunning(outs []*shardOut) int {
-	var launches, stops stampRuns
+	launches := make(stampTails, 0, len(outs))
+	stops := make(stampTails, 0, len(outs))
+	left, limit := 0, int64(math.MaxInt64)
 	for _, o := range outs {
-		launches.add(o.launchNs)
-		stops.add(o.stopNs)
-	}
-	heap.Init(&launches)
-	heap.Init(&stops)
-	running, peak := 0, 0
-	for len(launches) > 0 {
-		t := launches.next()
-		for len(stops) > 0 && stops[0][0] <= t {
-			stops.next()
-			running--
+		if len(o.launchNs) > 0 {
+			launches = append(launches, o.launchNs)
+			left += len(o.launchNs)
+			limit = min(limit, o.launchNs[0])
 		}
-		running++
+		stops = append(stops, o.stopNs)
+	}
+	var launchHeads, stopHeads [][]int64
+	running, peak := 0, 0
+	for ; left > 0; limit += int64(DefaultFleetInterval) {
+		var nl, ns int
+		launchHeads, nl = launches.take(limit, launchHeads)
+		stopHeads, ns = stops.take(limit, stopHeads)
+		if running+nl > peak {
+			peak = replayWindow(launchHeads, stopHeads, running, peak)
+		}
+		running += nl - ns
+		left -= nl
+	}
+	return peak
+}
+
+// stampTails holds the unread tail of each shard's nondecreasing run.
+type stampTails [][]int64
+
+// take cuts the stamps at or before limit off the front of every tail,
+// collects the nonempty cuts in heads (reusing its storage), and returns
+// them with their total length.
+func (t stampTails) take(limit int64, heads [][]int64) ([][]int64, int) {
+	heads = heads[:0]
+	n := 0
+	for i, run := range t {
+		j := 0
+		for j < len(run) && run[j] <= limit {
+			j++
+		}
+		if j > 0 {
+			heads = append(heads, run[:j])
+			t[i] = run[j:]
+			n += j
+		}
+	}
+	return heads, n
+}
+
+// replayWindow merges one window's launch and stop runs in time order,
+// starting from the running count at the window's start, and returns
+// peak raised to the highest count after any launch instant. Stamps
+// share instants in bulk (initial placement, batched fulfills), so it
+// takes each run's stamps at or before an instant in one step: launches
+// at one instant only raise the count, so the count after all of them
+// is the highest.
+func replayWindow(launchRuns, stopRuns [][]int64, running, peak int) int {
+	launches, stops := newStampRuns(launchRuns), newStampRuns(stopRuns)
+	for len(launches) > 0 {
+		t := launches[0].first
+		for len(stops) > 0 && stops[0].first <= t {
+			running -= stops.popThrough(t)
+		}
+		running += launches.popThrough(t)
 		peak = max(peak, running)
 	}
 	return peak
 }
 
 // stampRuns is a min-heap of nonempty, nondecreasing stamp runs keyed by
-// their first stamp; next pops the smallest stamp of all runs.
-type stampRuns [][]int64
+// their first stamp. Each entry keeps that stamp inline, so sifting
+// compares entries without loading a run: with one run per block, the
+// runs' heads sit in as many separate arrays.
+type stampRuns []stampRun
 
-func (h *stampRuns) add(run []int64) {
-	if len(run) > 0 {
-		*h = append(*h, run)
-	}
+type stampRun struct {
+	first int64   // run[0]
+	run   []int64 // nonempty
 }
 
-func (h *stampRuns) next() int64 {
+// newStampRuns heaps nonempty runs.
+func newStampRuns(runs [][]int64) stampRuns {
+	h := make(stampRuns, len(runs))
+	for i, r := range runs {
+		h[i] = stampRun{first: r[0], run: r}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+// popThrough removes the smallest run's stamps at or before limit, which
+// must be at least its first stamp, and returns how many it removed.
+func (h *stampRuns) popThrough(limit int64) int {
 	s := *h
-	t := s[0][0]
-	if s[0] = s[0][1:]; len(s[0]) == 0 {
-		heap.Pop(h)
+	e := &s[0]
+	k := 1
+	for k < len(e.run) && e.run[k] <= limit {
+		k++
+	}
+	if k < len(e.run) {
+		e.run = e.run[k:]
+		e.first = e.run[0]
 	} else {
-		heap.Fix(h, 0)
+		last := len(s) - 1
+		s[0] = s[last]
+		s = s[:last]
+		*h = s
 	}
-	return t
+	s.down(0)
+	return k
 }
 
-func (h stampRuns) Len() int           { return len(h) }
-func (h stampRuns) Less(i, j int) bool { return h[i][0] < h[j][0] }
-func (h stampRuns) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *stampRuns) Push(x any)        { *h = append(*h, x.([]int64)) }
-func (h *stampRuns) Pop() any {
-	s := *h
-	run := s[len(s)-1]
-	*h = s[:len(s)-1]
-	return run
+// down restores the heap order below slot i.
+func (h stampRuns) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].first < h[m].first {
+			m = r
+		}
+		if h[i].first <= h[m].first {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

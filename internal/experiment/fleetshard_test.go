@@ -46,36 +46,47 @@ func runShardedCell(t *testing.T, arm string, size, shards int) *FleetResult {
 // TestFleetShardedByteIdentical is the core invariant of the sharded
 // engine: the merged result — every field, and the rendered sweep row —
 // is byte-identical at any shard count, including shard counts that
-// divide the fleet unevenly or exceed it.
+// divide the fleet unevenly or exceed it. At N=1000 the fleet spans
+// two blocks, so Shards 1, 3 and 8 cut it into three distinct
+// partitions.
 func TestFleetShardedByteIdentical(t *testing.T) {
-	const size = 200
-	for _, arm := range []string{"single-region", "skypilot"} {
-		ref := runShardedCell(t, arm, size, 1)
-		var refBuf bytes.Buffer
-		if err := RenderFleet(&refBuf, []FleetCell{{Arm: arm, Size: size, Res: ref}}); err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{2, 3, 4, 8} {
-			got := runShardedCell(t, arm, size, shards)
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s: result at %d shards differs from 1 shard:\n  1: %+v\n  %d: %+v",
-					arm, shards, ref, shards, got)
-				continue
-			}
-			var buf bytes.Buffer
-			if err := RenderFleet(&buf, []FleetCell{{Arm: arm, Size: size, Res: got}}); err != nil {
+	cases := []struct {
+		size   int
+		shards []int
+	}{
+		{size: 200, shards: []int{2, 3, 4, 8}},
+		{size: 1000, shards: []int{3, 8}},
+	}
+	for _, c := range cases {
+		for _, arm := range []string{"single-region", "skypilot"} {
+			size := c.size
+			ref := runShardedCell(t, arm, size, 1)
+			var refBuf bytes.Buffer
+			if err := RenderFleet(&refBuf, []FleetCell{{Arm: arm, Size: size, Res: ref}}); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(refBuf.Bytes(), buf.Bytes()) {
-				t.Errorf("%s: rendered row at %d shards differs from 1 shard", arm, shards)
+			for _, shards := range c.shards {
+				got := runShardedCell(t, arm, size, shards)
+				if !reflect.DeepEqual(ref, got) {
+					t.Errorf("%s n=%d: result at %d shards differs from 1 shard:\n  1: %+v\n  %d: %+v",
+						arm, size, shards, ref, shards, got)
+					continue
+				}
+				var buf bytes.Buffer
+				if err := RenderFleet(&buf, []FleetCell{{Arm: arm, Size: size, Res: got}}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(refBuf.Bytes(), buf.Bytes()) {
+					t.Errorf("%s n=%d: rendered row at %d shards differs from 1 shard", arm, size, shards)
+				}
 			}
 		}
 	}
 }
 
 // TestFleetShardedEdgeCases pins the shard-boundary shapes: fewer
-// workloads than shards (empty trailing shards), a single workload, and
-// a count that does not divide evenly.
+// workloads than shards (the count is capped at the fleet size), a
+// single workload, and a count that does not divide evenly.
 func TestFleetShardedEdgeCases(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -112,6 +123,36 @@ func TestFleetShardedWorkerCountInvariant(t *testing.T) {
 	par := runShardedCell(t, "skypilot", 120, 4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("worker count changed the merged result:\n  1 worker:  %+v\n  4 workers: %+v", seq, par)
+	}
+}
+
+// TestFleetPartitions pins the partition count: Shards is a floor, the
+// block size sets a floor of its own, and the fleet size caps both, so a
+// huge shard count costs nothing. Only the pure helper runs here; no
+// fleet runs at these values.
+func TestFleetPartitions(t *testing.T) {
+	const maxInt = int(^uint(0) >> 1)
+	cases := []struct{ n, shards, want int }{
+		{n: 1, shards: 1, want: 1},
+		{n: 1, shards: 4, want: 1},
+		{n: 5, shards: 8, want: 5},
+		{n: 200, shards: 3, want: 3},
+		{n: fleetBlock, shards: 1, want: 1},
+		{n: fleetBlock + 1, shards: 1, want: 2},
+		{n: 1000, shards: 3, want: 3},
+		{n: 10000, shards: 1, want: 20},
+		{n: 10000, shards: 8, want: 20},
+		{n: 10000, shards: 32, want: 32},
+		{n: 100000, shards: 2, want: 196},
+		{n: 100000, shards: 1_000_000_000, want: 100000},
+		{n: 3, shards: maxInt, want: 3},
+		{n: maxInt, shards: 1, want: (maxInt-1)/fleetBlock + 1},
+		{n: maxInt, shards: maxInt, want: maxInt},
+	}
+	for _, c := range cases {
+		if got := fleetPartitions(c.n, c.shards); got != c.want {
+			t.Errorf("fleetPartitions(%d, %d) = %d, want %d", c.n, c.shards, got, c.want)
+		}
 	}
 }
 

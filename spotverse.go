@@ -369,7 +369,8 @@ func (s *Simulation) GenerateFleet(opts WorkloadOptions) (*WorkloadFleet, error)
 }
 
 // RunFleetSharded executes a standard-workload fleet partitioned across
-// cfg.Shards independent shard engines running on the worker pool (see
+// at least cfg.Shards independent shard engines, one per cache-sized
+// block of a large fleet, running on the worker pool (see
 // SetParallelism). Unlike Run it does not drive this simulation's
 // environment: every shard builds a fresh environment from the
 // simulation seed over the shared market snapshot, and cfg.NewStrategy
