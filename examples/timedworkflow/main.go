@@ -86,7 +86,7 @@ func run() error {
 			return
 		}
 		jobs = append(jobs, job)
-		fmt.Printf("  %s launched in %s, workflow started\n", inst.ID, inst.Region)
+		fmt.Printf("  %s launched in %s, workflow started\n", inst.ID, inst.Region())
 	})
 	env2.Provider.OnTerminate(func(inst *cloud.Instance, interrupted bool) {
 		if !interrupted {

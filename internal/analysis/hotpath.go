@@ -31,8 +31,8 @@ const hotpathPrefix = "//spotverse:hotpath"
 //     error. Error construction is allowed to allocate.
 //   - Amortized allocations are allowed: append and map writes grow
 //     warm structures to a steady state and then stop allocating. The
-//     runtime AllocsPerRun gates (hotpath_alloc_test.go at the repo
-//     root) catch any append that keeps growing.
+//     runtime AllocsPerRun gates (alloc_test.go in each annotated
+//     package) catch any append that keeps growing.
 //
 // Calls through interfaces, function values, and non-module packages
 // (except fmt) are trusted; calls into other annotated functions are

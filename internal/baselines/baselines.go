@@ -8,6 +8,7 @@ package baselines
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
@@ -105,8 +106,15 @@ func (s *OnDemand) OnInterrupted(_ string, _ catalog.Region, relaunch strategy.R
 // behavioural difference the paper measures.
 type SkyPilotLike struct {
 	eng *simclock.Engine
-	mkt *market.Model
 	t   catalog.InstanceType
+	// offers holds t's markets in region order, resolved once.
+	offers []*market.Offer
+
+	// memo is the cheapest region during price step memoStep (-1 before
+	// the first scan). Every read inside one price step returns the same
+	// sample, so the memo is exact.
+	memoStep int
+	memo     catalog.Region
 }
 
 var _ strategy.Strategy = (*SkyPilotLike)(nil)
@@ -116,29 +124,37 @@ func NewSkyPilotLike(eng *simclock.Engine, mkt *market.Model, t catalog.Instance
 	if _, err := mkt.Catalog().Spec(t); err != nil {
 		return nil, err
 	}
-	return &SkyPilotLike{eng: eng, mkt: mkt, t: t}, nil
+	s := &SkyPilotLike{eng: eng, t: t, memoStep: -1}
+	for _, r := range mkt.Catalog().OfferedRegions(t) {
+		o, _ := mkt.Offer(t, r)
+		s.offers = append(s.offers, o)
+	}
+	return s, nil
 }
 
 // cheapestNow finds the globally cheapest spot region at this instant.
-func (s *SkyPilotLike) cheapestNow() (catalog.Region, error) {
-	at := s.eng.Now()
+func (s *SkyPilotLike) cheapestNow() (catalog.Region, error) { return s.cheapestAt(s.eng.Now()) }
+
+// cheapestAt returns the region with the strictly lowest cheapest-AZ
+// spot price at the instant, the first in region order on a tie.
+func (s *SkyPilotLike) cheapestAt(at time.Time) (catalog.Region, error) {
+	if len(s.offers) == 0 {
+		return "", fmt.Errorf("skypilot: %s offered nowhere", s.t)
+	}
+	step := s.offers[0].PriceStepIndex(at)
+	if step == s.memoStep {
+		return s.memo, nil
+	}
 	var (
 		best      catalog.Region
 		bestPrice float64
-		found     bool
 	)
-	for _, r := range s.mkt.Catalog().OfferedRegions(s.t) {
-		p, _, err := s.mkt.RegionSpotPrice(s.t, r, at)
-		if err != nil {
-			return "", err
-		}
-		if !found || p < bestPrice {
-			best, bestPrice, found = r, p, true
+	for i, o := range s.offers {
+		if p, _ := o.SpotPrice(at); i == 0 || p < bestPrice {
+			best, bestPrice = o.Region(), p
 		}
 	}
-	if !found {
-		return "", fmt.Errorf("skypilot: %s offered nowhere", s.t)
-	}
+	s.memoStep, s.memo = step, best
 	return best, nil
 }
 

@@ -3,6 +3,7 @@ package baselines
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
@@ -146,5 +147,66 @@ func TestNaiveMultiRegionValidates(t *testing.T) {
 	}
 	if _, err := NewNaiveMultiRegion(cat, catalog.P32XLarge, []catalog.Region{"ca-central-1"}, 1); !errors.Is(err, ErrNotOffered) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestSkyPilotMemoMatchesScan: the per-price-step memo answers exactly
+// what a scan of every offering region answers, first strictly lowest
+// price in region order, at instants 37 minutes apart across four price
+// steps, on step boundaries, before the market start, and out of order.
+func TestSkyPilotMemoMatchesScan(t *testing.T) {
+	for _, typ := range []catalog.InstanceType{catalog.M5XLarge, catalog.P32XLarge} {
+		eng, mkt := testMarket(11)
+		s, err := NewSkyPilotLike(eng, mkt, typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := func(at time.Time) catalog.Region {
+			var (
+				best      catalog.Region
+				bestPrice float64
+			)
+			for i, r := range mkt.Catalog().OfferedRegions(typ) {
+				p, _, err := mkt.RegionSpotPrice(typ, r, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 || p < bestPrice {
+					best, bestPrice = r, p
+				}
+			}
+			return best
+		}
+		var instants []time.Time
+		for d := time.Duration(0); d <= 4*market.PriceStep; d += 37 * time.Minute {
+			instants = append(instants, simclock.Epoch.Add(d))
+		}
+		for k := 0; k <= 4; k++ {
+			boundary := simclock.Epoch.Add(time.Duration(k) * market.PriceStep)
+			instants = append(instants, boundary, boundary.Add(-time.Nanosecond), boundary)
+		}
+		instants = append(instants,
+			simclock.Epoch.Add(-time.Hour),
+			simclock.Epoch.Add(3*market.PriceStep+time.Minute),
+			simclock.Epoch.Add(-37*time.Minute),
+			simclock.Epoch.Add(market.PriceStep+2*time.Hour),
+			simclock.Epoch.Add(40*market.PriceStep),
+			simclock.Epoch.Add(2*market.PriceStep),
+		)
+		changes, last := 0, catalog.Region("")
+		for _, at := range instants {
+			got, err := s.cheapestAt(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scan(at); got != want {
+				t.Fatalf("%s at %v: memoised %s, scan %s", typ, at, got, want)
+			}
+			if got != last {
+				changes++
+				last = got
+			}
+		}
+		t.Logf("%s: %d instants, cheapest region changed %d times", typ, len(instants), changes)
 	}
 }

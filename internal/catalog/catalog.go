@@ -12,6 +12,7 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -111,110 +112,141 @@ type RegionInfo struct {
 
 // Catalog is an immutable inventory of regions and instance types.
 //
+// Every region and instance type has a dense index: its position in the
+// name-sorted Regions and InstanceTypes lists. Strings resolve to
+// indices once, at the boundary (RegionIndex, TypeIndex); past it,
+// availability is a table read (OfferedAt).
+//
 // The list accessors (Regions, Zones, InstanceTypes, OfferedRegions)
 // return slices built once by Default and shared by every caller: they
 // are read-only, and a caller that needs to change one copies it first.
 type Catalog struct {
-	regions map[Region]RegionInfo
-	types   map[InstanceType]InstanceSpec
+	// regions and types hold the records in index order.
+	regions   []RegionInfo
+	types     []InstanceSpec
+	regionIdx map[Region]int
+	typeIdx   map[InstanceType]int
 	// typeSpotTilt skews a specific (type, region) spot discount so that
 	// per-type cheapest regions differ (Table 1 of the paper).
 	typeSpotTilt map[InstanceType]map[Region]float64
 
-	// sortedRegions and sortedTypes hold every region and instance type
-	// sorted by name; offered holds each type's offering regions, sorted.
 	sortedRegions []Region
 	sortedTypes   []InstanceType
-	offered       map[InstanceType][]Region
+	// offered is the [type][region] availability table, row-major;
+	// offeredRegions holds each type's offering regions, sorted.
+	offered        []bool
+	offeredRegions [][]Region
 }
 
 // Default returns the inventory used throughout the reproduction.
 func Default() *Catalog {
 	c := &Catalog{
-		regions:      make(map[Region]RegionInfo, len(defaultRegions)),
-		types:        make(map[InstanceType]InstanceSpec, len(defaultTypes)),
+		regions:      slices.Clone(defaultRegions),
+		types:        slices.Clone(defaultTypes),
 		typeSpotTilt: defaultSpotTilt(),
 	}
-	for _, r := range defaultRegions {
-		c.regions[r.Region] = r
-	}
-	for _, t := range defaultTypes {
-		c.types[t.Type] = t
-	}
+	slices.SortFunc(c.regions, func(a, b RegionInfo) int { return cmp.Compare(a.Region, b.Region) })
+	slices.SortFunc(c.types, func(a, b InstanceSpec) int { return cmp.Compare(a.Type, b.Type) })
 	// Every shared list is allocated at its exact length, so a caller's
 	// append copies instead of writing into another caller's view.
-	c.sortedRegions = make([]Region, 0, len(c.regions))
-	for r := range c.regions {
-		c.sortedRegions = append(c.sortedRegions, r)
+	c.regionIdx = make(map[Region]int, len(c.regions))
+	c.sortedRegions = make([]Region, len(c.regions))
+	for i, info := range c.regions {
+		c.regionIdx[info.Region] = i
+		c.sortedRegions[i] = info.Region
 	}
-	slices.Sort(c.sortedRegions)
-	c.sortedTypes = make([]InstanceType, 0, len(c.types))
-	for t := range c.types {
-		c.sortedTypes = append(c.sortedTypes, t)
+	c.typeIdx = make(map[InstanceType]int, len(c.types))
+	c.sortedTypes = make([]InstanceType, len(c.types))
+	for i, spec := range c.types {
+		c.typeIdx[spec.Type] = i
+		c.sortedTypes[i] = spec.Type
 	}
-	slices.Sort(c.sortedTypes)
-	c.offered = make(map[InstanceType][]Region, len(c.types))
-	for _, t := range c.sortedTypes {
+	c.offered = make([]bool, len(c.types)*len(c.regions))
+	c.offeredRegions = make([][]Region, len(c.types))
+	for ti, spec := range c.types {
 		var offered []Region
-		for _, r := range c.sortedRegions {
-			if c.Offered(t, r) {
-				offered = append(offered, r)
+		for ri, info := range c.regions {
+			if spec.GPUs == 0 || info.HasP3 {
+				c.offered[ti*len(c.regions)+ri] = true
+				offered = append(offered, info.Region)
 			}
 		}
-		c.offered[t] = slices.Clip(offered)
+		c.offeredRegions[ti] = slices.Clip(offered)
 	}
 	return c
 }
 
-// Regions returns all regions sorted by name. The slice is shared and
-// read-only.
+// Regions returns all regions sorted by name; a region's position is its
+// index. The slice is shared and read-only.
 func (c *Catalog) Regions() []Region { return c.sortedRegions }
+
+// RegionIndex resolves a region to its dense index.
+func (c *Catalog) RegionIndex(r Region) (int, bool) {
+	i, ok := c.regionIdx[r]
+	return i, ok
+}
 
 // RegionInfo returns the region record.
 func (c *Catalog) RegionInfo(r Region) (RegionInfo, error) {
-	info, ok := c.regions[r]
+	i, ok := c.regionIdx[r]
 	if !ok {
 		return RegionInfo{}, fmt.Errorf("catalog: unknown region %q", r)
 	}
-	return info, nil
+	return c.regions[i], nil
 }
 
 // Zones returns the availability zones of a region, nil for an unknown
 // one. The slice is shared and read-only.
-func (c *Catalog) Zones(r Region) []AZ { return c.regions[r].Zones }
+func (c *Catalog) Zones(r Region) []AZ {
+	i, ok := c.regionIdx[r]
+	if !ok {
+		return nil
+	}
+	return c.regions[i].Zones
+}
 
-// InstanceTypes returns all instance types sorted by name. The slice is
-// shared and read-only.
+// InstanceTypes returns all instance types sorted by name; a type's
+// position is its index. The slice is shared and read-only.
 func (c *Catalog) InstanceTypes() []InstanceType { return c.sortedTypes }
+
+// TypeIndex resolves an instance type to its dense index.
+func (c *Catalog) TypeIndex(t InstanceType) (int, bool) {
+	i, ok := c.typeIdx[t]
+	return i, ok
+}
 
 // Spec returns the hardware specification of an instance type.
 func (c *Catalog) Spec(t InstanceType) (InstanceSpec, error) {
-	s, ok := c.types[t]
+	i, ok := c.typeIdx[t]
 	if !ok {
 		return InstanceSpec{}, fmt.Errorf("catalog: unknown instance type %q", t)
 	}
-	return s, nil
+	return c.types[i], nil
 }
 
 // Offered reports whether the instance type is available in the region.
 func (c *Catalog) Offered(t InstanceType, r Region) bool {
-	info, ok := c.regions[r]
+	ti, ok := c.typeIdx[t]
 	if !ok {
 		return false
 	}
-	spec, ok := c.types[t]
-	if !ok {
-		return false
-	}
-	if spec.GPUs > 0 && !info.HasP3 {
-		return false
-	}
-	return true
+	ri, ok := c.regionIdx[r]
+	return ok && c.OfferedAt(ti, ri)
 }
+
+// OfferedAt reports whether the type with index ti is available in the
+// region with index ri.
+func (c *Catalog) OfferedAt(ti, ri int) bool { return c.offered[ti*len(c.regions)+ri] }
 
 // OfferedRegions returns the regions offering the instance type, sorted,
 // and nil for an unknown type. The slice is shared and read-only.
-func (c *Catalog) OfferedRegions(t InstanceType) []Region { return c.offered[t] }
+func (c *Catalog) OfferedRegions(t InstanceType) []Region {
+	i, ok := c.typeIdx[t]
+	if !ok {
+		return nil
+	}
+	return c.offeredRegions[i]
+}
 
 // OnDemandPrice returns the hourly on-demand USD price of t in r.
 func (c *Catalog) OnDemandPrice(t InstanceType, r Region) (float64, error) {
@@ -239,7 +271,7 @@ func (c *Catalog) BaselineSpotPrice(t InstanceType, r Region) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	info := c.regions[r]
+	info := c.regions[c.regionIdx[r]]
 	tilt := 1.0
 	if m, ok := c.typeSpotTilt[t]; ok {
 		if v, ok := m[r]; ok {
@@ -275,12 +307,12 @@ func (c *Catalog) CheapestOnDemand(t InstanceType) (Region, float64, error) {
 // CrossContinent reports whether two regions are on different continents
 // (used for S3 transfer pricing).
 func (c *Catalog) CrossContinent(a, b Region) bool {
-	ia, oka := c.regions[a]
-	ib, okb := c.regions[b]
+	ia, oka := c.regionIdx[a]
+	ib, okb := c.regionIdx[b]
 	if !oka || !okb {
 		return true
 	}
-	return ia.Continent != ib.Continent
+	return c.regions[ia].Continent != c.regions[ib].Continent
 }
 
 func zones(r Region, n int) []AZ {

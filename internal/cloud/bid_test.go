@@ -88,7 +88,7 @@ func TestLowBidTriggersPriceReclaim(t *testing.T) {
 		t.Fatalf("reason = %v", inst.Reason)
 	}
 	if inst.Reason == ReasonPrice {
-		finalPrice, err := mkt.SpotPrice(catalog.M5XLarge, inst.AZ, inst.TerminatedAt)
+		finalPrice, err := mkt.SpotPrice(catalog.M5XLarge, inst.AZ(), inst.TerminatedAt)
 		if err != nil {
 			t.Fatal(err)
 		}

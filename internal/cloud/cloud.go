@@ -13,9 +13,11 @@
 package cloud
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"spotverse/internal/catalog"
@@ -89,15 +91,38 @@ func (r InterruptReason) String() string {
 	}
 }
 
-// InstanceID identifies an instance.
-type InstanceID string
+// InstanceID identifies an instance by its sequence number; zero means
+// none. It renders as "i-" and the number zero-padded to six digits,
+// only where something prints it.
+type InstanceID int
+
+// String renders the ID, "" for the zero ID.
+func (id InstanceID) String() string {
+	if id == 0 {
+		return ""
+	}
+	var buf [24]byte
+	return string(appendSeqID(buf[:0], "i", int(id)))
+}
+
+// Compare orders two IDs as their rendered strings sort: by number up to
+// six digits, and from seq 1,000,000 on by digit string, so
+// "i-1000000" sorts before "i-999999".
+func (id InstanceID) Compare(other InstanceID) int {
+	if id < 1_000_000 && other < 1_000_000 {
+		return cmp.Compare(id, other)
+	}
+	var a, b [24]byte
+	return bytes.Compare(appendSeqID(a[:0], "i", int(id)), appendSeqID(b[:0], "i", int(other)))
+}
 
 // Instance is a running or terminated virtual machine.
 type Instance struct {
-	ID        InstanceID
-	Type      catalog.InstanceType
-	Region    catalog.Region
-	AZ        catalog.AZ
+	ID InstanceID
+	// offer is the (type, region) market the instance runs in, and az
+	// the index of its zone there.
+	offer     *market.Offer
+	az        int
 	Lifecycle Lifecycle
 	State     InstanceState
 	// LaunchedAt and TerminatedAt bound the billed lifetime.
@@ -121,10 +146,22 @@ type Instance struct {
 	priceTermEv   *simclock.Event
 }
 
+// Type reports the instance type.
+func (inst *Instance) Type() catalog.InstanceType { return inst.offer.Type() }
+
+// Region reports the region the instance runs in.
+func (inst *Instance) Region() catalog.Region { return inst.offer.Region() }
+
+// AZ reports the availability zone the instance runs in.
+func (inst *Instance) AZ() catalog.AZ { return inst.offer.Zone(inst.az) }
+
+// Offer reports the (type, region) market the instance runs in.
+func (inst *Instance) Offer() *market.Offer { return inst.offer }
+
 // SpotRequest is a pending or fulfilled request for spot capacity.
 type SpotRequest struct {
-	Type     catalog.InstanceType
-	Region   catalog.Region
+	// offer is the (type, region) market the request was filed for.
+	offer    *market.Offer
 	State    RequestState
 	Created  time.Time
 	Attempts int
@@ -138,6 +175,12 @@ type SpotRequest struct {
 	// price).
 	MaxPriceUSD float64
 }
+
+// Type reports the requested instance type.
+func (req *SpotRequest) Type() catalog.InstanceType { return req.offer.Type() }
+
+// Region reports the requested region.
+func (req *SpotRequest) Region() catalog.Region { return req.offer.Region() }
 
 // Errors returned by the provider.
 var (
@@ -167,7 +210,7 @@ type Provider struct {
 	instances map[InstanceID]*Instance
 	// seq numbers requests and instances from one sequence, so instance
 	// IDs are ordered by when their work was filed.
-	seq int
+	seq InstanceID
 	// open is the open-request index in creation order. The retry sweep
 	// walks it and compacts settled entries out.
 	open []*SpotRequest
@@ -179,7 +222,7 @@ type Provider struct {
 	fulfillCb  func()
 	bucketPool [][]*SpotRequest
 	batchFired uint64
-	// crossCache memoizes price-crossing scans per (type, AZ, bid).
+	// crossCache memoizes price-crossing scans per (market, AZ, bid).
 	crossCache map[crossKey]crossState
 	// eventHorizonNs, when set (SetEventHorizon), is the instant the
 	// caller stops the run at; events due at or after it are never
@@ -190,9 +233,6 @@ type Provider struct {
 	// that workload's private random stream; nil falls back to the
 	// provider-wide sequential stream.
 	tagRand func(tag string) *simclock.SplitMix64
-
-	// idBuf is the reused scratch for instance ID formatting.
-	idBuf []byte
 
 	noticeSubs []NoticeFunc
 	launchSubs []LaunchFunc
@@ -235,15 +275,13 @@ func (p *Provider) OnTerminate(fn TerminateFunc) { p.termSubs = append(p.termSub
 
 func (p *Provider) nextInstanceID() InstanceID {
 	p.seq++
-	p.idBuf = appendSeqID(p.idBuf[:0], "i", p.seq)
-	return InstanceID(p.idBuf)
+	return p.seq
 }
 
 // appendSeqID appends "<prefix>-<seq>" with the sequence number
 // zero-padded to at least six digits — the byte sequence the original
-// fmt "%06d" formatting rendered. IDs are minted on the fleet hot loop
-// (one per launch), so formatting goes through a reused scratch buffer
-// instead of fmt.
+// fmt "%06d" formatting rendered. Comparing IDs renders two of them, so
+// formatting goes through the caller's buffer instead of fmt.
 //
 //spotverse:hotpath
 func appendSeqID(dst []byte, prefix string, seq int) []byte {
@@ -268,21 +306,20 @@ func appendSeqID(dst []byte, prefix string, seq int) []byte {
 
 // RunOnDemand launches an on-demand instance immediately.
 func (p *Provider) RunOnDemand(t catalog.InstanceType, r catalog.Region, tag string) (*Instance, error) {
-	if !p.mkt.Catalog().Offered(t, r) {
+	o, ok := p.mkt.Offer(t, r)
+	if !ok {
 		return nil, fmt.Errorf("cloud: %s not offered in %s", t, r)
 	}
-	zones := p.mkt.Catalog().Zones(r)
-	var az catalog.AZ
+	var az int
 	if g := p.tagStream(tag); g != nil {
-		az = zones[g.Intn(len(zones))]
+		az = g.Intn(o.NumZones())
 	} else {
-		az = zones[p.rng.Intn(len(zones))]
+		az = p.rng.Intn(o.NumZones())
 	}
 	inst := &Instance{
 		ID:         p.nextInstanceID(),
-		Type:       t,
-		Region:     r,
-		AZ:         az,
+		offer:      o,
+		az:         az,
 		Lifecycle:  LifecycleOnDemand,
 		State:      StateRunning,
 		LaunchedAt: p.eng.Now(),
@@ -306,22 +343,18 @@ func (p *Provider) RequestSpot(t catalog.InstanceType, r catalog.Region, tag str
 // policy); a fulfilled instance is reclaimed with ReasonPrice when the
 // spot price later crosses its bid.
 func (p *Provider) RequestSpotWithBid(t catalog.InstanceType, r catalog.Region, tag string, maxPriceUSD float64) (*SpotRequest, error) {
-	if !p.mkt.Catalog().Offered(t, r) {
+	o, ok := p.mkt.Offer(t, r)
+	if !ok {
 		return nil, fmt.Errorf("cloud: %s not offered in %s", t, r)
 	}
 	if maxPriceUSD < 0 {
 		return nil, fmt.Errorf("cloud: negative bid %v", maxPriceUSD)
 	}
 	if maxPriceUSD == 0 {
-		od, err := p.mkt.Catalog().OnDemandPrice(t, r)
-		if err != nil {
-			return nil, err
-		}
-		maxPriceUSD = od
+		maxPriceUSD = o.OnDemandPrice()
 	}
 	req := &SpotRequest{
-		Type:        t,
-		Region:      r,
+		offer:       o,
 		State:       RequestOpen,
 		Created:     p.eng.Now(),
 		Tag:         tag,
@@ -342,10 +375,7 @@ func (p *Provider) evaluate(req *SpotRequest) {
 		return
 	}
 	req.Attempts++
-	prob, err := p.mkt.LaunchSuccessProbability(req.Type, req.Region, p.eng.Now())
-	if err != nil {
-		return
-	}
+	prob := p.mkt.LaunchSuccessProbabilityOf(req.offer, p.eng.Now())
 	if g := p.tagStream(req.Tag); g != nil {
 		if !g.Bool(prob) {
 			return // stays open; the 15-minute sweep will retry
@@ -366,10 +396,7 @@ func (p *Provider) tagStream(tag string) *simclock.SplitMix64 {
 }
 
 func (p *Provider) fulfill(req *SpotRequest) {
-	price, az, err := p.mkt.RegionSpotPrice(req.Type, req.Region, p.eng.Now())
-	if err != nil {
-		return
-	}
+	price, az := req.offer.SpotPrice(p.eng.Now())
 	if req.MaxPriceUSD > 0 && price > req.MaxPriceUSD {
 		// Spot price already above the bid: the request stays open until
 		// a sweep finds the price back under it.
@@ -377,9 +404,8 @@ func (p *Provider) fulfill(req *SpotRequest) {
 	}
 	inst := &Instance{
 		ID:         p.nextInstanceID(),
-		Type:       req.Type,
-		Region:     req.Region,
-		AZ:         az,
+		offer:      req.offer,
+		az:         az,
 		Lifecycle:  LifecycleSpot,
 		State:      StateRunning,
 		LaunchedAt: p.eng.Now(),
@@ -402,13 +428,7 @@ func (p *Provider) schedulePriceInterruption(inst *Instance) {
 		return
 	}
 	now := p.eng.Now()
-	// One walk resolution for the whole scan (up to 240 steps) instead
-	// of a map lookup per step; the samples are the same SpotPrice ones.
-	series, err := p.mkt.PriceSeries(inst.Type, inst.AZ)
-	if err != nil {
-		return
-	}
-	at, ok := p.nextPriceCross(inst, series, now)
+	at, ok := p.nextPriceCross(inst, now)
 	if !ok {
 		return
 	}
@@ -463,8 +483,8 @@ const priceScanHorizon = 60 * 24 * time.Hour
 // market's (optionally seasonal) hazard at launch and schedules
 // notice + termination.
 func (p *Provider) scheduleInterruption(inst *Instance) {
-	hazard, err := p.mkt.SeasonalHazardPerHour(inst.Type, inst.Region, p.eng.Now())
-	if err != nil || hazard <= 0 {
+	hazard := p.mkt.SeasonalHazardPerHourOf(inst.offer, p.eng.Now())
+	if hazard <= 0 {
 		return
 	}
 	var hours float64
@@ -555,16 +575,9 @@ func (p *Provider) costBetween(inst *Instance, from, to time.Time) float64 {
 		return 0
 	}
 	if inst.Lifecycle == LifecycleOnDemand {
-		od, err := p.mkt.Catalog().OnDemandPrice(inst.Type, inst.Region)
-		if err != nil {
-			return 0
-		}
-		return od * to.Sub(from).Hours()
+		return inst.offer.OnDemandPrice() * to.Sub(from).Hours()
 	}
-	series, err := p.mkt.PriceSeries(inst.Type, inst.AZ)
-	if err != nil {
-		return 0
-	}
+	series := inst.offer.PriceSeries(inst.az)
 	var cost float64
 	for seg := from; seg.Before(to); {
 		segEnd := seg.Truncate(market.PriceStep).Add(market.PriceStep)
@@ -632,7 +645,7 @@ func (p *Provider) RunningInstances() []*Instance {
 			out = append(out, inst)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Instance) int { return a.ID.Compare(b.ID) })
 	return out
 }
 

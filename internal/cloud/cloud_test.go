@@ -79,7 +79,7 @@ func TestSpotRequestFulfillment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.Lifecycle != LifecycleSpot || inst.Region != "eu-north-1" {
+	if inst.Lifecycle != LifecycleSpot || inst.Region() != "eu-north-1" {
 		t.Fatalf("bad fulfilled instance: %+v", inst)
 	}
 	if inst.Tag != "w1" {
@@ -184,7 +184,7 @@ func TestTerminateCancelsPendingInterruption(t *testing.T) {
 
 func TestTerminateErrors(t *testing.T) {
 	_, p := newProvider(6)
-	if err := p.Terminate("i-404"); !errors.Is(err, ErrNotFound) {
+	if err := p.Terminate(404); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	inst, err := p.RunOnDemand(catalog.M5Large, "us-east-1", "w")

@@ -1,9 +1,9 @@
 package cloud
 
 import (
+	"math"
 	"time"
 
-	"spotverse/internal/catalog"
 	"spotverse/internal/market"
 	"spotverse/internal/simclock"
 )
@@ -96,12 +96,13 @@ func (p *Provider) fireFulfills() {
 func (p *Provider) BatchEventsFired() uint64 { return p.batchFired }
 
 // crossKey identifies one price-crossing question: will the walk for
-// this (type, AZ) cross above this bid? Every instance launched with
-// the same bid in the same AZ shares the answer.
+// this (market, AZ index) cross above this bid? Every instance launched
+// with the same bid in the same AZ shares the answer. The bid is keyed by
+// its bits, so the key hashes as one block of memory.
 type crossKey struct {
-	t   catalog.InstanceType
-	az  catalog.AZ
-	bid float64
+	offer   *market.Offer
+	az      int
+	bidBits uint64
 }
 
 // crossState is the memoized answer. Exactly one of the two shapes is
@@ -115,17 +116,17 @@ type crossState struct {
 
 // nextPriceCross returns the first price step strictly after now at
 // which the walk crosses above the bid, if any within the scan horizon.
-// The answer is memoized per (type, AZ, bid): every same-bid launch in
+// The answer is memoized per (market, AZ, bid): every same-bid launch in
 // an AZ shares one crossing scan instead of re-walking up to 240 steps.
 // Scan starts only move forward in simulated time, so a cached crossing
 // at/after `from` is still the *first* crossing after `from` (the
 // earlier scan that found it covered every step in between), and a
 // cached no-crossing window lets a rescan skip the covered prefix. The
 // price walk is pure, so the memoized answer is exact.
-func (p *Provider) nextPriceCross(inst *Instance, series market.PriceSeries, now time.Time) (time.Time, bool) {
+func (p *Provider) nextPriceCross(inst *Instance, now time.Time) (time.Time, bool) {
 	from := now.Truncate(market.PriceStep).Add(market.PriceStep)
 	end := now.Add(priceScanHorizon)
-	key := crossKey{t: inst.Type, az: inst.AZ, bid: inst.BidUSD}
+	key := crossKey{offer: inst.offer, az: inst.az, bidBits: math.Float64bits(inst.BidUSD)}
 	c := p.crossCache[key]
 	fromNs, endNs := from.UnixNano(), end.UnixNano()
 	if c.hasCross && c.crossNs >= fromNs {
@@ -144,6 +145,9 @@ func (p *Provider) nextPriceCross(inst *Instance, series market.PriceSeries, now
 			scan = scan.Add(market.PriceStep)
 		}
 	}
+	// One walk resolution for the whole scan (up to 240 steps); the
+	// samples are the same SpotPrice ones.
+	series := inst.offer.PriceSeries(inst.az)
 	for at := scan; at.Before(end); at = at.Add(market.PriceStep) {
 		if series.At(at) > inst.BidUSD {
 			p.crossCache[key] = crossState{hasCross: true, crossNs: at.UnixNano()}

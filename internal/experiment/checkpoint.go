@@ -158,14 +158,14 @@ func (d *driver) onNotice(inst *cloud.Instance) {
 		return
 	}
 	now := d.env.Engine.Now()
-	d.timeline.add(Event{At: now, Kind: EventNotice, Workload: w.Spec.ID, Instance: inst.ID, Region: inst.Region, Lifecycle: inst.Lifecycle})
+	d.timeline.add(Event{At: now, Kind: EventNotice, Workload: w.Spec.ID, Instance: inst.ID, Region: inst.Region(), Lifecycle: inst.Lifecycle})
 	// Progress this checkpoint will claim once the instance dies: shards
 	// banked so far plus whole shards the current attempt has finished.
 	done := w.ShardsDone
-	if d.activeInst[i] == inst.ID {
+	if d.activeInst[i] == inst {
 		done += w.ShardsAt(now.Sub(inst.LaunchedAt))
 	}
-	failed := d.checkpointWrite("ckpt/"+w.Spec.ID, w.CheckpointBytes(), inst.Region) != nil
+	failed := d.checkpointWrite("ckpt/"+w.Spec.ID, w.CheckpointBytes(), inst.Region()) != nil
 	// Idempotent write keyed (workload, shardsDone): a duplicate for the
 	// same progress point finding the item already present is success.
 	if err := d.env.Dynamo.PutIfAbsent(CheckpointTable, dynamoCheckpointItem(w, done, now)); err != nil &&
@@ -185,7 +185,7 @@ func (d *driver) onNotice(inst *cloud.Instance) {
 			Version:    ver,
 			Updated:    now,
 		}
-		if err := c.durable.Put(manifestKey(w.Spec.ID), m, inst.Region); err != nil {
+		if err := c.durable.Put(manifestKey(w.Spec.ID), m, inst.Region()); err != nil {
 			failed = true
 		} else {
 			mark.ver = ver

@@ -61,12 +61,26 @@ type tally struct {
 	lostShards           int
 	undetectedCorruption int
 
-	launchesByRegion      map[catalog.Region]int
-	interruptionsByRegion map[catalog.Region]int
+	// launchesByRegion and interruptionsByRegion count by catalog
+	// region index; byRegion turns them into the results' maps.
+	launchesByRegion      []int
+	interruptionsByRegion []int
 	// launchNs/stopNs stamp tracked instance starts and stops; the fleet
 	// merge recovers the concurrency high-water mark from them.
 	launchNs []int64
 	stopNs   []int64
+}
+
+// byRegion returns the nonzero counts of a region-indexed tally as a
+// map keyed by region name.
+func byRegion(cat *catalog.Catalog, counts []int) map[catalog.Region]int {
+	out := make(map[catalog.Region]int)
+	for ri, c := range counts {
+		if c != 0 {
+			out[cat.Regions()[ri]] = c
+		}
+	}
+	return out
 }
 
 // driver maps instances to workloads and reacts to provider events.
@@ -95,9 +109,9 @@ type driver struct {
 	ids []string
 
 	// done marks the workloads this driver completed; activeInst holds
-	// each workload's tracked running instance ("" when none).
+	// each workload's tracked running instance (nil when none).
 	done         []bool
-	activeInst   []cloud.InstanceID
+	activeInst   []*cloud.Instance
 	completionEv []*simclock.Event
 	compFns      []func()
 	relFns       []strategy.RelaunchFunc
@@ -131,13 +145,13 @@ func newDriver(env *Env, strat strategy.Strategy, typ catalog.InstanceType, wl p
 		terminated:   terminated,
 		ids:          make([]string, n),
 		done:         make([]bool, n),
-		activeInst:   make([]cloud.InstanceID, n),
+		activeInst:   make([]*cloud.Instance, n),
 		completionEv: make([]*simclock.Event, n),
 		compFns:      make([]func(), n),
 		relFns:       make([]strategy.RelaunchFunc, n),
 		tally: tally{
-			launchesByRegion:      make(map[catalog.Region]int),
-			interruptionsByRegion: make(map[catalog.Region]int),
+			launchesByRegion:      make([]int, len(env.Catalog().Regions())),
+			interruptionsByRegion: make([]int, len(env.Catalog().Regions())),
 		},
 	}
 	d.obs, _ = strat.(CompletionObserver)
@@ -234,7 +248,7 @@ func (d *driver) onLaunch(inst *cloud.Instance) {
 		_ = d.env.Provider.Terminate(inst.ID)
 		return
 	}
-	if d.activeInst[i] != "" {
+	if d.activeInst[i] != nil {
 		// A second instance for a workload that already has a running
 		// one: an exactly-once violation on the recovery path. Count it
 		// and kill the duplicate.
@@ -247,22 +261,22 @@ func (d *driver) onLaunch(inst *cloud.Instance) {
 		return
 	}
 	now := d.env.Engine.Now()
-	d.activeInst[i] = inst.ID
+	d.activeInst[i] = inst
 	d.launchNs = append(d.launchNs, now.UnixNano())
-	d.launchesByRegion[inst.Region]++
+	d.launchesByRegion[inst.Offer().RegionIndex()]++
 	if inst.Lifecycle == cloud.LifecycleOnDemand {
 		d.onDemandLaunches++
 	}
-	d.timeline.add(Event{At: now, Kind: EventLaunch, Workload: inst.Tag, Instance: inst.ID, Region: inst.Region, Lifecycle: inst.Lifecycle})
+	d.timeline.add(Event{At: now, Kind: EventLaunch, Workload: inst.Tag, Instance: inst.ID, Region: inst.Region(), Lifecycle: inst.Lifecycle})
 	if d.ckpt != nil {
-		d.resume(i, inst.Region)
+		d.resume(i, inst.Region())
 	}
 	d.completionEv[i] = d.env.Engine.ScheduleAfter(d.wl.AttemptDuration(i), "workload-complete", d.compFns[i])
 }
 
 func (d *driver) complete(i int) {
-	inst, err := d.env.Provider.Instance(d.activeInst[i])
-	if err != nil || inst.State != cloud.StateRunning {
+	inst := d.activeInst[i]
+	if inst == nil || inst.State != cloud.StateRunning {
 		return
 	}
 	now := d.env.Engine.Now()
@@ -272,7 +286,7 @@ func (d *driver) complete(i int) {
 	d.done[i] = true
 	d.completed++
 	d.completionEv[i] = nil
-	d.timeline.add(Event{At: now, Kind: EventComplete, Workload: inst.Tag, Instance: inst.ID, Region: inst.Region, Lifecycle: inst.Lifecycle})
+	d.timeline.add(Event{At: now, Kind: EventComplete, Workload: inst.Tag, Instance: inst.ID, Region: inst.Region(), Lifecycle: inst.Lifecycle})
 	if d.obs != nil {
 		d.obs.OnCompleted(d.ids[i])
 	}
@@ -285,19 +299,19 @@ func (d *driver) onTerminate(inst *cloud.Instance, interrupted bool) {
 		return
 	}
 	now := d.env.Engine.Now()
-	tracked := d.activeInst[i] == inst.ID
+	tracked := d.activeInst[i] == inst
 	counted := interrupted && tracked && !d.done[i]
 	d.terminated(inst, i, counted)
 	if tracked {
-		d.activeInst[i] = ""
+		d.activeInst[i] = nil
 		d.stopNs = append(d.stopNs, now.UnixNano())
 	}
 	if !counted {
 		return
 	}
 	d.interruptions++
-	d.interruptionsByRegion[inst.Region]++
-	d.timeline.add(Event{At: now, Kind: EventInterrupt, Workload: inst.Tag, Instance: inst.ID, Region: inst.Region, Lifecycle: inst.Lifecycle})
+	d.interruptionsByRegion[inst.Offer().RegionIndex()]++
+	d.timeline.add(Event{At: now, Kind: EventInterrupt, Workload: inst.Tag, Instance: inst.ID, Region: inst.Region(), Lifecycle: inst.Lifecycle})
 	if d.ckpt != nil {
 		d.bankProgress(i, now.Sub(inst.LaunchedAt))
 	} else {
@@ -309,5 +323,5 @@ func (d *driver) onTerminate(inst *cloud.Instance, interrupted bool) {
 	}
 	// A strategy that cannot place leaves the workload stranded; the run
 	// hits the horizon and reports it.
-	_ = d.strat.OnInterrupted(inst.Tag, inst.Region, d.relFns[i])
+	_ = d.strat.OnInterrupted(inst.Tag, inst.Region(), d.relFns[i])
 }

@@ -111,7 +111,7 @@ func runGoldenRun(t *testing.T, seed int64, arm fleetGoldenArm, n int) goldenRun
 		out.attempts[i] = w.Attempts
 		out.interruptions[i] = w.Interruptions
 	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i].ID < insts[j].ID })
+	sort.Slice(insts, func(i, j int) bool { return insts[i].ID.Compare(insts[j].ID) < 0 })
 	sort.SliceStable(insts, func(i, j int) bool { return tagIndex(t, insts[i].Tag) < tagIndex(t, insts[j].Tag) })
 	for _, inst := range insts {
 		out.costs = append(out.costs, inst.CostUSD)

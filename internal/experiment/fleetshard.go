@@ -408,13 +408,16 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 	res := &FleetResult{
 		InstanceType:             cfg.InstanceType,
 		Workloads:                n,
-		InterruptionsByRegion:    make(map[catalog.Region]int),
-		LaunchesByRegion:         make(map[catalog.Region]int),
 		Interval:                 DefaultFleetInterval,
 		CompletionsPerInterval:   make([]int, buckets),
 		InterruptionsPerInterval: make([]int, buckets),
 	}
 
+	// Every Env is built over the store's catalog, which names the
+	// tallies' region indices.
+	cat := mktStore.Load().Catalog()
+	launches := make([]int, len(cat.Regions()))
+	interruptions := make([]int, len(cat.Regions()))
 	for _, o := range outs {
 		if o.strategyName != "" {
 			res.StrategyName = o.strategyName
@@ -424,11 +427,11 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 		res.Interruptions += o.interruptions
 		res.OnDemandLaunches += o.onDemandLaunches
 		res.DuplicateRelaunches += o.duplicateRelaunches
-		for r, c := range o.interruptionsByRegion {
-			res.InterruptionsByRegion[r] += c
+		for ri, c := range o.interruptionsByRegion {
+			interruptions[ri] += c
 		}
-		for r, c := range o.launchesByRegion {
-			res.LaunchesByRegion[r] += c
+		for ri, c := range o.launchesByRegion {
+			launches[ri] += c
 		}
 		for i, c := range o.interruptionsPerInterval {
 			res.InterruptionsPerInterval[i] += c
@@ -439,6 +442,8 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 			res.InstanceCostUSD += c
 		}
 	}
+	res.InterruptionsByRegion = byRegion(cat, interruptions)
+	res.LaunchesByRegion = byRegion(cat, launches)
 	res.TotalCostUSD = res.InstanceCostUSD + res.ServiceCostUSD
 	res.PeakRunning = peakRunning(outs)
 

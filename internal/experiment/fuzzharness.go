@@ -171,7 +171,7 @@ func (e *ChaosEvidence) Fingerprint() string {
 	}
 	for _, tev := range r.Timeline.Events() {
 		add(tev.At.Format(time.RFC3339Nano), string(tev.Kind), tev.Workload,
-			string(tev.Instance), string(tev.Region))
+			tev.Instance.String(), string(tev.Region))
 	}
 	for _, b := range e.Breakers {
 		add(b.Key, b.From, b.To, strconv.Itoa(b.Trips))

@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -250,8 +251,8 @@ func run(env *Env, cfg RunConfig) (*Result, error) {
 		Completed:             d.completed,
 		Interruptions:         d.interruptions,
 		InterruptionStamps:    interruptions,
-		InterruptionsByRegion: d.interruptionsByRegion,
-		LaunchesByRegion:      d.launchesByRegion,
+		InterruptionsByRegion: byRegion(env.Catalog(), d.interruptionsByRegion),
+		LaunchesByRegion:      byRegion(env.Catalog(), d.launchesByRegion),
 		OnDemandLaunches:      d.onDemandLaunches,
 		Start:                 start,
 		LostShards:            d.lostShards,
@@ -276,7 +277,7 @@ func run(env *Env, cfg RunConfig) (*Result, error) {
 	if d.ckpt != nil && d.ckpt.durable != nil {
 		res.Durability = d.ckpt.durable.Stats()
 	}
-	sort.Slice(costs, func(i, j int) bool { return costs[i].id < costs[j].id })
+	slices.SortFunc(costs, func(a, b instanceCost) int { return a.id.Compare(b.id) })
 	for _, c := range costs {
 		res.InstanceCostUSD += c.usd
 	}

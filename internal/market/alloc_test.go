@@ -78,3 +78,42 @@ func TestAcquireWarmAllocFree(t *testing.T) {
 		t.Fatalf("warm Acquire allocated %v per run, want 0", allocs)
 	}
 }
+
+// TestOfferReadsWarmAllocFree: once a market is resolved, every read the
+// fleet path makes through its handle — cheapest-AZ price, launch
+// probability with an outage list to scan, seasonal hazard, per-AZ
+// price series and on-demand price — is a pointer chase and a slice
+// index.
+func TestOfferReadsWarmAllocFree(t *testing.T) {
+	skipUnderRace(t)
+	m := New(catalog.Default(), 42, simclock.Epoch)
+	m.EnableSeasonality()
+	if err := m.InjectOutage("eu-west-1", simclock.Epoch, simclock.Epoch.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	o, ok := m.Offer(catalog.M5XLarge, "us-east-1")
+	if !ok {
+		t.Fatal("m5.xlarge not offered in us-east-1")
+	}
+	at := simclock.Epoch.Add(30 * time.Hour)
+	o.SpotPrice(at)
+	m.LaunchSuccessProbabilityOf(o, at)
+	m.SeasonalHazardPerHourOf(o, at)
+	o.PriceSeries(1).At(at)
+	var sink float64
+	allocs := testing.AllocsPerRun(200, func() {
+		p, az := o.SpotPrice(at)
+		sink += p + float64(az)
+		sink += m.LaunchSuccessProbabilityOf(o, at)
+		sink += m.SeasonalHazardPerHourOf(o, at)
+		sink += o.PriceSeries(1).At(at)
+		sink += o.OnDemandPrice()
+		sink += float64(o.PriceStepIndex(at))
+	})
+	if allocs != 0 {
+		t.Fatalf("warm handle reads allocated %v per run, want 0", allocs)
+	}
+	if sink == 0 {
+		t.Fatal("handle reads returned zeros")
+	}
+}

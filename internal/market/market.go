@@ -65,12 +65,6 @@ const (
 // interruption counts (DESIGN.md "Calibration notes").
 const hazardScale = 0.52
 
-// Key addresses a (region, instance type) market.
-type Key struct {
-	Region catalog.Region
-	Type   catalog.InstanceType
-}
-
 // PricePoint is one sample of a spot price series.
 type PricePoint struct {
 	Time time.Time
@@ -177,11 +171,6 @@ func (m *Model) OutageWindows(r catalog.Region) []OutageWindow {
 	return out
 }
 
-type azKey struct {
-	az catalog.AZ
-	t  catalog.InstanceType
-}
-
 // New returns a market model over the catalog, seeded for determinism,
 // with series starting at start. The model owns a private snapshot; use
 // FromSnapshot to share one across environments.
@@ -205,6 +194,12 @@ func (m *Model) Catalog() *catalog.Catalog { return m.snap.cat }
 
 // Start reports the first instant the model has data for.
 func (m *Model) Start() time.Time { return m.snap.start }
+
+// Offer resolves the (t, r) market once, for callers that read it many
+// times; false when the catalog does not offer t in r.
+func (m *Model) Offer(t catalog.InstanceType, r catalog.Region) (*Offer, bool) {
+	return m.snap.Offer(t, r)
+}
 
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -300,7 +295,11 @@ func (m *Model) PriceHistory(t catalog.InstanceType, az catalog.AZ, from, to tim
 // InterruptionFrequency returns the latent monthly interruption fraction
 // for t in r at the given instant (the advisor's underlying quantity).
 func (m *Model) InterruptionFrequency(t catalog.InstanceType, r catalog.Region, at time.Time) (float64, error) {
-	return m.snap.interruptionFrequency(t, r, at)
+	o, err := m.snap.metricOffer(t, r)
+	if err != nil {
+		return 0, err
+	}
+	return o.frequency(at), nil
 }
 
 // StabilityScore maps the interruption frequency into the paper's 1-3
@@ -332,6 +331,12 @@ func (m *Model) PlacementScore(t catalog.InstanceType, r catalog.Region, at time
 	if err != nil {
 		return 0, err
 	}
+	return placementScore(v), nil
+}
+
+// placementScore rounds the latent SPS process to the published 1-10
+// integer.
+func placementScore(v float64) int {
 	s := int(math.Round(v))
 	if s < 1 {
 		s = 1
@@ -339,13 +344,17 @@ func (m *Model) PlacementScore(t catalog.InstanceType, r catalog.Region, at time
 	if s > 10 {
 		s = 10
 	}
-	return s, nil
+	return s
 }
 
 // PlacementScoreLatent returns the continuous SPS process value, used for
 // the Fig. 4 time-series plots.
 func (m *Model) PlacementScoreLatent(t catalog.InstanceType, r catalog.Region, at time.Time) (float64, error) {
-	return m.snap.placementScoreLatent(t, r, at)
+	o, err := m.snap.metricOffer(t, r)
+	if err != nil {
+		return 0, err
+	}
+	return o.placementLatent(at), nil
 }
 
 // CombinedScore is PlacementScore + StabilityScore — the quantity the
@@ -379,32 +388,35 @@ func (m *Model) LaunchSuccessProbability(t catalog.InstanceType, r catalog.Regio
 	if m.InOutage(r, at) {
 		return 0, nil
 	}
-	sps, err := m.PlacementScore(t, r, at)
+	o, err := m.snap.metricOffer(t, r)
 	if err != nil {
 		return 0, err
 	}
-	p := 0.50 + 0.05*float64(sps)
-	return clamp(p, 0, 1), nil
+	return m.LaunchSuccessProbabilityOf(o, at), nil
+}
+
+// LaunchSuccessProbabilityOf is LaunchSuccessProbability for a resolved
+// market; injected outages still answer 0.
+//
+//spotverse:hotpath
+func (m *Model) LaunchSuccessProbabilityOf(o *Offer, at time.Time) float64 {
+	if m.InOutage(o.region, at) {
+		return 0
+	}
+	p := 0.50 + 0.05*float64(placementScore(o.placementLatent(at)))
+	return clamp(p, 0, 1)
 }
 
 // Advisor returns an advisor snapshot row for (t, r).
 func (m *Model) Advisor(t catalog.InstanceType, r catalog.Region, at time.Time) (AdvisorEntry, error) {
-	spot, _, err := m.RegionSpotPrice(t, r, at)
+	o, err := m.snap.seriesOffer(t, r)
 	if err != nil {
 		return AdvisorEntry{}, err
 	}
-	od, err := m.snap.cat.OnDemandPrice(t, r)
-	if err != nil {
-		return AdvisorEntry{}, err
-	}
-	f, err := m.InterruptionFrequency(t, r, at)
-	if err != nil {
-		return AdvisorEntry{}, err
-	}
-	sps, err := m.PlacementScore(t, r, at)
-	if err != nil {
-		return AdvisorEntry{}, err
-	}
+	spot, _ := o.SpotPrice(at)
+	od := o.onDemand
+	f := o.frequency(at)
+	sps := placementScore(o.placementLatent(at))
 	st := StabilityFromFrequency(f)
 	return AdvisorEntry{
 		Region:                r,

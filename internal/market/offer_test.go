@@ -1,6 +1,7 @@
 package market
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -173,5 +174,111 @@ func TestStringAPIErrorTexts(t *testing.T) {
 	}
 	if p, err := m.LaunchSuccessProbability("m9.huge", "us-east-1", at); p != 0 || err != nil {
 		t.Errorf("LaunchSuccessProbability of an unknown type in an outage = %v, %v; want 0, nil", p, err)
+	}
+}
+
+// TestOfferHandleMatchesStringAPI is the differential test of the
+// resolved-market handle: for every offered (type, region, AZ), at
+// instants that clamp before the start, straddle segment edges (price
+// and metric steps 255 and 256) and fall inside and outside peak hours
+// and an injected outage, each handle read equals the string-keyed
+// query it stands for, bit for bit.
+func TestOfferHandleMatchesStringAPI(t *testing.T) {
+	cat := catalog.Default()
+	m := New(cat, 42, simclock.Epoch)
+	m.EnableSeasonality()
+	outageFrom, outageTo := simclock.Epoch.Add(3*time.Hour), simclock.Epoch.Add(50*time.Hour)
+	if err := m.InjectOutage("us-east-1", outageFrom, outageTo); err != nil {
+		t.Fatal(err)
+	}
+	var grid []time.Time
+	for _, d := range []time.Duration{-7 * time.Hour, -time.Nanosecond, 0, 15 * time.Hour, 23 * time.Hour, 49 * time.Hour, 50 * time.Hour, 130 * time.Hour} {
+		grid = append(grid, simclock.Epoch.Add(d))
+	}
+	for _, step := range []time.Duration{PriceStep, MetricStep} {
+		for _, k := range []int{255, 256} {
+			edge := simclock.Epoch.Add(time.Duration(k) * step)
+			grid = append(grid, edge.Add(-time.Nanosecond), edge, edge.Add(step/2))
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	offers := 0
+	for _, typ := range cat.InstanceTypes() {
+		for _, r := range cat.Regions() {
+			o, ok := m.Offer(typ, r)
+			if ok != cat.Offered(typ, r) {
+				t.Fatalf("Offer(%s, %s) ok = %v, catalog says %v", typ, r, ok, cat.Offered(typ, r))
+			}
+			if !ok {
+				continue
+			}
+			offers++
+			label := string(typ) + "/" + string(r)
+			ri, _ := cat.RegionIndex(r)
+			od, _ := cat.OnDemandPrice(typ, r)
+			if o.Type() != typ || o.Region() != r || o.RegionIndex() != ri || !same(o.OnDemandPrice(), od) {
+				t.Fatalf("%s: handle names %s/%s (index %d, on-demand %v)", label, o.Type(), o.Region(), o.RegionIndex(), o.OnDemandPrice())
+			}
+			zones := cat.Zones(r)
+			if o.NumZones() != len(zones) {
+				t.Fatalf("%s: %d zones, catalog lists %d", label, o.NumZones(), len(zones))
+			}
+			for i, az := range zones {
+				if o.Zone(i) != az {
+					t.Fatalf("%s: zone %d is %s, catalog lists %s", label, i, o.Zone(i), az)
+				}
+			}
+			for _, at := range grid {
+				price, azi := o.SpotPrice(at)
+				wantPrice, wantAZ, err := m.RegionSpotPrice(typ, r, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(price, wantPrice) || o.Zone(azi) != wantAZ {
+					t.Fatalf("%s at %v: handle %v in %s, RegionSpotPrice %v in %s", label, at, price, o.Zone(azi), wantPrice, wantAZ)
+				}
+				if step := o.PriceStepIndex(at); step != max(int(at.Sub(simclock.Epoch)/PriceStep), 0) {
+					t.Fatalf("%s at %v: price step %d", label, at, step)
+				}
+				p, err := m.LaunchSuccessProbability(typ, r, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := m.LaunchSuccessProbabilityOf(o, at); !same(got, p) {
+					t.Fatalf("%s at %v: launch probability %v, string API %v", label, at, got, p)
+				}
+				h, err := m.SeasonalHazardPerHour(typ, r, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := m.SeasonalHazardPerHourOf(o, at); !same(got, h) {
+					t.Fatalf("%s at %v: seasonal hazard %v, string API %v", label, at, got, h)
+				}
+				for i, az := range zones {
+					want, err := m.SpotPrice(typ, az, at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := o.PriceSeries(i).At(at); !same(got, want) {
+						t.Fatalf("%s at %v: %s series %v, SpotPrice %v", label, at, az, got, want)
+					}
+				}
+			}
+		}
+	}
+	if offers != 16*5+8 {
+		t.Fatalf("%d offers, want 88: five types in all 16 regions, p3 in 8", offers)
+	}
+	// The outage answers through the handle too.
+	o, _ := m.Offer(catalog.M5XLarge, "us-east-1")
+	if p := m.LaunchSuccessProbabilityOf(o, outageFrom); p != 0 {
+		t.Fatalf("launch probability inside the outage = %v, want 0", p)
+	}
+	if p := m.LaunchSuccessProbabilityOf(o, outageTo); p == 0 {
+		t.Fatal("launch probability at the outage end = 0, want the market's")
+	}
+	// Views over one snapshot share its handles.
+	if o2, _ := FromSnapshot(m.Snapshot()).Offer(catalog.M5XLarge, "us-east-1"); o2 != o {
+		t.Fatal("two views over one snapshot resolve different handles")
 	}
 }

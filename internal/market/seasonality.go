@@ -59,9 +59,18 @@ func HourOfWeekFactor(at time.Time) float64 {
 
 // SeasonalHazardPerHour is HazardPerHour scaled by the seasonal factor.
 func (m *Model) SeasonalHazardPerHour(t catalog.InstanceType, r catalog.Region, at time.Time) (float64, error) {
-	base, err := m.HazardPerHour(t, r, at)
+	o, err := m.snap.metricOffer(t, r)
 	if err != nil {
 		return 0, err
 	}
-	return base * m.SeasonalFactor(at), nil
+	return m.SeasonalHazardPerHourOf(o, at), nil
+}
+
+// SeasonalHazardPerHourOf is SeasonalHazardPerHour for a resolved
+// market.
+//
+//spotverse:hotpath
+func (m *Model) SeasonalHazardPerHourOf(o *Offer, at time.Time) float64 {
+	base := o.frequency(at) * hazardScale
+	return base * m.SeasonalFactor(at)
 }

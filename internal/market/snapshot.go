@@ -199,15 +199,20 @@ func (s *sharedMin) extend(k int) *minData {
 // is byte-identical to the per-Model walks it replaces. Mutable
 // per-experiment state (injected outages, seasonality) lives on the
 // Model view, never here.
+//
+// Its series live in one dense [type][region] table of Offers, addressed
+// by the catalog's type and region indices: the string-keyed queries
+// resolve a market through the table, and the hot path resolves it once
+// and keeps the *Offer.
 type Snapshot struct {
 	cat   *catalog.Catalog
 	seed  int64
 	start time.Time
 
-	prices    map[azKey]*sharedWalk
-	freq      map[Key]*sharedWalk
-	sps       map[Key]*sharedWalk
-	regionMin map[Key]*sharedMin
+	// offers is the [type][region] table, row-major; nil where the
+	// catalog does not offer the type.
+	offers   []*Offer
+	nRegions int
 
 	// cheap memoizes CheapestSpotRegion rankings per (type, window).
 	// The ranking is deterministic, so arms racing on a cold key store
@@ -220,26 +225,47 @@ type Snapshot struct {
 	resident atomic.Int64
 }
 
+// Offer is one (type, region) market of a snapshot: its interruption-
+// frequency and placement-score walks, its per-AZ price walks with
+// their cheapest-AZ series, and its on-demand price. Resolve it once
+// (Model.Offer) and every read after that is a pointer chase and a
+// slice index; the reads are the values the string-keyed queries
+// return, bit for bit. Outages and seasonality are per-Model state, so
+// the reads that honour them are Model methods taking the Offer.
+type Offer struct {
+	typ      catalog.InstanceType
+	region   catalog.Region
+	ri       int // the region's catalog index
+	onDemand float64
+	start    time.Time
+
+	freq, sps *sharedWalk
+	// min holds the price walks in zone order and their cheapest-AZ
+	// series.
+	min sharedMin
+}
+
 // NewSnapshot builds the (empty) series index for every offered
 // (type, region, AZ) in the catalog. Construction allocates only the
 // walk structs; no RNG is seeded and no sample drawn until first use.
 func NewSnapshot(cat *catalog.Catalog, seed int64, start time.Time) *Snapshot {
+	types, regions := cat.InstanceTypes(), cat.Regions()
 	s := &Snapshot{
-		cat:       cat,
-		seed:      seed,
-		start:     start,
-		prices:    make(map[azKey]*sharedWalk),
-		freq:      make(map[Key]*sharedWalk),
-		sps:       make(map[Key]*sharedWalk),
-		regionMin: make(map[Key]*sharedMin),
-		cheap:     make(map[cheapKey]cheapEntry),
+		cat:      cat,
+		seed:     seed,
+		start:    start,
+		offers:   make([]*Offer, len(types)*len(regions)),
+		nRegions: len(regions),
+		cheap:    make(map[cheapKey]cheapEntry),
 	}
-	for _, t := range cat.InstanceTypes() {
-		for _, r := range cat.OfferedRegions(t) {
-			info, err := cat.RegionInfo(r)
-			if err != nil {
+	for ti, t := range types {
+		for ri, r := range regions {
+			if !cat.OfferedAt(ti, ri) {
 				continue
 			}
+			// The catalog lists (t, r) as offered, so its region record
+			// and prices resolve.
+			info, _ := cat.RegionInfo(r)
 			fbase := tierFrequency(info.Tier)
 			sbase := tierSPS(info.Tier)
 			if r == caCentral && caCentralTrapped(t) {
@@ -256,29 +282,20 @@ func NewSnapshot(cat *catalog.Catalog, seed int64, start time.Time) *Snapshot {
 				ssigma = 0.02
 				sbase = 3.30
 			}
-			k := Key{Region: r, Type: t}
-			fw := s.newWalk("freq/"+string(t)+"/"+string(r), fbase, fsigma, 0.30, 0.005, 0.35)
-			sw := s.newWalk("sps/"+string(t)+"/"+string(r), sbase, ssigma, 0.35, 1, 10)
-			s.freq[k] = fw
-			s.sps[k] = sw
-
-			azs := cat.Zones(r)
-			if len(azs) == 0 {
-				continue
+			od, _ := cat.OnDemandPrice(t, r)
+			base, _ := cat.BaselineSpotPrice(t, r)
+			o := &Offer{
+				typ: t, region: r, ri: ri, onDemand: od, start: start,
+				freq: s.newWalk("freq/"+string(t)+"/"+string(r), fbase, fsigma, 0.30, 0.005, 0.35),
+				sps:  s.newWalk("sps/"+string(t)+"/"+string(r), sbase, ssigma, 0.35, 1, 10),
+				min:  sharedMin{azs: info.Zones, walks: make([]*sharedWalk, len(info.Zones)), resident: &s.resident},
 			}
-			base, err := cat.BaselineSpotPrice(t, r)
-			if err != nil {
-				continue
-			}
-			sm := &sharedMin{azs: azs, walks: make([]*sharedWalk, 0, len(azs)), resident: &s.resident}
-			for _, az := range azs {
+			for i, az := range info.Zones {
 				// Post-2017 spot prices: smooth, ±12% band around the
 				// baseline, slow reversion, sigma proportional to level.
-				pw := s.newWalk("price/"+string(t)+"/"+string(az), base, base*0.015, 0.05, base*0.88, base*1.12)
-				s.prices[azKey{az: az, t: t}] = pw
-				sm.walks = append(sm.walks, pw)
+				o.min.walks[i] = s.newWalk("price/"+string(t)+"/"+string(az), base, base*0.015, 0.05, base*0.88, base*1.12)
 			}
-			s.regionMin[k] = sm
+			s.offers[ti*len(regions)+ri] = o
 		}
 	}
 	return s
@@ -297,19 +314,94 @@ func (s *Snapshot) Start() time.Time { return s.start }
 // (each segment is segSize float64 samples).
 func (s *Snapshot) ResidentSegments() int { return int(s.resident.Load()) }
 
-func (s *Snapshot) stepIndex(at time.Time, step time.Duration) int {
-	d := at.Sub(s.start)
+// Offer resolves the (t, r) market, or reports false when the catalog
+// does not offer t in r.
+func (s *Snapshot) Offer(t catalog.InstanceType, r catalog.Region) (*Offer, bool) {
+	ti, ok := s.cat.TypeIndex(t)
+	if !ok {
+		return nil, false
+	}
+	ri, ok := s.cat.RegionIndex(r)
+	if !ok {
+		return nil, false
+	}
+	o := s.offers[ti*s.nRegions+ri]
+	return o, o != nil
+}
+
+func stepIndex(start, at time.Time, step time.Duration) int {
+	d := at.Sub(start)
 	if d < 0 {
 		return 0
 	}
 	return int(d / step)
 }
 
+// Type reports the offer's instance type.
+func (o *Offer) Type() catalog.InstanceType { return o.typ }
+
+// Region reports the offer's region.
+func (o *Offer) Region() catalog.Region { return o.region }
+
+// RegionIndex reports the region's catalog index.
+func (o *Offer) RegionIndex() int { return o.ri }
+
+// Zone returns the offer region's i-th availability zone.
+func (o *Offer) Zone(i int) catalog.AZ { return o.min.azs[i] }
+
+// NumZones reports how many availability zones the offer region has.
+func (o *Offer) NumZones() int { return len(o.min.azs) }
+
+// OnDemandPrice reports the hourly on-demand USD price.
+func (o *Offer) OnDemandPrice() float64 { return o.onDemand }
+
+// SpotPrice returns the cheapest-AZ spot price at the given instant and
+// that AZ's index — Model.RegionSpotPrice without the lookup.
+func (o *Offer) SpotPrice(at time.Time) (float64, int) {
+	k := stepIndex(o.start, at, PriceStep)
+	d := o.min.through(k)
+	return d.min[k], int(d.argAZ[k])
+}
+
+// PriceSeries returns the handle on the price walk of the offer's i-th
+// zone.
+func (o *Offer) PriceSeries(i int) PriceSeries {
+	return PriceSeries{w: o.min.walks[i], start: o.start}
+}
+
+// PriceStepIndex reports the price step an instant falls in, counted
+// from the series start; instants before it clamp to step 0. Every
+// price read at instants with the same step index returns the same
+// sample.
+func (o *Offer) PriceStepIndex(at time.Time) int { return stepIndex(o.start, at, PriceStep) }
+
+//spotverse:hotpath
+func (o *Offer) frequency(at time.Time) float64 {
+	return o.freq.at(stepIndex(o.start, at, MetricStep))
+}
+
+//spotverse:hotpath
+func (o *Offer) placementLatent(at time.Time) float64 {
+	return o.sps.at(stepIndex(o.start, at, MetricStep))
+}
+
+// zoneIndex returns az's position among the offer's zones, or -1.
+func (o *Offer) zoneIndex(az catalog.AZ) int {
+	for i, z := range o.min.azs {
+		if z == az {
+			return i
+		}
+	}
+	return -1
+}
+
 // priceWalk resolves the (type, AZ) price walk, reproducing the
 // pre-snapshot error for combinations the catalog does not offer.
 func (s *Snapshot) priceWalk(t catalog.InstanceType, az catalog.AZ) (*sharedWalk, error) {
-	if w, ok := s.prices[azKey{az: az, t: t}]; ok {
-		return w, nil
+	if o, ok := s.Offer(t, az.Region()); ok {
+		if i := o.zoneIndex(az); i >= 0 {
+			return o.min.walks[i], nil
+		}
 	}
 	if _, err := s.cat.BaselineSpotPrice(t, az.Region()); err != nil {
 		return nil, err
@@ -318,12 +410,12 @@ func (s *Snapshot) priceWalk(t catalog.InstanceType, az catalog.AZ) (*sharedWalk
 	return nil, fmt.Errorf("market: %s not offered in %s", t, az.Region())
 }
 
-// metricWalk resolves a (type, region) walk from the freq or sps map,
+// metricOffer resolves (t, r) for a frequency or placement-score query,
 // reproducing the pre-snapshot error order: unknown region first, then
 // not-offered.
-func (s *Snapshot) metricWalk(series map[Key]*sharedWalk, t catalog.InstanceType, r catalog.Region) (*sharedWalk, error) {
-	if w, ok := series[Key{Region: r, Type: t}]; ok {
-		return w, nil
+func (s *Snapshot) metricOffer(t catalog.InstanceType, r catalog.Region) (*Offer, error) {
+	if o, ok := s.Offer(t, r); ok {
+		return o, nil
 	}
 	if _, err := s.cat.RegionInfo(r); err != nil {
 		return nil, err
@@ -331,22 +423,17 @@ func (s *Snapshot) metricWalk(series map[Key]*sharedWalk, t catalog.InstanceType
 	return nil, fmt.Errorf("market: %s not offered in %s", t, r)
 }
 
-// regionSeries resolves the cheapest-AZ series for (t, r), reproducing
-// the pre-snapshot error order.
-func (s *Snapshot) regionSeries(t catalog.InstanceType, r catalog.Region) (*sharedMin, error) {
-	if sm, ok := s.regionMin[Key{Region: r, Type: t}]; ok {
-		return sm, nil
-	}
-	if !s.cat.Offered(t, r) {
+// seriesOffer resolves (t, r) for a cheapest-AZ query, reproducing the
+// pre-snapshot error order.
+func (s *Snapshot) seriesOffer(t catalog.InstanceType, r catalog.Region) (*Offer, error) {
+	o, ok := s.Offer(t, r)
+	if !ok {
 		return nil, fmt.Errorf("market: %s not offered in %s", t, r)
 	}
-	if len(s.cat.Zones(r)) == 0 {
+	if o.NumZones() == 0 {
 		return nil, fmt.Errorf("market: region %s has no zones", r)
 	}
-	if _, err := s.cat.BaselineSpotPrice(t, r); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("market: %s not offered in %s", t, r)
+	return o, nil
 }
 
 func (s *Snapshot) spotPrice(t catalog.InstanceType, az catalog.AZ, at time.Time) (float64, error) {
@@ -354,20 +441,16 @@ func (s *Snapshot) spotPrice(t catalog.InstanceType, az catalog.AZ, at time.Time
 	if err != nil {
 		return 0, err
 	}
-	return w.at(s.stepIndex(at, PriceStep)), nil
+	return w.at(stepIndex(s.start, at, PriceStep)), nil
 }
 
 func (s *Snapshot) regionSpotPrice(t catalog.InstanceType, r catalog.Region, at time.Time) (float64, catalog.AZ, error) {
-	if !s.cat.Offered(t, r) {
-		return 0, "", fmt.Errorf("market: %s not offered in %s", t, r)
-	}
-	sm, err := s.regionSeries(t, r)
+	o, err := s.seriesOffer(t, r)
 	if err != nil {
 		return 0, "", err
 	}
-	k := s.stepIndex(at, PriceStep)
-	d := sm.through(k)
-	return d.min[k], sm.azs[d.argAZ[k]], nil
+	p, az := o.SpotPrice(at)
+	return p, o.Zone(az), nil
 }
 
 func (s *Snapshot) priceHistory(t catalog.InstanceType, az catalog.AZ, from, to time.Time, step time.Duration) ([]PricePoint, error) {
@@ -384,28 +467,12 @@ func (s *Snapshot) priceHistory(t catalog.InstanceType, az catalog.AZ, from, to 
 	// One allocation for the whole series; materialise through the last
 	// step up front so the loop reads published segments only.
 	n := int(to.Sub(from)/step) + 1
-	w.at(s.stepIndex(from.Add(time.Duration(n-1)*step), PriceStep))
+	w.at(stepIndex(s.start, from.Add(time.Duration(n-1)*step), PriceStep))
 	out := make([]PricePoint, 0, n)
 	for ts := from; !ts.After(to); ts = ts.Add(step) {
-		out = append(out, PricePoint{Time: ts, USDPerHour: w.at(s.stepIndex(ts, PriceStep))})
+		out = append(out, PricePoint{Time: ts, USDPerHour: w.at(stepIndex(s.start, ts, PriceStep))})
 	}
 	return out, nil
-}
-
-func (s *Snapshot) interruptionFrequency(t catalog.InstanceType, r catalog.Region, at time.Time) (float64, error) {
-	w, err := s.metricWalk(s.freq, t, r)
-	if err != nil {
-		return 0, err
-	}
-	return w.at(s.stepIndex(at, MetricStep)), nil
-}
-
-func (s *Snapshot) placementScoreLatent(t catalog.InstanceType, r catalog.Region, at time.Time) (float64, error) {
-	w, err := s.metricWalk(s.sps, t, r)
-	if err != nil {
-		return 0, err
-	}
-	return w.at(s.stepIndex(at, MetricStep)), nil
 }
 
 // averagePrice is the per-decision query on the placement warm path:
@@ -414,31 +481,37 @@ func (s *Snapshot) placementScoreLatent(t catalog.InstanceType, r catalog.Region
 //
 //spotverse:hotpath
 func (s *Snapshot) averagePrice(t catalog.InstanceType, r catalog.Region, from, to time.Time) (float64, error) {
-	if !s.cat.Offered(t, r) {
+	o, ok := s.Offer(t, r)
+	if !ok {
 		return 0, fmt.Errorf("market: %s not offered in %s", t, r)
 	}
+	return o.average(from, to)
+}
+
+// average is AveragePrice over the offer's cheapest-AZ series.
+//
+//spotverse:hotpath
+func (o *Offer) average(from, to time.Time) (float64, error) {
 	if to.Before(from) {
 		return 0, fmt.Errorf("market: empty averaging window")
 	}
-	//spotverse:allow hotpath first-use memoization miss; repeat (type, region) queries hit the cached series
-	sm, err := s.regionSeries(t, r)
-	if err != nil {
-		return 0, err
+	if o.NumZones() == 0 {
+		return 0, fmt.Errorf("market: region %s has no zones", o.region)
 	}
 	n := int(to.Sub(from)/PriceStep) + 1
-	last := s.stepIndex(from.Add(time.Duration(n-1)*PriceStep), PriceStep)
+	last := stepIndex(o.start, from.Add(time.Duration(n-1)*PriceStep), PriceStep)
 	//spotverse:allow hotpath prefix cache extends only when the window grows past the cached frontier
-	d := sm.through(last)
-	if from.Before(s.start) {
+	d := o.min.through(last)
+	if from.Before(o.start) {
 		// Pre-start samples clamp to step 0, so the window's step
 		// indices are not contiguous; sum term by term (still cached).
 		var sum float64
 		for ts, i := from, 0; i < n; ts, i = ts.Add(PriceStep), i+1 {
-			sum += d.min[s.stepIndex(ts, PriceStep)]
+			sum += d.min[stepIndex(o.start, ts, PriceStep)]
 		}
 		return sum / float64(n), nil
 	}
-	k0 := s.stepIndex(from, PriceStep)
+	k0 := stepIndex(o.start, from, PriceStep)
 	return (d.prefix[last+1] - d.prefix[k0]) / float64(n), nil
 }
 
@@ -455,13 +528,18 @@ func (s *Snapshot) cheapestSpotRegion(t catalog.InstanceType, from, to time.Time
 		bestPrice float64
 		found     bool
 	)
-	for _, r := range s.cat.OfferedRegions(t) {
-		p, err := s.averagePrice(t, r, from, to)
-		if err != nil {
-			return "", 0, err
-		}
-		if !found || p < bestPrice {
-			best, bestPrice, found = r, p, true
+	if ti, ok := s.cat.TypeIndex(t); ok {
+		for _, o := range s.offers[ti*s.nRegions : (ti+1)*s.nRegions] {
+			if o == nil {
+				continue
+			}
+			p, err := o.average(from, to)
+			if err != nil {
+				return "", 0, err
+			}
+			if !found || p < bestPrice {
+				best, bestPrice, found = o.region, p, true
+			}
 		}
 	}
 	if !found {
@@ -487,9 +565,5 @@ type PriceSeries struct {
 //
 //spotverse:hotpath
 func (ps PriceSeries) At(at time.Time) float64 {
-	d := at.Sub(ps.start)
-	if d < 0 {
-		d = 0
-	}
-	return ps.w.at(int(d / PriceStep))
+	return ps.w.at(stepIndex(ps.start, at, PriceStep))
 }

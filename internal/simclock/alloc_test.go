@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"testing"
+	"time"
 
 	"spotverse/internal/raceflag"
 )
@@ -29,5 +30,26 @@ func TestHeapOpsAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("heap ops allocated %v per run, want 0", allocs)
+	}
+}
+
+// TestTickerWarmAllocFree: a ticker re-arms its one Event, so a warm
+// tick costs a heap push and nothing on the Go heap. Every fleet block
+// and every CloudWatch schedule runs one of these for the whole run.
+func TestTickerWarmAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")
+	}
+	e := NewEngine()
+	ticks := 0
+	tk := e.Every(time.Minute, "tick", func(time.Time) { ticks++ })
+	e.Step() // first firing grows the queue to its steady size
+	allocs := testing.AllocsPerRun(200, func() { e.Step() })
+	tk.Stop()
+	if allocs != 0 {
+		t.Fatalf("warm ticker firing allocated %v per tick, want 0", allocs)
+	}
+	if ticks != 202 {
+		t.Fatalf("ticker fired %d times, want 202", ticks)
 	}
 }

@@ -248,13 +248,17 @@ type Ticker struct {
 func (t *Ticker) Stop() { t.stop = true }
 
 // Every schedules fn to run every interval. fn receives the firing time.
+// The ticker reuses one Event for every firing: after fn returns, the
+// event is re-armed at now+interval with the next sequence number — the
+// number a fresh ScheduleAfter would take at the same moment — so firing
+// order is unchanged and a warm tick allocates nothing.
 func (e *Engine) Every(interval time.Duration, name string, fn func(now time.Time)) *Ticker {
 	if interval <= 0 {
 		interval = time.Nanosecond
 	}
 	t := &Ticker{}
-	var tick func()
-	tick = func() {
+	ev := e.ScheduleAfter(interval, name, nil)
+	ev.fn = func() {
 		if t.stop {
 			return
 		}
@@ -262,10 +266,17 @@ func (e *Engine) Every(interval time.Duration, name string, fn func(now time.Tim
 		if t.stop {
 			return
 		}
-		e.ScheduleAfter(interval, name, tick)
+		e.rearm(ev, e.now.Add(interval))
 	}
-	e.ScheduleAfter(interval, name, tick)
 	return t
+}
+
+// rearm pushes a fired event back onto the queue at instant at, with a
+// fresh sequence number.
+func (e *Engine) rearm(ev *Event, at time.Time) {
+	e.seq++
+	ev.at, ev.seq, ev.done = at, e.seq, false
+	e.heapPush(heapEntry{atNs: at.UnixNano(), seq: e.seq, ev: ev})
 }
 
 // Step executes the next pending event, advancing the clock to its due
