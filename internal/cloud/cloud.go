@@ -146,9 +146,6 @@ type Instance struct {
 	priceTermEv   *simclock.Event
 }
 
-// Type reports the instance type.
-func (inst *Instance) Type() catalog.InstanceType { return inst.offer.Type() }
-
 // Region reports the region the instance runs in.
 func (inst *Instance) Region() catalog.Region { return inst.offer.Region() }
 
@@ -175,12 +172,6 @@ type SpotRequest struct {
 	// price).
 	MaxPriceUSD float64
 }
-
-// Type reports the requested instance type.
-func (req *SpotRequest) Type() catalog.InstanceType { return req.offer.Type() }
-
-// Region reports the requested region.
-func (req *SpotRequest) Region() catalog.Region { return req.offer.Region() }
 
 // Errors returned by the provider.
 var (

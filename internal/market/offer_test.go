@@ -237,6 +237,22 @@ func TestOfferHandleMatchesStringAPI(t *testing.T) {
 				if !same(price, wantPrice) || o.Zone(azi) != wantAZ {
 					t.Fatalf("%s at %v: handle %v in %s, RegionSpotPrice %v in %s", label, at, price, o.Zone(azi), wantPrice, wantAZ)
 				}
+				// Both read the cheapest-AZ series; a scan of the zones'
+				// own prices is the independent reference.
+				scanAZ := -1
+				var scanPrice float64
+				for i, az := range zones {
+					p, err := m.SpotPrice(typ, az, at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if scanAZ < 0 || p < scanPrice {
+						scanAZ, scanPrice = i, p
+					}
+				}
+				if !same(price, scanPrice) || azi != scanAZ {
+					t.Fatalf("%s at %v: handle %v in zone %d, zone scan %v in zone %d", label, at, price, azi, scanPrice, scanAZ)
+				}
 				if step := o.PriceStepIndex(at); step != max(int(at.Sub(simclock.Epoch)/PriceStep), 0) {
 					t.Fatalf("%s at %v: price step %d", label, at, step)
 				}
