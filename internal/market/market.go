@@ -278,7 +278,7 @@ func (m *Model) PriceSeries(t catalog.InstanceType, az catalog.AZ) (PriceSeries,
 	if err != nil {
 		return PriceSeries{}, err
 	}
-	return PriceSeries{w: w, start: m.snap.start}, nil
+	return PriceSeries{w: w, startNs: m.snap.start.UnixNano()}, nil
 }
 
 // RegionSpotPrice returns the cheapest AZ spot price of t in r, and the AZ.

@@ -237,7 +237,7 @@ type Offer struct {
 	region   catalog.Region
 	ri       int // the region's catalog index
 	onDemand float64
-	start    time.Time
+	startNs  int64 // the snapshot start, in Unix nanoseconds
 
 	freq, sps *sharedWalk
 	// min holds the price walks in zone order and their cheapest-AZ
@@ -285,7 +285,7 @@ func NewSnapshot(cat *catalog.Catalog, seed int64, start time.Time) *Snapshot {
 			od, _ := cat.OnDemandPrice(t, r)
 			base, _ := cat.BaselineSpotPrice(t, r)
 			o := &Offer{
-				typ: t, region: r, ri: ri, onDemand: od, start: start,
+				typ: t, region: r, ri: ri, onDemand: od, startNs: start.UnixNano(),
 				freq: s.newWalk("freq/"+string(t)+"/"+string(r), fbase, fsigma, 0.30, 0.005, 0.35),
 				sps:  s.newWalk("sps/"+string(t)+"/"+string(r), sbase, ssigma, 0.35, 1, 10),
 				min:  sharedMin{azs: info.Zones, walks: make([]*sharedWalk, len(info.Zones)), resident: &s.resident},
@@ -329,12 +329,16 @@ func (s *Snapshot) Offer(t catalog.InstanceType, r catalog.Region) (*Offer, bool
 	return o, o != nil
 }
 
-func stepIndex(start, at time.Time, step time.Duration) int {
-	d := at.Sub(start)
+// stepIndex returns the step of length step that at falls in, counted
+// from startNs; instants before it clamp to step 0. Simulated instants
+// lie well inside int64 nanoseconds, where this equals at.Sub(start) /
+// step without Sub's overflow checks.
+func stepIndex(startNs int64, at time.Time, step time.Duration) int {
+	d := at.UnixNano() - startNs
 	if d < 0 {
 		return 0
 	}
-	return int(d / step)
+	return int(d / int64(step))
 }
 
 // Type reports the offer's instance type.
@@ -358,7 +362,7 @@ func (o *Offer) OnDemandPrice() float64 { return o.onDemand }
 // SpotPrice returns the cheapest-AZ spot price at the given instant and
 // that AZ's index — Model.RegionSpotPrice without the lookup.
 func (o *Offer) SpotPrice(at time.Time) (float64, int) {
-	k := stepIndex(o.start, at, PriceStep)
+	k := stepIndex(o.startNs, at, PriceStep)
 	d := o.min.through(k)
 	return d.min[k], int(d.argAZ[k])
 }
@@ -366,23 +370,23 @@ func (o *Offer) SpotPrice(at time.Time) (float64, int) {
 // PriceSeries returns the handle on the price walk of the offer's i-th
 // zone.
 func (o *Offer) PriceSeries(i int) PriceSeries {
-	return PriceSeries{w: o.min.walks[i], start: o.start}
+	return PriceSeries{w: o.min.walks[i], startNs: o.startNs}
 }
 
 // PriceStepIndex reports the price step an instant falls in, counted
 // from the series start; instants before it clamp to step 0. Every
 // price read at instants with the same step index returns the same
 // sample.
-func (o *Offer) PriceStepIndex(at time.Time) int { return stepIndex(o.start, at, PriceStep) }
+func (o *Offer) PriceStepIndex(at time.Time) int { return stepIndex(o.startNs, at, PriceStep) }
 
 //spotverse:hotpath
 func (o *Offer) frequency(at time.Time) float64 {
-	return o.freq.at(stepIndex(o.start, at, MetricStep))
+	return o.freq.at(stepIndex(o.startNs, at, MetricStep))
 }
 
 //spotverse:hotpath
 func (o *Offer) placementLatent(at time.Time) float64 {
-	return o.sps.at(stepIndex(o.start, at, MetricStep))
+	return o.sps.at(stepIndex(o.startNs, at, MetricStep))
 }
 
 // zoneIndex returns az's position among the offer's zones, or -1.
@@ -441,7 +445,7 @@ func (s *Snapshot) spotPrice(t catalog.InstanceType, az catalog.AZ, at time.Time
 	if err != nil {
 		return 0, err
 	}
-	return w.at(stepIndex(s.start, at, PriceStep)), nil
+	return w.at(stepIndex(s.start.UnixNano(), at, PriceStep)), nil
 }
 
 func (s *Snapshot) regionSpotPrice(t catalog.InstanceType, r catalog.Region, at time.Time) (float64, catalog.AZ, error) {
@@ -467,10 +471,10 @@ func (s *Snapshot) priceHistory(t catalog.InstanceType, az catalog.AZ, from, to 
 	// One allocation for the whole series; materialise through the last
 	// step up front so the loop reads published segments only.
 	n := int(to.Sub(from)/step) + 1
-	w.at(stepIndex(s.start, from.Add(time.Duration(n-1)*step), PriceStep))
+	w.at(stepIndex(s.start.UnixNano(), from.Add(time.Duration(n-1)*step), PriceStep))
 	out := make([]PricePoint, 0, n)
 	for ts := from; !ts.After(to); ts = ts.Add(step) {
-		out = append(out, PricePoint{Time: ts, USDPerHour: w.at(stepIndex(s.start, ts, PriceStep))})
+		out = append(out, PricePoint{Time: ts, USDPerHour: w.at(stepIndex(s.start.UnixNano(), ts, PriceStep))})
 	}
 	return out, nil
 }
@@ -499,19 +503,19 @@ func (o *Offer) average(from, to time.Time) (float64, error) {
 		return 0, fmt.Errorf("market: region %s has no zones", o.region)
 	}
 	n := int(to.Sub(from)/PriceStep) + 1
-	last := stepIndex(o.start, from.Add(time.Duration(n-1)*PriceStep), PriceStep)
+	last := stepIndex(o.startNs, from.Add(time.Duration(n-1)*PriceStep), PriceStep)
 	//spotverse:allow hotpath prefix cache extends only when the window grows past the cached frontier
 	d := o.min.through(last)
-	if from.Before(o.start) {
+	if from.UnixNano() < o.startNs {
 		// Pre-start samples clamp to step 0, so the window's step
 		// indices are not contiguous; sum term by term (still cached).
 		var sum float64
 		for ts, i := from, 0; i < n; ts, i = ts.Add(PriceStep), i+1 {
-			sum += d.min[stepIndex(o.start, ts, PriceStep)]
+			sum += d.min[stepIndex(o.startNs, ts, PriceStep)]
 		}
 		return sum / float64(n), nil
 	}
-	k0 := stepIndex(o.start, from, PriceStep)
+	k0 := stepIndex(o.startNs, from, PriceStep)
 	return (d.prefix[last+1] - d.prefix[k0]) / float64(n), nil
 }
 
@@ -556,8 +560,8 @@ func (s *Snapshot) cheapestSpotRegion(t catalog.InstanceType, from, to time.Time
 // map lookups. The Provider's interruption scheduler reads up to 240
 // steps per launched instance through one of these.
 type PriceSeries struct {
-	w     *sharedWalk
-	start time.Time
+	w       *sharedWalk
+	startNs int64
 }
 
 // At samples the series at the given instant — identical to
@@ -565,5 +569,5 @@ type PriceSeries struct {
 //
 //spotverse:hotpath
 func (ps PriceSeries) At(at time.Time) float64 {
-	return ps.w.at(stepIndex(ps.start, at, PriceStep))
+	return ps.w.at(stepIndex(ps.startNs, at, PriceStep))
 }
