@@ -99,3 +99,29 @@ func TestInstanceIDRendersAndSortsAsString(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchedFulfillWarmAllocFree: a fired fulfill bucket goes back to
+// the pool with its event and array, so a warm bucket — created, armed
+// and fired — allocates nothing. The request is settled, so firing the
+// bucket launches nothing and only the batching is measured.
+func TestBatchedFulfillWarmAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")
+	}
+	eng, p := newProvider(7)
+	req := &SpotRequest{State: RequestActive}
+	run := func() {
+		p.scheduleBatchedFulfill(req)
+		p.scheduleBatchedFulfill(req)
+		if !eng.Step() {
+			t.Fatal("no bucket event fired")
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("warm batched-fulfill bucket allocated %v per run, want 0", allocs)
+	}
+	if got := p.BatchEventsFired(); got != 202 {
+		t.Fatalf("fired %d bucket events, want 202", got)
+	}
+}

@@ -207,11 +207,12 @@ type Provider struct {
 	open []*SpotRequest
 
 	// fulfillAt batches the placements landing on one instant behind a
-	// single engine event (fulfillCb); fired buckets' arrays are recycled
-	// through bucketPool. batchFired counts the bucket events.
-	fulfillAt  map[int64][]*SpotRequest
+	// single engine event (fulfillCb); fired buckets are recycled, with
+	// their event and array, through bucketPool. batchFired counts the
+	// bucket events.
+	fulfillAt  map[int64]*fulfillBucket
 	fulfillCb  func()
-	bucketPool [][]*SpotRequest
+	bucketPool []*fulfillBucket
 	batchFired uint64
 	// crossCache memoizes price-crossing scans per (market, AZ, bid).
 	crossCache map[crossKey]crossState
@@ -241,7 +242,7 @@ func New(eng *simclock.Engine, mkt *market.Model, seed int64) *Provider {
 		mkt:          mkt,
 		rng:          simclock.Stream(seed, "cloud"),
 		instances:    make(map[InstanceID]*Instance),
-		fulfillAt:    make(map[int64][]*SpotRequest),
+		fulfillAt:    make(map[int64]*fulfillBucket),
 		crossCache:   make(map[crossKey]crossState),
 		fulfillDelay: 45 * time.Second,
 	}
@@ -570,15 +571,25 @@ func (p *Provider) costBetween(inst *Instance, from, to time.Time) float64 {
 	}
 	series := inst.offer.PriceSeries(inst.az)
 	var cost float64
-	for seg := from; seg.Before(to); {
-		segEnd := seg.Truncate(market.PriceStep).Add(market.PriceStep)
-		if segEnd.After(to) {
-			segEnd = to
-		}
-		cost += series.At(seg) * segEnd.Sub(seg).Hours()
-		seg = segEnd
+	toNs := to.UnixNano()
+	for seg := from.UnixNano(); seg < toNs; {
+		end := min(nextPriceStep(seg), toNs)
+		cost += series.AtNs(seg) * time.Duration(end-seg).Hours()
+		seg = end
 	}
 	return cost
+}
+
+// nextPriceStep returns the first price-step boundary strictly after the
+// instant ns. Boundaries are multiples of market.PriceStep in Unix
+// nanoseconds. That is the grid time.Time.Truncate steps on, which
+// counts from the zero time instead: the zero time lies a whole number
+// of days before the Unix epoch, and a day is a whole number of price
+// steps. The remainder floors only because simulated instants are
+// positive.
+func nextPriceStep(ns int64) int64 {
+	const step = int64(market.PriceStep)
+	return ns - ns%step + step
 }
 
 // EvaluateOpenRequests retries placement for every open request, in

@@ -40,53 +40,61 @@ func (p *Provider) pastEventHorizon(t time.Time) bool {
 	return p.eventHorizonNs != 0 && t.UnixNano() >= p.eventHorizonNs
 }
 
+// fulfillBucket is the set of placements landing on one instant, and
+// the engine event that runs them.
+type fulfillBucket struct {
+	ev   simclock.Event
+	reqs []*SpotRequest
+}
+
 // scheduleBatchedFulfill queues req's placement p.fulfillDelay from
 // now, batched with every other placement landing on that instant: a
 // sweep wave fulfilling thousands of requests costs one heap entry. The
-// bucket's engine event is scheduled when the bucket is created, so the
+// bucket's engine event is armed when the bucket is created, so the
 // bucket takes its first placement's same-instant slot.
 //
 // The callback is the single prebound p.fulfillCb — fireFulfills
 // recovers the bucket key from the engine clock at fire time — and
-// fired buckets' backing arrays are recycled through bucketPool, so a
-// relaunch wave costs map traffic only, no per-bucket closure, struct,
-// or slice allocation. (Not hotpath-annotated: each new bucket
-// legitimately allocates one engine Event.)
+// fired buckets are recycled through bucketPool with their event and
+// array, so a warm relaunch wave costs map traffic only, no per-bucket
+// event, closure or slice allocation.
 func (p *Provider) scheduleBatchedFulfill(req *SpotRequest) {
 	at := p.eng.Now().Add(p.fulfillDelay)
 	if p.pastEventHorizon(at) {
 		return // the run stops before the placement could land
 	}
 	atNs := at.UnixNano()
-	b, live := p.fulfillAt[atNs]
-	if !live {
+	b := p.fulfillAt[atNs]
+	if b == nil {
 		if n := len(p.bucketPool); n > 0 {
 			b = p.bucketPool[n-1]
 			p.bucketPool = p.bucketPool[:n-1]
+		} else {
+			b = &fulfillBucket{}
 		}
-		p.eng.ScheduleAfter(p.fulfillDelay, "spot-fulfill", p.fulfillCb)
+		p.eng.ArmAfter(&b.ev, p.fulfillDelay, "spot-fulfill", p.fulfillCb)
+		p.fulfillAt[atNs] = b
 	}
-	p.fulfillAt[atNs] = append(b, req)
+	b.reqs = append(b.reqs, req)
 }
 
 // fireFulfills runs one bucket's placements in add order. The bucket
 // due now is exactly the one keyed by the engine clock: each key gets
-// one event, scheduled at bucket creation for that instant.
+// one event, armed at bucket creation for that instant.
 func (p *Provider) fireFulfills() {
 	atNs := p.eng.Now().UnixNano()
 	b := p.fulfillAt[atNs]
 	delete(p.fulfillAt, atNs)
 	p.batchFired++
-	for i, req := range b {
-		b[i] = nil // no settled-request retention via the pooled array
+	for i, req := range b.reqs {
+		b.reqs[i] = nil // no settled-request retention via the pooled array
 		if req.State != RequestOpen {
 			continue
 		}
 		p.fulfill(req)
 	}
-	if b != nil {
-		p.bucketPool = append(p.bucketPool, b[:0])
-	}
+	b.reqs = b.reqs[:0]
+	p.bucketPool = append(p.bucketPool, b)
 }
 
 // BatchEventsFired reports how many batched-fulfill bucket events have
@@ -124,34 +132,29 @@ type crossState struct {
 // cached no-crossing window lets a rescan skip the covered prefix. The
 // price walk is pure, so the memoized answer is exact.
 func (p *Provider) nextPriceCross(inst *Instance, now time.Time) (time.Time, bool) {
-	from := now.Truncate(market.PriceStep).Add(market.PriceStep)
-	end := now.Add(priceScanHorizon)
+	nowNs := now.UnixNano()
+	fromNs, endNs := nextPriceStep(nowNs), nowNs+int64(priceScanHorizon)
 	key := crossKey{offer: inst.offer, az: inst.az, bidBits: math.Float64bits(inst.BidUSD)}
 	c := p.crossCache[key]
-	fromNs, endNs := from.UnixNano(), end.UnixNano()
 	if c.hasCross && c.crossNs >= fromNs {
 		if c.crossNs < endNs {
 			return time.Unix(0, c.crossNs).UTC(), true
 		}
 		return time.Time{}, false
 	}
-	scan := from
+	scan := fromNs
 	if !c.hasCross && c.scannedNs > fromNs {
 		// Resume at the first grid step at/after the covered window;
 		// every earlier step was already scanned crossing-free.
-		covered := time.Unix(0, c.scannedNs).UTC()
-		scan = covered.Truncate(market.PriceStep)
-		if scan.Before(covered) {
-			scan = scan.Add(market.PriceStep)
-		}
+		scan = nextPriceStep(c.scannedNs - 1)
 	}
 	// One walk resolution for the whole scan (up to 240 steps); the
 	// samples are the same SpotPrice ones.
 	series := inst.offer.PriceSeries(inst.az)
-	for at := scan; at.Before(end); at = at.Add(market.PriceStep) {
-		if series.At(at) > inst.BidUSD {
-			p.crossCache[key] = crossState{hasCross: true, crossNs: at.UnixNano()}
-			return at, true
+	for at := scan; at < endNs; at += int64(market.PriceStep) {
+		if series.AtNs(at) > inst.BidUSD {
+			p.crossCache[key] = crossState{hasCross: true, crossNs: at}
+			return time.Unix(0, at).UTC(), true
 		}
 	}
 	p.crossCache[key] = crossState{scannedNs: endNs}

@@ -92,9 +92,11 @@ func byRegion(cat *catalog.Catalog, counts []int) map[catalog.Region]int {
 // Per-workload state is a dense slice indexed like the progress table,
 // and the completion and relaunch closures are built once per workload:
 // they capture only the index and read the driver's state when they
-// fire. A pending completion event exists only while its instance is the
-// tracked one (interruption cancels it; duplicate launches are refused),
-// so complete can re-read activeInst at fire time.
+// fire. Each workload owns one completion event, re-armed at every
+// launch. It is pending only while its instance is the tracked one
+// (interruption cancels it; duplicate launches are refused), so a launch
+// never finds it pending and complete can re-read activeInst at fire
+// time.
 type driver struct {
 	env   *Env
 	typ   catalog.InstanceType
@@ -112,7 +114,7 @@ type driver struct {
 	// each workload's tracked running instance (nil when none).
 	done         []bool
 	activeInst   []*cloud.Instance
-	completionEv []*simclock.Event
+	completionEv []simclock.Event
 	compFns      []func()
 	relFns       []strategy.RelaunchFunc
 
@@ -146,7 +148,7 @@ func newDriver(env *Env, strat strategy.Strategy, typ catalog.InstanceType, wl p
 		ids:          make([]string, n),
 		done:         make([]bool, n),
 		activeInst:   make([]*cloud.Instance, n),
-		completionEv: make([]*simclock.Event, n),
+		completionEv: make([]simclock.Event, n),
 		compFns:      make([]func(), n),
 		relFns:       make([]strategy.RelaunchFunc, n),
 		tally: tally{
@@ -271,7 +273,7 @@ func (d *driver) onLaunch(inst *cloud.Instance) {
 	if d.ckpt != nil {
 		d.resume(i, inst.Region())
 	}
-	d.completionEv[i] = d.env.Engine.ScheduleAfter(d.wl.AttemptDuration(i), "workload-complete", d.compFns[i])
+	d.env.Engine.ArmAfter(&d.completionEv[i], d.wl.AttemptDuration(i), "workload-complete", d.compFns[i])
 }
 
 func (d *driver) complete(i int) {
@@ -285,7 +287,6 @@ func (d *driver) complete(i int) {
 	}
 	d.done[i] = true
 	d.completed++
-	d.completionEv[i] = nil
 	d.timeline.add(Event{At: now, Kind: EventComplete, Workload: inst.Tag, Instance: inst.ID, Region: inst.Region(), Lifecycle: inst.Lifecycle})
 	if d.obs != nil {
 		d.obs.OnCompleted(d.ids[i])
@@ -317,10 +318,7 @@ func (d *driver) onTerminate(inst *cloud.Instance, interrupted bool) {
 	} else {
 		d.wl.RecordInterruption(i)
 	}
-	if ev := d.completionEv[i]; ev != nil {
-		ev.Cancel()
-		d.completionEv[i] = nil
-	}
+	d.completionEv[i].Cancel()
 	// A strategy that cannot place leaves the workload stranded; the run
 	// hits the horizon and reports it.
 	_ = d.strat.OnInterrupted(inst.Tag, inst.Region(), d.relFns[i])

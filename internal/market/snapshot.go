@@ -334,7 +334,12 @@ func (s *Snapshot) Offer(t catalog.InstanceType, r catalog.Region) (*Offer, bool
 // lie well inside int64 nanoseconds, where this equals at.Sub(start) /
 // step without Sub's overflow checks.
 func stepIndex(startNs int64, at time.Time, step time.Duration) int {
-	d := at.UnixNano() - startNs
+	return stepIndexNs(startNs, at.UnixNano(), step)
+}
+
+// stepIndexNs is stepIndex for an instant given in Unix nanoseconds.
+func stepIndexNs(startNs, ns int64, step time.Duration) int {
+	d := ns - startNs
 	if d < 0 {
 		return 0
 	}
@@ -569,5 +574,13 @@ type PriceSeries struct {
 //
 //spotverse:hotpath
 func (ps PriceSeries) At(at time.Time) float64 {
-	return ps.w.at(stepIndex(ps.startNs, at, PriceStep))
+	return ps.AtNs(at.UnixNano())
+}
+
+// AtNs samples the series at the instant ns Unix nanoseconds — At for
+// callers that step through time as integers.
+//
+//spotverse:hotpath
+func (ps PriceSeries) AtNs(ns int64) float64 {
+	return ps.w.at(stepIndexNs(ps.startNs, ns, PriceStep))
 }

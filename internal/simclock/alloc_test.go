@@ -53,3 +53,74 @@ func TestTickerWarmAllocFree(t *testing.T) {
 		t.Fatalf("ticker fired %d times, want 202", ticks)
 	}
 }
+
+// TestOwnedEventRearmAllocFree: re-arming a caller-owned event costs a
+// queue entry and nothing on the Go heap, whether the event last fired
+// or was cancelled with its entry still queued.
+func TestOwnedEventRearmAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")
+	}
+	e := NewEngine()
+	var ev Event
+	fired := 0
+	fn := func() { fired++ }
+	e.ArmAfter(&ev, time.Minute, "owned", fn)
+	e.Step() // the first arming grows the heap to its steady size
+	if allocs := testing.AllocsPerRun(200, func() {
+		e.ArmAfter(&ev, time.Minute, "owned", fn)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("re-arming a fired event allocated %v per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		e.ArmAfter(&ev, time.Minute, "owned", fn)
+		ev.Cancel()
+		e.ArmAfter(&ev, 2*time.Minute, "owned", fn) // the cancelled entry is still queued
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("re-arming a cancelled, still-queued event allocated %v per run, want 0", allocs)
+	}
+	if fired != 1+201+201 {
+		t.Fatalf("owned event fired %d times, want %d", fired, 1+201+201)
+	}
+}
+
+// TestFarPushRefillAllocFree: once the far tier exists, filing an event
+// in a time bucket and loading that bucket back into the heap reuse the
+// tier's nodes and the heap's array.
+func TestFarPushRefillAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")
+	}
+	e := NewEngine()
+	var far, overflow Event
+	fn := func() {}
+	run := func() {
+		e.ArmAfter(&far, 3*24*time.Hour, "far", fn)
+		e.ArmAfter(&overflow, 400*24*time.Hour, "overflow", fn)
+		overflow.Cancel() // its dead entries are reaped by compaction
+		e.Step()          // loads the bucket holding far
+	}
+	run()
+	if e.far == nil {
+		t.Fatal("a 3-day event did not reach the far tier")
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("far push plus refill allocated %v per run, want 0", allocs)
+	}
+}
+
+// TestArmPendingPanics: an event has one live entry at most, so arming
+// one that is still pending is a caller bug.
+func TestArmPendingPanics(t *testing.T) {
+	e := NewEngine()
+	var ev Event
+	e.ArmAfter(&ev, time.Minute, "owned", func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming a pending event did not panic")
+		}
+	}()
+	e.ArmAfter(&ev, time.Minute, "owned", func() {})
+}

@@ -2,10 +2,12 @@ package simclock
 
 import "time"
 
-// armOwned arms the harness's owner-held handle d from now. The engine
-// has no owner-held events yet, so each arming schedules a fresh Event;
-// the reference model is the same either way, since every arming takes
-// the next sequence number.
+// armOwned arms the harness's owner-held handle d from now, re-using its
+// one Event whether it last fired or was cancelled with its entry still
+// queued.
 func armOwned(eng *Engine, h *handle, d time.Duration) {
-	h.ev = eng.ScheduleAfter(d, h.name, h.fn)
+	if h.ev == nil {
+		h.ev = &Event{}
+	}
+	eng.ArmAfter(h.ev, d, h.name, h.fn)
 }

@@ -29,7 +29,7 @@ func TestCompactionReapsCancelledEvents(t *testing.T) {
 	if got := eng.Pending(); got != 10 {
 		t.Fatalf("Pending after cancel = %d, want 10", got)
 	}
-	if got := len(eng.queue); got > 2*10+compactThreshold {
+	if got := eng.queued(); got > 2*10+compactThreshold {
 		t.Fatalf("physical queue = %d entries after cancelling %d of %d; compaction did not reap", got, n-10, n)
 	}
 	// The survivors still fire, in order.

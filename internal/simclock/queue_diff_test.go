@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"spotverse/internal/raceflag"
 )
 
 // The differential queue test drives the engine with random schedule,
@@ -324,8 +326,8 @@ func (q *queueHarness) op() string {
 // TestQueueMatchesReference runs the random operation sequences.
 func TestQueueMatchesReference(t *testing.T) {
 	seeds, ops := 24, 3000
-	if testing.Short() {
-		seeds = 6
+	if testing.Short() || raceflag.Enabled {
+		seeds = 6 // the race detector slows the reference scan tenfold
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		q := newQueueHarness(t, seed)
