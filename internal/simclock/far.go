@@ -23,16 +23,14 @@ func bucketOf(ns int64) int64 { return ns >> bucketShift }
 
 // farNode is one far entry, linked into a bucket's list. Nodes live in
 // one slice and are recycled through a free list, so a warm push
-// allocates nothing; index 0 is the nil link.
+// allocates nothing; index 0 is the nil link. A list's order does not
+// matter: a loaded bucket is heapified by (time, seq).
 type farNode struct {
 	ev     *Event
 	seq    uint64
 	next   int32
 	bucket int32
 }
-
-// farList is a singly linked FIFO of nodes.
-type farList struct{ head, tail int32 }
 
 // farTier is the ring of bucket lists plus the overflow list. With nb
 // the first bucket not yet loaded into the heap, ring slot b&ringMask
@@ -41,28 +39,25 @@ type farList struct{ head, tail int32 }
 type farTier struct {
 	nodes []farNode
 	free  int32
-	ring  [ringSlots]farList
+	// ring and overflow hold the heads of their lists.
+	ring [ringSlots]int32
 	// ringCount counts the entries in ring lists, count those in the
 	// ring and the overflow.
 	ringCount, count int
-	overflow         farList
+	overflow         int32
 	// overflowMin is the smallest bucket in the overflow list; it is
 	// meaningful only while the list is non-empty.
 	overflowMin int64
 }
 
 func newFarTier() *farTier {
-	return &farTier{nodes: make([]farNode, 1, 64)}
+	return &farTier{nodes: make([]farNode, 1, 16)}
 }
 
-func (f *farTier) appendTo(l *farList, i int32) {
-	f.nodes[i].next = 0
-	if l.tail == 0 {
-		l.head = i
-	} else {
-		f.nodes[l.tail].next = i
-	}
-	l.tail = i
+// link pushes node i onto the list headed by *head.
+func (f *farTier) link(head *int32, i int32) {
+	f.nodes[i].next = *head
+	*head = i
 }
 
 // add files an entry; nb is the first bucket not yet loaded, and the
@@ -80,14 +75,14 @@ func (f *farTier) add(ent heapEntry, nb int64) {
 	}
 	f.count++
 	if b < nb+ringSlots {
-		f.appendTo(&f.ring[b&ringMask], i)
+		f.link(&f.ring[b&ringMask], i)
 		f.ringCount++
 		return
 	}
-	if f.overflow.head == 0 || b < f.overflowMin {
+	if f.overflow == 0 || b < f.overflowMin {
 		f.overflowMin = b
 	}
-	f.appendTo(&f.overflow, i)
+	f.link(&f.overflow, i)
 }
 
 // release returns a node to the free list.
@@ -104,7 +99,7 @@ func (f *farTier) nextBucket(nb int64) int64 {
 		nb = f.overflowMin
 	}
 	f.sweep(nb)
-	for f.ring[nb&ringMask].head == 0 {
+	for f.ring[nb&ringMask] == 0 {
 		nb++
 	}
 	// The window moved with nb: overflow entries that now fall in it
@@ -118,20 +113,20 @@ func (f *farTier) nextBucket(nb int64) int64 {
 // overflow bucket enters the window.
 func (f *farTier) sweep(nb int64) {
 	limit := nb + ringSlots
-	if f.overflow.head == 0 || f.overflowMin >= limit {
+	if f.overflow == 0 || f.overflowMin >= limit {
 		return
 	}
-	var keep farList
-	for i := f.overflow.head; i != 0; {
+	var keep int32
+	for i := f.overflow; i != 0; {
 		next := f.nodes[i].next
 		if b := int64(f.nodes[i].bucket); b < limit {
-			f.appendTo(&f.ring[b&ringMask], i)
+			f.link(&f.ring[b&ringMask], i)
 			f.ringCount++
 		} else {
-			if keep.head == 0 || b < f.overflowMin {
+			if keep == 0 || b < f.overflowMin {
 				f.overflowMin = b
 			}
-			f.appendTo(&keep, i)
+			f.link(&keep, i)
 		}
 		i = next
 	}
@@ -141,8 +136,8 @@ func (f *farTier) sweep(nb int64) {
 // load empties bucket b's list onto q, dropping dead entries and
 // counting them off cancelled. The caller heapifies q.
 func (f *farTier) load(b int64, q eventQueue, cancelled int) (eventQueue, int) {
-	l := &f.ring[b&ringMask]
-	for i := l.head; i != 0; {
+	head := &f.ring[b&ringMask]
+	for i := *head; i != 0; {
 		n := f.nodes[i]
 		if ent := (heapEntry{seq: n.seq, ev: n.ev}); ent.live() {
 			ent.atNs = n.ev.at.UnixNano()
@@ -155,7 +150,7 @@ func (f *farTier) load(b int64, q eventQueue, cancelled int) (eventQueue, int) {
 		f.ringCount--
 		i = n.next
 	}
-	*l = farList{}
+	*head = 0
 	return q, cancelled
 }
 
@@ -166,8 +161,8 @@ func (f *farTier) compact() {
 		f.ringCount += f.filter(&f.ring[s])
 	}
 	f.count = f.ringCount + f.filter(&f.overflow)
-	for i := f.overflow.head; i != 0; i = f.nodes[i].next {
-		if b := int64(f.nodes[i].bucket); i == f.overflow.head || b < f.overflowMin {
+	for i := f.overflow; i != 0; i = f.nodes[i].next {
+		if b := int64(f.nodes[i].bucket); i == f.overflow || b < f.overflowMin {
 			f.overflowMin = b
 		}
 	}
@@ -175,19 +170,19 @@ func (f *farTier) compact() {
 
 // filter unlinks and releases the dead entries of one list and reports
 // how many it keeps.
-func (f *farTier) filter(l *farList) int {
-	var keep farList
+func (f *farTier) filter(head *int32) int {
+	var keep int32
 	kept := 0
-	for i := l.head; i != 0; {
+	for i := *head; i != 0; {
 		n := f.nodes[i]
 		if (heapEntry{seq: n.seq, ev: n.ev}).live() {
-			f.appendTo(&keep, i)
+			f.link(&keep, i)
 			kept++
 		} else {
 			f.release(i)
 		}
 		i = n.next
 	}
-	*l = keep
+	*head = keep
 	return kept
 }
