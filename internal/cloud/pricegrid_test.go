@@ -146,3 +146,39 @@ func TestPriceGridMatchesTimeLoops(t *testing.T) {
 		}
 	}
 }
+
+// TestPriceCrossResumesOnCoveredEnd pins the resumed memo scan's first
+// step: a scan that found no crossing covers [from, end), so a later
+// scan from before end must resume at end itself when end lies on the
+// grid. The case is built so the only crossing is that step.
+func TestPriceCrossResumesOnCoveredEnd(t *testing.T) {
+	mkt := market.New(catalog.Default(), 11, simclock.Epoch)
+	p := New(simclock.NewEngine(), mkt, 11)
+	o, ok := mkt.Offer(catalog.M5XLarge, catalog.Default().Regions()[0])
+	if !ok {
+		t.Fatal("m5.xlarge not offered")
+	}
+	series := o.PriceSeries(0)
+	window := int(priceScanHorizon / market.PriceStep)
+	for k := 0; k < 2000; k++ {
+		now := simclock.Epoch.Add(time.Duration(k) * market.PriceStep)
+		bid := 0.0
+		for j := 1; j < window; j++ {
+			bid = max(bid, series.At(now.Add(time.Duration(j)*market.PriceStep)))
+		}
+		end := now.Add(priceScanHorizon)
+		if series.At(end) <= bid {
+			continue
+		}
+		inst := &Instance{offer: o, Lifecycle: LifecycleSpot, BidUSD: bid}
+		if at, found := p.nextPriceCross(inst, now); found {
+			t.Fatalf("scan from %v found a crossing at %v under the window's maximum", now, at)
+		}
+		at, found := p.nextPriceCross(inst, now.Add(24*time.Hour))
+		if !found || !at.Equal(end) {
+			t.Fatalf("resumed scan = %v %v, want the crossing at %v", at, found, end)
+		}
+		return
+	}
+	t.Fatal("no window whose next step sets a new maximum")
+}

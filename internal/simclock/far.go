@@ -91,9 +91,10 @@ func (f *farTier) release(i int32) {
 	f.free = i
 }
 
-// nextBucket returns the first bucket at or after nb that holds entries,
-// with every overflow entry of the ring's new window moved into the
-// ring first. The tier must not be empty.
+// nextBucket returns the first bucket at or after nb that holds entries.
+// The overflow entries of the window starting at nb join the ring first,
+// so the bucket found is complete: it lies inside that window. The tier
+// must not be empty.
 func (f *farTier) nextBucket(nb int64) int64 {
 	if f.ringCount == 0 {
 		nb = f.overflowMin
@@ -102,9 +103,6 @@ func (f *farTier) nextBucket(nb int64) int64 {
 	for f.ring[nb&ringMask] == 0 {
 		nb++
 	}
-	// The window moved with nb: overflow entries that now fall in it
-	// join the ring before the bucket at nb is loaded.
-	f.sweep(nb)
 	return nb
 }
 

@@ -164,10 +164,15 @@ func (q *queueHarness) scheduleOneShot() {
 	q.refPush(h, q.now+int64(d))
 }
 
-// rearmOwned arms an owner-held handle that is not pending.
+// rearmOwned arms an owner-held handle that is not pending, re-using
+// its one Event whether it last fired or was cancelled with its entry
+// still queued.
 func (q *queueHarness) rearmOwned(h *handle) {
 	d := q.delay()
-	armOwned(q.eng, h, d)
+	if h.ev == nil {
+		h.ev = &Event{}
+	}
+	q.eng.ArmAfter(h.ev, d, h.name, h.fn)
 	q.refPush(h, q.now+int64(d))
 }
 

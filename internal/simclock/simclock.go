@@ -327,8 +327,7 @@ func (e *Engine) ScheduleAfter(d time.Duration, name string, fn func()) *Event {
 // firing order is unchanged. ev must not be pending: it is new, has
 // fired, or was cancelled. A cancelled event may still have an entry
 // queued; that entry stays dead, because it carries the old sequence
-// number. Arming a pending event, or one that belongs to another
-// engine, panics.
+// number. Arming a pending event panics.
 func (e *Engine) ArmAfter(ev *Event, d time.Duration, name string, fn func()) {
 	if d < 0 {
 		d = 0
@@ -341,9 +340,6 @@ func (e *Engine) ArmAfter(ev *Event, d time.Duration, name string, fn func()) {
 func (e *Engine) arm(ev *Event, at time.Time, name string, fn func()) {
 	if ev.state == eventPending {
 		panic(fmt.Sprintf("simclock: arming pending event %q", ev.name))
-	}
-	if ev.eng != nil && ev.eng != e {
-		panic(fmt.Sprintf("simclock: arming event %q on a second engine", name))
 	}
 	e.seq++
 	ev.at, ev.seq, ev.fn, ev.state, ev.name, ev.eng = at, e.seq, fn, eventPending, name, e
