@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-determinism lint verify experiments serve-smoke fleet-smoke fuzz fuzz-soak bench profile
+.PHONY: build test race vet lint verify experiments serve-smoke fleet-smoke fuzz fuzz-soak bench profile
 
 build:
 	$(GO) build ./...
@@ -14,26 +14,21 @@ race:
 vet:
 	$(GO) vet ./...
 
-# vet-determinism runs the two built-in vet passes closest to the
-# determinism suite — copylocks and loopclosure — explicitly, so the
-# built-in and custom analyzers share the verify entry point.
-vet-determinism:
-	$(GO) vet -copylocks -loopclosure ./...
-
 # lint builds and runs the spotverse-lint multichecker: the determinism
-# analyzers (detrand, mapiter, seedflow, errdrop, locks) plus the
-# concurrency & hot-path analyzers (lockorder, goleak, atomicmix,
-# hotpath) over every package. Violations — including malformed
-# //spotverse:allow and //spotverse:hotpath annotations — fail the
-# build; see DESIGN.md "Static analysis & determinism invariants" and
-# "Concurrency & hot-path invariants".
+# analyzers (detrand, mapiter, seedflow, errdrop) plus the concurrency &
+# hot-path analyzers (lockorder, goleak, atomicmix, hotpath) over every
+# package. Violations — including malformed //spotverse:allow and
+# //spotverse:hotpath annotations — fail the build; see DESIGN.md
+# "Static analysis & determinism invariants" and "Concurrency & hot-path
+# invariants". By-value copies of locks and typed atomics are left to
+# the copylocks pass of `make vet`.
 lint:
 	$(GO) run ./cmd/spotverse-lint ./...
 
 # verify is the pre-merge gate: static checks (vet, the determinism
 # lint suite), a clean build, and the full test suite under the race
 # detector.
-verify: vet vet-determinism lint build race
+verify: vet lint build race
 
 experiments:
 	$(GO) run ./cmd/spotverse-experiments -exp all

@@ -1,8 +1,8 @@
-// Command spotverse-lint runs the determinism lint suite over the
-// repository: custom analyzers enforcing that all randomness flows
-// through internal/simclock, all time comes from the simulated clock,
-// map iteration order never leaks into output, and durability errors
-// are never dropped.
+// Command spotverse-lint runs the eight-analyzer lint suite over the
+// repository: determinism (detrand, mapiter, seedflow, errdrop) plus
+// concurrency and hot-path invariants (lockorder, goleak, atomicmix,
+// hotpath). By-value copies of locks and typed atomics are left to go
+// vet's copylocks pass.
 //
 // Usage:
 //

@@ -116,7 +116,14 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, pkgPath string,
 	if err != nil {
 		t.Fatalf("%s: %v", pkgPath, err)
 	}
+	Check(t, fset, files, diags)
+}
 
+// Check diffs diagnostics against the want comments of files (parsed
+// with comments into fset), as Run does: a test may use it for another
+// tool's diagnostics, such as go vet's, over the same fixture format.
+func Check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+	t.Helper()
 	wants := collectWants(t, fset, files)
 	type lineKey struct {
 		file string
@@ -149,7 +156,7 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, pkgPath string,
 				}
 			}
 			if idx < 0 {
-				t.Errorf("%s:%d: no %s finding matching %q (got %s)", k.file, k.line, a.Name, re, messages(remaining))
+				t.Errorf("%s:%d: no finding matching %q (got %s)", k.file, k.line, re, messages(remaining))
 				continue
 			}
 			remaining = append(remaining[:idx], remaining[idx+1:]...)

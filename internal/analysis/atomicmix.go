@@ -6,34 +6,27 @@ import (
 	"go/types"
 )
 
-// AtomicMix flags the two ways a sync/atomic discipline silently decays:
+// AtomicMix flags the two ways a raw sync/atomic discipline silently
+// decays:
 //
 //   - A variable or field is accessed through sync/atomic in one place
 //     (atomic.LoadInt64(&s.n), atomic.AddInt64(&s.n, 1), ...) and through
 //     a plain load or store in another. The plain access races with the
 //     atomic one — the race detector only catches the interleavings a
 //     test happens to produce.
-//   - A struct containing atomics — sync/atomic typed values
-//     (atomic.Int64, atomic.Pointer[T], ...) or fields accessed with the
-//     raw atomic functions — is copied by value: receiver, parameter,
-//     assignment, or range variable. The copy tears the atomic's
-//     publication protocol exactly the way the snapshot store's
-//     atomic-pointer tables must never be torn.
+//   - A struct holding a field accessed with the raw atomic functions is
+//     copied by value: receiver, parameter, assignment, or range
+//     variable. The copy tears the field's publication protocol. Copies
+//     of the typed atomics (atomic.Int64, atomic.Pointer[T], ...) are
+//     left to go vet's copylocks pass, which sees them through noCopy.
 //
 // The analysis is per package: a field counts as atomically accessed if
 // any file of the package touches it through sync/atomic.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc: "variables accessed with sync/atomic must not also be accessed plainly, " +
-		"and structs containing atomics must not be copied by value",
+		"and structs holding raw-atomic fields must not be copied by value",
 	Run: runAtomicMix,
-}
-
-// atomicTypeNames are the sync/atomic value types whose containment makes
-// a struct copy-hostile.
-var atomicTypeNames = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-	"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
 }
 
 func runAtomicMix(pass *Pass) error {
@@ -104,7 +97,7 @@ func runAtomicMix(pass *Pass) error {
 		})
 	}
 
-	// Pass 3: by-value copies of atomic-containing structs.
+	// Pass 3: by-value copies of structs holding raw-atomic fields.
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -172,17 +165,14 @@ func copiesExisting(expr ast.Expr) bool {
 	return false
 }
 
-// atomicPath returns a human-readable path to the first atomic found
-// inside t, or "" if t holds none. raw is the package's set of fields
-// accessed through the raw sync/atomic functions. A pointer stops the
+// atomicPath returns a human-readable path to the first field inside t
+// that is in raw, the package's set of fields accessed through the raw
+// sync/atomic functions, or "" if t holds none. A pointer stops the
 // search: pointed-to atomics are shared, not copied.
 func atomicPath(t types.Type, raw map[*types.Var]bool, seen []*types.Named) string {
 	switch tt := t.(type) {
 	case *types.Named:
 		obj := tt.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && atomicTypeNames[obj.Name()] {
-			return "atomic." + obj.Name()
-		}
 		for _, s := range seen {
 			if s == tt {
 				return ""

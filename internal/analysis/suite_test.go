@@ -34,10 +34,6 @@ func TestErrDrop(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ErrDrop, "errdrop/a")
 }
 
-func TestLocks(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Locks, "locks/a")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockOrder, "lockorder/a")
 }

@@ -1,14 +1,13 @@
 // Fixture: atomicmix flags plain access of variables that are accessed
-// with sync/atomic elsewhere, and by-value copies of atomic-containing
-// structs.
+// with sync/atomic elsewhere, and by-value copies of structs holding
+// such fields. Copies of typed atomics are go vet's (see vetcopy/a).
 package a
 
 import "sync/atomic"
 
 type counter struct {
-	hits  int64 // accessed via atomic.AddInt64 below
-	cold  int64 // never touched atomically
-	ready atomic.Bool
+	hits int64 // accessed via atomic.AddInt64 below
+	cold int64 // never touched atomically
 }
 
 func (c *counter) bump() {
@@ -45,48 +44,16 @@ func readGlobal() int64 {
 	return global // want `plain access of global`
 }
 
-type published struct {
-	table atomic.Pointer[counter]
-	name  string
-}
-
-func copyRecv(p published) string { // want `parameter of copyRecv copies published contains field table is atomic\.Pointer`
-	return p.name
-}
-
-func copyAssign(p *published) {
-	q := *p // want `assignment copies published contains field table is atomic\.Pointer`
-	_ = q
-}
-
-func copyRange(ps []published) int {
-	n := 0
-	for _, p := range ps { // want `range variable copies published contains field table is atomic\.Pointer per iteration`
-		n += len(p.name)
-	}
-	return n
-}
-
-func pointerUse(ps []*published) int { // pointers share, not copy: fine
-	n := 0
-	for _, p := range ps {
-		n += len(p.name)
-	}
-	return n
-}
-
-func freshConstruct() published {
-	return published{name: "x"} // construction, not a copy: fine
-}
-
 func suppressedRead(c *counter) int64 {
 	//spotverse:allow atomicmix fixture proves atomicmix suppression
 	return c.hits
 }
 
-// rawField is copied even though the atomic access is raw, not typed.
+// rawHolder's field is reached through raw sync/atomic calls, so a copy
+// tears it; go vet's copylocks cannot see this (no noCopy marker).
 type rawHolder struct {
-	n int64
+	n    int64
+	name string
 }
 
 func bumpRaw(h *rawHolder) {
@@ -96,4 +63,28 @@ func bumpRaw(h *rawHolder) {
 func copyRaw(h *rawHolder) rawHolder {
 	v := *h // want `assignment copies rawHolder contains field n, which is accessed with sync/atomic`
 	return v
+}
+
+func copyRawParam(h rawHolder) string { // want `parameter of copyRawParam copies rawHolder contains field n`
+	return h.name
+}
+
+func copyRawRange(hs []rawHolder) int {
+	n := 0
+	for _, h := range hs { // want `range variable copies rawHolder contains field n, which is accessed with sync/atomic per iteration`
+		n += len(h.name)
+	}
+	return n
+}
+
+func rawPointerUse(hs []*rawHolder) int { // pointers share, not copy: fine
+	n := 0
+	for _, h := range hs {
+		n += len(h.name)
+	}
+	return n
+}
+
+func rawConstruct() rawHolder {
+	return rawHolder{name: "x"} // construction, not a copy: fine
 }

@@ -123,12 +123,17 @@ func TestBreakerChaosHalfOpenProbeReTrips(t *testing.T) {
 // Controller, so out-of-engine users must guard it with a mutex — and
 // under that guard, interleaved probes keep the state machine coherent
 // (valid state, streak strictly below threshold, trips monotone).
+//
+// Each goroutine succeeds only on every fourth probe, so it alone runs
+// three straight failures and trips the breaker. Across all goroutines,
+// 400 successes can split at most 802 failures into runs shorter than
+// the threshold, fewer than the 1,200 failures made, so every
+// interleaving trips it at least once.
 func TestBreakerConcurrentProbes(t *testing.T) {
 	b := newBreaker(3, time.Minute)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
+	for range 8 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -136,7 +141,7 @@ func TestBreakerConcurrentProbes(t *testing.T) {
 				at := simclock.Epoch.Add(time.Duration(i) * time.Second)
 				mu.Lock()
 				if b.allow(at) {
-					if (g+i)%3 == 0 {
+					if i%4 == 0 {
 						b.success()
 					} else {
 						b.failure(at)
