@@ -125,3 +125,61 @@ func TestBatchedFulfillWarmAllocFree(t *testing.T) {
 		t.Fatalf("fired %d bucket events, want 202", got)
 	}
 }
+
+// TestRelaunchCycleWarmAllocFree: once warm, one full relaunch cycle —
+// capacity reclaim, RequestSpot from the OnTerminate subscriber, the
+// fulfill bucket firing, fulfill and scheduleInterruption — allocates
+// nothing. The instance and request records, the reclaim event and its
+// callback come back from the provider's free lists, and the bucket from
+// its pool. Each cycle starts with the retry sweep, which releases the
+// previous cycle's settled request.
+func TestRelaunchCycleWarmAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")
+	}
+	eng, p := newProvider(3)
+	region := catalog.Region("ca-central-1")
+	o, ok := p.mkt.Offer(catalog.M5XLarge, region)
+	if !ok {
+		t.Fatal("no m5.xlarge offer in ca-central-1")
+	}
+	// Materialise the price, placement and hazard walks well past the
+	// cycles' instants, so growing them is not counted.
+	far := eng.Now().Add(3 * 365 * 24 * time.Hour)
+	o.SpotPrice(far)
+	p.mkt.LaunchSuccessProbabilityOf(o, far)
+	p.mkt.SeasonalHazardPerHourOf(o, far)
+
+	reclaims := 0
+	p.OnTerminate(func(_ *Instance, interrupted bool) {
+		if !interrupted {
+			return
+		}
+		reclaims++
+		if _, err := p.RequestSpot(catalog.M5XLarge, region, "w"); err != nil {
+			t.Error(err)
+		}
+	})
+	if _, err := p.RequestSpot(catalog.M5XLarge, region, "w"); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		p.EvaluateOpenRequests()
+		for r := reclaims; reclaims == r; {
+			// An idle engine means a failed launch roll left the request
+			// open: re-roll it as the sweep would.
+			if !eng.Step() && p.EvaluateOpenRequests() == 0 {
+				t.Fatal("no reclaim pending and no open request")
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("warm relaunch cycle allocated %v per cycle, want 0", allocs)
+	}
+	if reclaims != 204 {
+		t.Fatalf("%d reclaims, want 204", reclaims)
+	}
+}

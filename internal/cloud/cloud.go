@@ -8,8 +8,9 @@
 // EvaluateOpenRequests (the 15-minute retry sweep), Terminate, and
 // interruption-notice subscription (EventBridge's role). Its bookkeeping
 // is bounded by what is live: open requests sit in one creation-ordered
-// index, and an instance is released once OnTerminate subscribers have
-// seen its final cost.
+// index, an instance is released once OnTerminate subscribers have seen
+// its final cost, and released instance and request records are reused
+// for later launches and requests.
 package cloud
 
 import (
@@ -117,6 +118,11 @@ func (id InstanceID) Compare(other InstanceID) int {
 }
 
 // Instance is a running or terminated virtual machine.
+//
+// The provider owns the record and reuses it once the instance is
+// released: a record is valid until the OnTerminate callbacks for its
+// termination return. A caller that needs the instance after that copies
+// the fields it wants inside the callback.
 type Instance struct {
 	ID InstanceID
 	// offer is the (type, region) market the instance runs in, and az
@@ -141,9 +147,14 @@ type Instance struct {
 	Tag string
 
 	noticeEv      *simclock.Event
-	termEv        *simclock.Event
 	priceNoticeEv *simclock.Event
 	priceTermEv   *simclock.Event
+	// termEv is the capacity reclaim and reclaimFn its callback. Both are
+	// made with the record and kept across reuse: every spot launch
+	// re-arms the one event, and finalize cancels it, so an entry queued
+	// for an earlier tenant stays dead.
+	termEv    *simclock.Event
+	reclaimFn func()
 }
 
 // Region reports the region the instance runs in.
@@ -156,6 +167,10 @@ func (inst *Instance) AZ() catalog.AZ { return inst.offer.Zone(inst.az) }
 func (inst *Instance) Offer() *market.Offer { return inst.offer }
 
 // SpotRequest is a pending or fulfilled request for spot capacity.
+//
+// The provider owns the record and reuses it once the request has
+// settled: a request record is valid until it settles (leaves
+// RequestOpen). Instance then names the launched instance.
 type SpotRequest struct {
 	// offer is the (type, region) market the request was filed for.
 	offer    *market.Offer
@@ -171,6 +186,14 @@ type SpotRequest struct {
 	// factor, so the paper bids on-demand and pays the actual spot
 	// price).
 	MaxPriceUSD float64
+
+	// buckets counts the fulfill-bucket entries holding the request (a
+	// sweep can re-roll a request a bucket already holds), and compacted
+	// reports that the open-request sweep has dropped it from the open
+	// index. A settled request is released once compacted with no bucket
+	// entry left.
+	buckets   int32
+	compacted bool
 }
 
 // Errors returned by the provider.
@@ -230,6 +253,12 @@ type Provider struct {
 	launchSubs []LaunchFunc
 	termSubs   []TerminateFunc
 
+	// freeInsts and freeReqs hold released records for reuse, so a
+	// relaunch allocates no record, reclaim event or callback once the
+	// provider is warm.
+	freeInsts []*Instance
+	freeReqs  []*SpotRequest
+
 	// fulfillDelay is how long a successful spot placement takes.
 	fulfillDelay time.Duration
 }
@@ -250,9 +279,6 @@ func New(eng *simclock.Engine, mkt *market.Model, seed int64) *Provider {
 	return p
 }
 
-// Engine exposes the simulation engine driving this provider.
-func (p *Provider) Engine() *simclock.Engine { return p.eng }
-
 // Market exposes the market model backing prices and hazards.
 func (p *Provider) Market() *market.Model { return p.mkt }
 
@@ -262,7 +288,8 @@ func (p *Provider) OnInterruptionNotice(fn NoticeFunc) { p.noticeSubs = append(p
 // OnLaunch registers a launch subscriber.
 func (p *Provider) OnLaunch(fn LaunchFunc) { p.launchSubs = append(p.launchSubs, fn) }
 
-// OnTerminate registers a termination subscriber.
+// OnTerminate registers a termination subscriber. The instance record
+// is valid until the subscribers return; then the provider may reuse it.
 func (p *Provider) OnTerminate(fn TerminateFunc) { p.termSubs = append(p.termSubs, fn) }
 
 func (p *Provider) nextInstanceID() InstanceID {
@@ -296,7 +323,48 @@ func appendSeqID(dst []byte, prefix string, seq int) []byte {
 	return append(dst, buf[i:]...)
 }
 
-// RunOnDemand launches an on-demand instance immediately.
+// instanceRecord allocates an instance record and its reclaim event
+// together: one 248 B object (256 B size class) instead of a 176 B and
+// a 72 B one.
+type instanceRecord struct {
+	inst Instance
+	ev   simclock.Event
+}
+
+// newInstance returns a record holding v, reusing a released one when
+// there is one. The record keeps its own reclaim event and callback.
+func (p *Provider) newInstance(v Instance) *Instance {
+	var inst *Instance
+	if n := len(p.freeInsts); n > 0 {
+		inst = p.freeInsts[n-1]
+		p.freeInsts = p.freeInsts[:n-1]
+	} else {
+		rec := &instanceRecord{}
+		inst = &rec.inst
+		inst.termEv = &rec.ev
+		inst.reclaimFn = func() { p.reclaim(inst) }
+	}
+	v.termEv, v.reclaimFn = inst.termEv, inst.reclaimFn
+	*inst = v
+	return inst
+}
+
+// newRequest returns a record holding v, reusing a released one when
+// there is one.
+func (p *Provider) newRequest(v SpotRequest) *SpotRequest {
+	var req *SpotRequest
+	if n := len(p.freeReqs); n > 0 {
+		req = p.freeReqs[n-1]
+		p.freeReqs = p.freeReqs[:n-1]
+	} else {
+		req = new(SpotRequest)
+	}
+	*req = v
+	return req
+}
+
+// RunOnDemand launches an on-demand instance immediately. The record is
+// valid until the OnTerminate callbacks for its termination return.
 func (p *Provider) RunOnDemand(t catalog.InstanceType, r catalog.Region, tag string) (*Instance, error) {
 	o, ok := p.mkt.Offer(t, r)
 	if !ok {
@@ -308,7 +376,7 @@ func (p *Provider) RunOnDemand(t catalog.InstanceType, r catalog.Region, tag str
 	} else {
 		az = p.rng.Intn(o.NumZones())
 	}
-	inst := &Instance{
+	inst := p.newInstance(Instance{
 		ID:         p.nextInstanceID(),
 		offer:      o,
 		az:         az,
@@ -316,7 +384,7 @@ func (p *Provider) RunOnDemand(t catalog.InstanceType, r catalog.Region, tag str
 		State:      StateRunning,
 		LaunchedAt: p.eng.Now(),
 		Tag:        tag,
-	}
+	})
 	p.instances[inst.ID] = inst
 	p.notifyLaunch(inst)
 	return inst, nil
@@ -325,7 +393,8 @@ func (p *Provider) RunOnDemand(t catalog.InstanceType, r catalog.Region, tag str
 // RequestSpot files a spot request for t in r. The request is evaluated
 // immediately: with the market's launch-success probability it is
 // fulfilled after a short placement delay; otherwise it stays open until
-// a later EvaluateOpenRequests sweep.
+// a later EvaluateOpenRequests sweep. The request record is valid until
+// the request settles.
 func (p *Provider) RequestSpot(t catalog.InstanceType, r catalog.Region, tag string) (*SpotRequest, error) {
 	return p.RequestSpotWithBid(t, r, tag, 0)
 }
@@ -333,7 +402,8 @@ func (p *Provider) RequestSpot(t catalog.InstanceType, r catalog.Region, tag str
 // RequestSpotWithBid files a spot request with an explicit max price.
 // maxPriceUSD zero bids the region's on-demand price (the paper's
 // policy); a fulfilled instance is reclaimed with ReasonPrice when the
-// spot price later crosses its bid.
+// spot price later crosses its bid. The request record is valid until
+// the request settles.
 func (p *Provider) RequestSpotWithBid(t catalog.InstanceType, r catalog.Region, tag string, maxPriceUSD float64) (*SpotRequest, error) {
 	o, ok := p.mkt.Offer(t, r)
 	if !ok {
@@ -345,13 +415,13 @@ func (p *Provider) RequestSpotWithBid(t catalog.InstanceType, r catalog.Region, 
 	if maxPriceUSD == 0 {
 		maxPriceUSD = o.OnDemandPrice()
 	}
-	req := &SpotRequest{
+	req := p.newRequest(SpotRequest{
 		offer:       o,
 		State:       RequestOpen,
 		Created:     p.eng.Now(),
 		Tag:         tag,
 		MaxPriceUSD: maxPriceUSD,
-	}
+	})
 	// The request advances the shared sequence, which the instance IDs in
 	// pinned outputs depend on; no request ID is minted, since nothing
 	// addresses a request by ID.
@@ -394,7 +464,7 @@ func (p *Provider) fulfill(req *SpotRequest) {
 		// a sweep finds the price back under it.
 		return
 	}
-	inst := &Instance{
+	inst := p.newInstance(Instance{
 		ID:         p.nextInstanceID(),
 		offer:      req.offer,
 		az:         az,
@@ -403,7 +473,7 @@ func (p *Provider) fulfill(req *SpotRequest) {
 		LaunchedAt: p.eng.Now(),
 		Tag:        req.Tag,
 		BidUSD:     req.MaxPriceUSD,
-	}
+	})
 	p.instances[inst.ID] = inst
 	req.State = RequestActive
 	req.Instance = inst.ID
@@ -513,13 +583,16 @@ func (p *Provider) scheduleInterruption(inst *Instance) {
 			}
 		})
 	}
-	inst.termEv = p.eng.ScheduleAfter(ttl, "spot-reclaim", func() {
-		if inst.State != StateRunning {
-			return
-		}
-		inst.Reason = ReasonCapacity
-		p.finalize(inst, true)
-	})
+	p.eng.ArmAfter(inst.termEv, ttl, "spot-reclaim", inst.reclaimFn)
+}
+
+// reclaim is the capacity-reclaim callback, bound to its record once.
+func (p *Provider) reclaim(inst *Instance) {
+	if inst.State != StateRunning {
+		return
+	}
+	inst.Reason = ReasonCapacity
+	p.finalize(inst, true)
 }
 
 // Terminate ends an instance at the caller's request.
@@ -542,9 +615,7 @@ func (p *Provider) finalize(inst *Instance, interrupted bool) {
 	if inst.noticeEv != nil {
 		inst.noticeEv.Cancel()
 	}
-	if inst.termEv != nil {
-		inst.termEv.Cancel()
-	}
+	inst.termEv.Cancel()
 	if inst.priceNoticeEv != nil {
 		inst.priceNoticeEv.Cancel()
 	}
@@ -557,6 +628,7 @@ func (p *Provider) finalize(inst *Instance, interrupted bool) {
 	}
 	// Subscribers have seen the final cost; release the record.
 	delete(p.instances, inst.ID)
+	p.freeInsts = append(p.freeInsts, inst)
 }
 
 // costBetween integrates the instance's hourly price over [from, to],
@@ -595,7 +667,8 @@ func nextPriceStep(ns int64) int64 {
 // EvaluateOpenRequests retries placement for every open request, in
 // creation order; the Controller drives this from its 15-minute
 // CloudWatch sweep. It returns how many requests were (re)attempted.
-// Settled entries are compacted out of the index in the same pass.
+// Settled entries are compacted out of the index in the same pass, and
+// released unless a fulfill bucket still holds them.
 //
 //spotverse:hotpath
 func (p *Provider) EvaluateOpenRequests() int {
@@ -603,6 +676,8 @@ func (p *Provider) EvaluateOpenRequests() int {
 	n := 0
 	for _, req := range p.open {
 		if req.State != RequestOpen {
+			req.compacted = true
+			p.releaseRequest(req)
 			continue
 		}
 		live = append(live, req)
@@ -617,8 +692,17 @@ func (p *Provider) EvaluateOpenRequests() int {
 	return n
 }
 
+// releaseRequest frees a settled request's record once it is compacted
+// out of the open index and no fulfill bucket holds it.
+func (p *Provider) releaseRequest(req *SpotRequest) {
+	if req.compacted && req.buckets == 0 {
+		p.freeReqs = append(p.freeReqs, req)
+	}
+}
+
 // OpenRequests returns the currently open spot requests, oldest first.
-// The controller rescans them after a crash-restart.
+// The controller rescans them after a crash-restart. Each record is
+// valid until its request settles.
 func (p *Provider) OpenRequests() []*SpotRequest {
 	var out []*SpotRequest
 	for _, req := range p.open {

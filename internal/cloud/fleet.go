@@ -76,6 +76,7 @@ func (p *Provider) scheduleBatchedFulfill(req *SpotRequest) {
 		p.fulfillAt[atNs] = b
 	}
 	b.reqs = append(b.reqs, req)
+	req.buckets++
 }
 
 // fireFulfills runs one bucket's placements in add order. The bucket
@@ -88,7 +89,9 @@ func (p *Provider) fireFulfills() {
 	p.batchFired++
 	for i, req := range b.reqs {
 		b.reqs[i] = nil // no settled-request retention via the pooled array
+		req.buckets--
 		if req.State != RequestOpen {
+			p.releaseRequest(req)
 			continue
 		}
 		p.fulfill(req)

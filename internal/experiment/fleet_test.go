@@ -89,8 +89,9 @@ func runGoldenRun(t *testing.T, seed int64, arm fleetGoldenArm, n int) goldenRun
 		streams[w.Spec.ID] = &rngs[i]
 	}
 	env.Provider.SetWorkloadRand(func(tag string) *simclock.SplitMix64 { return streams[tag] })
-	var insts []*cloud.Instance
-	env.Provider.OnTerminate(func(inst *cloud.Instance, _ bool) { insts = append(insts, inst) })
+	// Instance records are reused once OnTerminate returns, so keep copies.
+	var insts []cloud.Instance
+	env.Provider.OnTerminate(func(inst *cloud.Instance, _ bool) { insts = append(insts, *inst) })
 
 	res, err := Run(env, RunConfig{
 		Workloads:       ws,

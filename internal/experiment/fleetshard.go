@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"spotverse/internal/catalog"
@@ -260,6 +261,11 @@ type indexedCost struct {
 	usd float64
 }
 
+// costLogs recycles shard cost logs across the blocks a worker runs:
+// bucketCosts copies the costs out, so a log is free once a shard has
+// bucketed it.
+var costLogs = sync.Pool{New: func() any { return new([]indexedCost) }}
+
 // bucketCosts orders a shard's cost log, kept in termination order, by
 // workload index among n workloads: a stable counting sort, so each
 // workload's costs keep their termination order.
@@ -320,7 +326,8 @@ func runFleetShard(seed int64, family uint64, cfg *FleetShardedConfig, f *worklo
 	}
 	buckets := int(cfg.Horizon/DefaultFleetInterval) + 1
 	interruptions := make([]int, buckets)
-	var costLog []indexedCost
+	logBuf := costLogs.Get().(*[]indexedCost)
+	costLog := (*logBuf)[:0]
 	d := newDriver(env, strat, cfg.InstanceType, f, index, func(inst *cloud.Instance, i int, interrupted bool) {
 		costLog = append(costLog, indexedCost{i: i, usd: inst.CostUSD})
 		if interrupted {
@@ -347,12 +354,15 @@ func runFleetShard(seed int64, family uint64, cfg *FleetShardedConfig, f *worklo
 	ticker.Stop()
 	d.terminateAll()
 
+	costs := bucketCosts(costLog, n)
+	*logBuf = costLog[:0]
+	costLogs.Put(logBuf)
 	return &shardOut{
 		tally:                    d.tally,
 		strategyName:             strat.Name(),
 		startNs:                  start.UnixNano(),
 		interruptionsPerInterval: interruptions,
-		costs:                    bucketCosts(costLog, n),
+		costs:                    costs,
 		firedAdj:                 eng.Fired() - sweepFired - sentinelFired - prov.BatchEventsFired(),
 		serviceCostUSD:           env.Ledger.Total(),
 	}, nil

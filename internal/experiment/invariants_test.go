@@ -27,8 +27,10 @@ func TestRunInvariantsAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var settled []*cloud.Instance
-			env.Provider.OnTerminate(func(inst *cloud.Instance, _ bool) { settled = append(settled, inst) })
+			// Instance records are reused once OnTerminate returns, so keep
+			// copies.
+			var settled []cloud.Instance
+			env.Provider.OnTerminate(func(inst *cloud.Instance, _ bool) { settled = append(settled, *inst) })
 			ws := genWorkloads(t, seed, kind, 8)
 			res, err := Run(env, RunConfig{Workloads: ws, Strategy: strat, InstanceType: catalog.M5XLarge, Trace: true})
 			if err != nil {
@@ -39,7 +41,7 @@ func TestRunInvariantsAcrossSeeds(t *testing.T) {
 	}
 }
 
-func checkInvariants(t *testing.T, seed int64, kind workload.Kind, res *Result, ws []*workload.State, env *Env, settled []*cloud.Instance) {
+func checkInvariants(t *testing.T, seed int64, kind workload.Kind, res *Result, ws []*workload.State, env *Env, settled []cloud.Instance) {
 	t.Helper()
 	label := func(msg string, args ...any) {
 		t.Errorf("seed %d %s %s: "+msg, append([]any{seed, kind, res.StrategyName}, args...)...)
