@@ -71,6 +71,9 @@ type queueHarness struct {
 	fired   uint64
 	want    []fireRec
 	handles []*handle
+
+	// resets enables the reset operation.
+	resets bool
 }
 
 func newQueueHarness(t *testing.T, seed int64) *queueHarness {
@@ -270,7 +273,25 @@ func (q *queueHarness) liveTickers() int {
 	return n
 }
 
+// reset resets the engine to Epoch. Every queued entry is dropped: its
+// handle is no longer pending, owned events may be re-armed, and
+// tickers never fire again.
+func (q *queueHarness) reset() {
+	q.eng = resetEngine(q.eng, Epoch)
+	for _, h := range q.handles {
+		h.pending = false
+		if h.kind == ticker {
+			h.stopped = true
+		}
+	}
+	q.now, q.seq, q.fired, q.pending = Epoch.UnixNano(), 0, 0, q.pending[:0]
+}
+
 func (q *queueHarness) op() string {
+	if q.resets && q.rng.Intn(150) == 0 {
+		q.reset()
+		return "reset"
+	}
 	switch r := q.rng.Intn(100); {
 	case r < 28:
 		q.scheduleOneShot()
@@ -329,13 +350,22 @@ func (q *queueHarness) op() string {
 }
 
 // TestQueueMatchesReference runs the random operation sequences.
-func TestQueueMatchesReference(t *testing.T) {
+func TestQueueMatchesReference(t *testing.T) { runQueueReference(t, false) }
+
+// TestQueueResetMatchesReference runs them with engine resets mixed in:
+// after a reset the engine must behave as a fresh one, while the
+// harness goes on re-arming the owned events that were pending when it
+// ran.
+func TestQueueResetMatchesReference(t *testing.T) { runQueueReference(t, true) }
+
+func runQueueReference(t *testing.T, resets bool) {
 	seeds, ops := 24, 3000
 	if testing.Short() || raceflag.Enabled {
 		seeds = 6 // the race detector slows the reference scan tenfold
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		q := newQueueHarness(t, seed)
+		q.resets = resets
 		for i := 0; i < ops; i++ {
 			op := q.op()
 			q.check(fmt.Sprintf("op %d (%s), seed %d", i, op, seed))
@@ -377,4 +407,99 @@ func TestQueueRunHorizonOverFarEvents(t *testing.T) {
 		t.Fatalf("fired %d events, want 5", len(q.got))
 	}
 	q.check("run 500 days")
+}
+
+// resetEngine returns e reset to a fresh engine's state at start:
+// nothing queued, no event fired, and every event that was pending
+// marked not pending, so its owner can arm it again.
+func resetEngine(e *Engine, start time.Time) *Engine {
+	for _, ent := range e.queue {
+		if ent.live() {
+			ent.ev.state = eventCancelled
+		}
+	}
+	if e.far != nil {
+		for _, n := range e.far.nodes {
+			if n.ev != nil && (heapEntry{seq: n.seq, ev: n.ev}).live() {
+				n.ev.state = eventCancelled
+			}
+		}
+	}
+	return NewEngineAt(start)
+}
+
+// resetScript arms the owned events and a mix of one-shots and a
+// ticker on both tiers and at shared instants, runs part of the way,
+// cancels some events and re-arms others, then drains. It records the
+// (name, at) sequence and the engine's counters.
+func resetScript(e *Engine, owned []*Event, steps int) []fireRec {
+	var got []fireRec
+	rec := func(name string) func() {
+		return func() { got = append(got, fireRec{name: name, atNs: e.Now().UnixNano()}) }
+	}
+	for i, ev := range owned {
+		d := time.Duration(i%4) * time.Duration(bucketWidthNs) * time.Duration(1+i/4)
+		e.ArmAfter(ev, d, fmt.Sprintf("owned-%d", i), rec(fmt.Sprintf("owned-%d", i)))
+	}
+	for i := range 20 {
+		name := fmt.Sprintf("once-%d", i)
+		e.ScheduleAfter(time.Duration(i*i)*37*time.Minute, name, rec(name))
+	}
+	tk := e.Every(15*time.Minute, "tick", func(now time.Time) { got = append(got, fireRec{name: "tick", atNs: now.UnixNano()}) })
+	for range steps {
+		e.Step()
+	}
+	for i, ev := range owned {
+		if i%3 == 0 && ev.Cancel() {
+			e.ArmAfter(ev, time.Duration(i)*time.Hour, fmt.Sprintf("rearmed-%d", i), rec(fmt.Sprintf("rearmed-%d", i)))
+		}
+	}
+	e.RunFor(9 * time.Hour)
+	tk.Stop()
+	for e.Step() {
+	}
+	got = append(got, fireRec{name: fmt.Sprintf("fired %d pending %d", e.Fired(), e.Pending()), atNs: e.Now().UnixNano()})
+	return got
+}
+
+// TestResetEngineMatchesFresh checks that a reset engine is a fresh
+// one. The prior run leaves owned events, one-shots and a ticker
+// pending in both tiers, plus dead entries of cancelled events; after
+// the reset the same owned events are armed again by a script that must
+// fire the (name, at) sequence the script fires on a fresh engine.
+func TestResetEngineMatchesFresh(t *testing.T) {
+	newOwned := func() []*Event {
+		evs := make([]*Event, 12)
+		for i := range evs {
+			evs[i] = &Event{}
+		}
+		return evs
+	}
+	want := resetScript(NewEngine(), newOwned(), 25)
+
+	e := NewEngineAt(Epoch.Add(-40 * time.Hour))
+	owned := newOwned()
+	for i, ev := range owned {
+		e.ArmAfter(ev, time.Duration(i)*time.Duration(bucketWidthNs)/3, "prior", func() {})
+	}
+	for i := range 100 {
+		ev := e.ScheduleAfter(time.Duration(i)*time.Hour, "prior-once", func() {})
+		if i%2 == 0 {
+			ev.Cancel()
+		}
+	}
+	e.Every(10*time.Minute, "prior-tick", func(time.Time) {})
+	for range 30 {
+		e.Step()
+	}
+	if owned[len(owned)-1].Cancel() {
+		e.ArmAfter(owned[len(owned)-1], 400*24*time.Hour, "prior-far", func() {})
+	}
+	e = resetEngine(e, Epoch)
+	if e.Pending() != 0 || e.Fired() != 0 || !e.Now().Equal(Epoch) {
+		t.Fatalf("reset engine: pending %d, fired %d, now %v", e.Pending(), e.Fired(), e.Now())
+	}
+	if got := resetScript(e, owned, 25); !slices.Equal(got, want) {
+		t.Fatalf("reset engine fired %d records, fresh %d; first difference %s", len(got), len(want), firstDiff(got, want))
+	}
 }
