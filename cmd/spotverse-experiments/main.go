@@ -17,8 +17,8 @@
 // simulation engine on the worker pool (default: the -parallel value);
 // the sweep table is byte-identical for every shard count. The
 // deterministic sweep table goes to stdout; wall-clock throughput
-// (workloads simulated per second, a machine-dependent quantity) goes
-// to stderr.
+// (workloads simulated per second) and, on Linux, the process's peak
+// RSS — machine-dependent quantities — go to stderr.
 //
 // -parallel bounds the experiment worker pool (default GOMAXPROCS). The
 // sweep fans out across independent simulations and renders results in a
@@ -489,10 +489,10 @@ func parseFleetShards(s string, parallel int) (int, error) {
 }
 
 // runFleetSweep runs the fleet-scale scaling sweep. The deterministic
-// table streams to w; wall-clock throughput — the one machine-dependent
-// number, and the sweep's reason to exist — goes to stderr so stdout
-// stays byte-identical across runs, machines, -parallel, and
-// -fleet-shards values.
+// table streams to w; wall-clock throughput — the sweep's reason to
+// exist — and the process's peak RSS, both machine-dependent, go to
+// stderr so stdout stays byte-identical across runs, machines,
+// -parallel, and -fleet-shards values.
 func runFleetSweep(w io.Writer, sizes []int, shards int) error {
 	begin := time.Now()
 	cells, err := experiment.FleetSweep(sizes, shards)
@@ -508,8 +508,12 @@ func runFleetSweep(w io.Writer, sizes []int, shards int) error {
 		total += c.Size
 	}
 	perSec := float64(total) / elapsed.Seconds()
-	fmt.Fprintf(os.Stderr, "fleet sweep: %d cells, %d workloads simulated in %.2fs (%.0f workloads/wall-second)\n",
-		len(cells), total, elapsed.Seconds(), perSec)
+	rss := ""
+	if kb, ok := peakRSSKB(); ok {
+		rss = fmt.Sprintf(", peak RSS %d kB", kb)
+	}
+	fmt.Fprintf(os.Stderr, "fleet sweep: %d cells, %d workloads simulated in %.2fs (%.0f workloads/wall-second%s)\n",
+		len(cells), total, elapsed.Seconds(), perSec, rss)
 	return nil
 }
 

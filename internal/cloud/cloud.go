@@ -279,6 +279,42 @@ func New(eng *simclock.Engine, mkt *market.Model, seed int64) *Provider {
 	return p
 }
 
+// Reset returns the provider to the state New(eng, mkt, seed) builds
+// over its own engine, which the caller must reset first
+// (simclock.Engine.Reset). The record free lists, the pooled fulfill
+// buckets and the storage of the instance, bucket and price-crossing
+// maps are kept, so a reused provider launches without allocating once
+// warm. Everything that decides what happens next starts over: the
+// sequence that numbers IDs, the open-request index, the "cloud"
+// stream, the price-crossing memo, the event horizon, the per-workload
+// streams and the subscribers. Every record handed out before the reset
+// is invalid after it. Requests in the open index go back to the free
+// list; running instances and pending fulfill buckets are dropped, since
+// their engine events went with the engine's queue.
+func (p *Provider) Reset(mkt *market.Model, seed int64) {
+	p.mkt = mkt
+	p.rng.ResetStream(seed, "cloud")
+	for _, req := range p.open {
+		if req.buckets == 0 {
+			p.freeReqs = append(p.freeReqs, req)
+		}
+	}
+	p.open = truncated(p.open)
+	clear(p.instances)
+	clear(p.fulfillAt)
+	clear(p.crossCache)
+	p.seq, p.batchFired, p.eventHorizonNs, p.tagRand = 0, 0, 0, nil
+	p.noticeSubs = truncated(p.noticeSubs)
+	p.launchSubs = truncated(p.launchSubs)
+	p.termSubs = truncated(p.termSubs)
+}
+
+// truncated empties s, keeping its array.
+func truncated[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
 // Market exposes the market model backing prices and hazards.
 func (p *Provider) Market() *market.Model { return p.mkt }
 

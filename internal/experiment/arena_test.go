@@ -20,10 +20,11 @@ type blockSpec struct {
 	size, parts, k int
 }
 
-// blockRunner runs blocks one after another, as one worker does.
-type blockRunner struct{}
+// blockRunner runs blocks one after another on one arena, as one
+// worker does.
+type blockRunner struct{ a *blockArena }
 
-func newBlockRunner() *blockRunner { return &blockRunner{} }
+func newBlockRunner() *blockRunner { return &blockRunner{a: newBlockArena()} }
 
 // run simulates the block on a freshly generated fleet and returns the
 // block's output and its fleet columns.
@@ -55,7 +56,8 @@ func (r *blockRunner) run(t *testing.T, b blockSpec) (*shardOut, *workload.Fleet
 	}
 	lo, hi := workload.ShardBounds(b.size, b.parts, b.k)
 	block := f.Shard(lo, hi)
-	out, err := runFleetShard(b.seed, simclock.SplitMixFamily(b.seed, splitmixFleetStream), &cfg, block)
+	out, err := r.a.run(b.seed, simclock.SplitMixFamily(b.seed, splitmixFleetStream), &cfg, block)
+	r.a.release()
 	if err != nil {
 		t.Fatal(err)
 	}

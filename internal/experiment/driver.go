@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 // states adapts Run's []*workload.State.
 type progress interface {
 	Len() int
-	ID(i int) string
+	AppendID(dst []byte, i int) []byte
 	AttemptDuration(i int) time.Duration
 	BeginAttempt(i int) error
 	RecordInterruption(i int)
@@ -30,7 +31,7 @@ type progress interface {
 type states []*workload.State
 
 func (s states) Len() int                               { return len(s) }
-func (s states) ID(i int) string                        { return s[i].Spec.ID }
+func (s states) AppendID(dst []byte, i int) []byte      { return append(dst, s[i].Spec.ID...) }
 func (s states) AttemptDuration(i int) time.Duration    { return s[i].AttemptDuration() }
 func (s states) BeginAttempt(i int) error               { return s[i].BeginAttempt() }
 func (s states) RecordInterruption(i int)               { s[i].Interruptions++ }
@@ -84,15 +85,16 @@ func byRegion(cat *catalog.Catalog, counts []int) map[catalog.Region]int {
 }
 
 // driver maps instances to workloads and reacts to provider events.
-// Run and every fleet shard drive their engine through one; what
+// Run and every fleet block drive their engine through one; what
 // differs between them — the draw source, the sweep, the horizon, and
 // how instance costs and interruption instants are kept — stays in
 // their own setup and loop.
 //
 // Per-workload state is a dense slice indexed like the progress table,
-// and the completion and relaunch closures are built once per workload:
-// they capture only the index and read the driver's state when they
-// fire. Each workload owns one completion event, re-armed at every
+// and the completion and relaunch closures are built once per slot:
+// they capture only the driver and the index and read the driver's
+// state when they fire, so a driver reset for another block (reset)
+// keeps them. Each workload owns one completion event, re-armed at every
 // launch. It is pending only while its instance is the tracked one
 // (interruption cancels it; duplicate launches are refused), so a launch
 // never finds it pending and complete can re-read activeInst at fire
@@ -106,9 +108,13 @@ type driver struct {
 	// index resolves an instance tag or strategy-facing ID to its dense
 	// index.
 	index func(tag string) (int, bool)
-	// ids holds the strategy-facing workload IDs; the hot path never
-	// re-formats one.
-	ids []string
+	// ids holds the strategy-facing workload IDs, sliced out of one
+	// string; the hot path never re-formats one. idBuf, idEnds and
+	// sorted are reset's and placeInitial's scratch.
+	ids    []string
+	idBuf  []byte
+	idEnds []int
+	sorted []string
 
 	// done marks the workloads this driver completed; activeInst holds
 	// each workload's tracked running instance (nil when none).
@@ -137,42 +143,90 @@ type driver struct {
 // relaunch-resolving strategy its relaunch closures.
 func newDriver(env *Env, strat strategy.Strategy, typ catalog.InstanceType, wl progress,
 	index func(string) (int, bool), terminated func(*cloud.Instance, int, bool)) *driver {
+	d := new(driver)
+	d.reset(env, strat, typ, wl, index, terminated)
+	return d
+}
+
+// reset readies d for another engine's workloads as newDriver builds it.
+// The per-slot tables are cleared and resized in place, the slot
+// closures and the tally's stamp buffers are kept, and everything else
+// starts over, so a reset driver behaves as a new one. The engine and
+// provider must have been reset first: the completion events are
+// cleared here, and the subscriptions go to a provider that has none.
+func (d *driver) reset(env *Env, strat strategy.Strategy, typ catalog.InstanceType, wl progress,
+	index func(string) (int, bool), terminated func(*cloud.Instance, int, bool)) {
 	n := wl.Len()
-	d := &driver{
+	regions := len(env.Catalog().Regions())
+	*d = driver{
 		env:          env,
 		typ:          typ,
 		strat:        strat,
 		wl:           wl,
 		index:        index,
 		terminated:   terminated,
-		ids:          make([]string, n),
-		done:         make([]bool, n),
-		activeInst:   make([]*cloud.Instance, n),
-		completionEv: make([]simclock.Event, n),
-		compFns:      make([]func(), n),
-		relFns:       make([]strategy.RelaunchFunc, n),
+		ids:          resized(d.ids, n),
+		idBuf:        d.idBuf[:0],
+		idEnds:       resized(d.idEnds, n),
+		sorted:       d.sorted,
+		done:         resized(d.done, n),
+		activeInst:   resized(d.activeInst, n),
+		completionEv: resized(d.completionEv, n),
+		compFns:      d.compFns,
+		relFns:       d.relFns,
 		tally: tally{
-			launchesByRegion:      make([]int, len(env.Catalog().Regions())),
-			interruptionsByRegion: make([]int, len(env.Catalog().Regions())),
+			launchesByRegion:      resized(d.launchesByRegion, regions),
+			interruptionsByRegion: resized(d.interruptionsByRegion, regions),
+			launchNs:              d.launchNs[:0],
+			stopNs:                d.stopNs[:0],
 		},
 	}
 	d.obs, _ = strat.(CompletionObserver)
+	// Format every ID into one buffer and convert it once.
 	for i := 0; i < n; i++ {
-		d.ids[i] = wl.ID(i)
-		d.compFns[i] = func() { d.complete(i) }
-		d.relFns[i] = func(p strategy.Placement) {
+		d.idBuf = wl.AppendID(d.idBuf, i)
+		d.idEnds[i] = len(d.idBuf)
+	}
+	all := string(d.idBuf)
+	for i, lo := 0, 0; i < n; i++ {
+		d.ids[i], lo = all[lo:d.idEnds[i]], d.idEnds[i]
+	}
+	for i := len(d.compFns); i < n; i++ {
+		d.compFns = append(d.compFns, func() { d.complete(i) })
+		d.relFns = append(d.relFns, func(p strategy.Placement) {
 			if !d.done[i] {
 				d.timeline.add(Event{At: d.env.Engine.Now(), Kind: EventRelaunch, Workload: d.ids[i], Region: p.Region, Lifecycle: p.Lifecycle})
 				_ = d.provision(i, p)
 			}
-		}
+		})
 	}
 	env.Provider.OnLaunch(d.onLaunch)
 	env.Provider.OnTerminate(d.onTerminate)
 	if target, ok := strat.(RelaunchResolverTarget); ok {
 		target.SetRelaunchResolver(d.relaunchFor)
 	}
-	return d
+}
+
+// resized returns s as n zero values, reusing its array when it holds
+// n.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// detached returns a copy of t whose slices are its own and exactly as
+// long as t's, so t's buffers can be reused.
+func (t *tally) detached() tally {
+	out := *t
+	out.launchesByRegion = slices.Clone(t.launchesByRegion)
+	out.interruptionsByRegion = slices.Clone(t.interruptionsByRegion)
+	out.launchNs = slices.Clone(t.launchNs)
+	out.stopNs = slices.Clone(t.stopNs)
+	return out
 }
 
 // labeled runs fn under one pprof label, so CPU profiles attribute its
@@ -185,8 +239,8 @@ func labeled[T any](key, value string, fn func() (T, error)) (out T, err error) 
 // placeInitial provisions every workload where the strategy first puts
 // it. The strategy sees the IDs sorted.
 func (d *driver) placeInitial() error {
-	sorted := make([]string, len(d.ids))
-	copy(sorted, d.ids)
+	d.sorted = append(d.sorted[:0], d.ids...)
+	sorted := d.sorted
 	sort.Strings(sorted)
 	placements, err := d.strat.PlaceInitial(sorted)
 	if err != nil {

@@ -54,13 +54,19 @@ func NewEnv(seed int64) *Env {
 func NewEnvAt(seed int64, start time.Time) *Env {
 	eng := simclock.NewEngineAt(start)
 	mkt := acquireMarket(seed, start)
+	return newEnv(seed, eng, mkt, cloud.New(eng, mkt, seed))
+}
+
+// newEnv wires a fresh ledger and fresh managed services over an
+// engine, market and provider.
+func newEnv(seed int64, eng *simclock.Engine, mkt *market.Model, prov *cloud.Provider) *Env {
 	cat := mkt.Catalog()
 	ledger := cost.NewLedger()
 	return &Env{
 		Seed:       seed,
 		Engine:     eng,
 		Market:     mkt,
-		Provider:   cloud.New(eng, mkt, seed),
+		Provider:   prov,
 		Ledger:     ledger,
 		S3:         s3.New(eng, cat, ledger),
 		EFS:        efs.New(cat, ledger),

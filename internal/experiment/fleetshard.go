@@ -122,9 +122,9 @@ const splitmixFleetStream = "fleet-wl"
 // FleetShardedConfig parameterises a fleet run. It mirrors RunConfig
 // minus what is inherently per-workload (the structured Timeline, the
 // checkpoint and durability options), with two deliberate
-// differences: the strategy is built per shard (each shard owns an Env,
-// and strategies hold an engine/market handle), and there is no sweep
-// option — the driver always runs its own per-shard sweep.
+// differences: the strategy is built per block (each block runs in its
+// own Env, and strategies hold an engine/market handle), and there is
+// no sweep option — the driver always runs its own per-block sweep.
 type FleetShardedConfig struct {
 	// Fleet holds the workloads in struct-of-arrays form (mutated by the
 	// run).
@@ -148,22 +148,25 @@ type FleetShardedConfig struct {
 	// Shards is the minimum number of contiguous fleet partitions
 	// (default 1). The run cuts the fleet into at least this many, and
 	// into enough that none holds more than fleetBlock workloads, but
-	// never into more than there are workloads. Each partition gets its
-	// own engine and provider and runs on the worker pool; the merged
-	// result is byte-identical at every shard count.
+	// never into more than there are workloads. Each partition runs on
+	// the worker pool as one block, in an Env of its own whose engine and
+	// provider are a worker's reused ones, reset to their fresh state;
+	// the merged result is byte-identical at every shard count.
 	Shards int
 	// ProfLabel names the run's pprof "arm" label.
 	ProfLabel string
 }
 
-// fleetBlock is the most workloads one shard engine simulates. A shard's
+// fleetBlock is the most workloads one block simulates. A block's
 // engine heap, instance map and live pointers grow with its workload
 // count; blocks of this size keep one engine's working set near a
 // core's L2 cache and leave the garbage collector little live heap to
-// mark. It was picked from a measured ladder of 256 to 8192 (see
-// DESIGN.md "Fleet engine"). A stateful arm's result depends on the
-// partition, so the tests that pin one against Run stay at sizes below
-// this.
+// mark. Each worker runs its blocks one after another on one reused
+// block arena (blockArena), so the storage is sized once per worker,
+// not once per block. The size was picked from a measured ladder of 256
+// to 8192 (see DESIGN.md "Fleet engine"). A stateful arm's result
+// depends on the partition, so the tests that pin one against Run stay
+// at sizes below this.
 const fleetBlock = 512
 
 // fleetPartitions returns how many contiguous partitions RunFleetSharded
@@ -175,26 +178,29 @@ func fleetPartitions(n, shards int) int {
 }
 
 // RunFleetSharded executes a fleet-scale experiment partitioned across
-// independent shard engines. The fleet's SoA columns are split into
+// independent block engines. The fleet's SoA columns are split into
 // fleetPartitions contiguous [lo, hi) views (workload.ShardBounds), so
-// a large fleet runs as many cache-sized blocks; each shard gets a
-// fresh Env over the shared immutable market snapshot, a horizon
-// sentinel, and per-workload SplitMix64 draw streams keyed by global
-// index; shards run concurrently on the bounded worker pool; and the
-// per-shard streaming aggregates merge under order-canonical rules
-// (index-ordered costs, time-ordered launch/stop stamps, index-ordered
-// completion stats). Every quantity in the result is a function of
-// per-workload trajectories plus a canonical reduction, and each
-// trajectory of a per-workload stateless strategy is a pure function of
-// (seed, global index, market) — so for such a strategy the output is
-// byte-identical at any shard count and any worker count.
+// a large fleet runs as many cache-sized blocks; each block runs on a
+// worker's block arena, whose engine, provider and driver are reset to
+// their fresh state (so the block sees a new Env over the shared
+// immutable market snapshot), with a horizon sentinel and per-workload
+// SplitMix64 draw streams keyed by global index; blocks run
+// concurrently on the bounded worker pool; and the per-block streaming
+// aggregates merge under order-canonical rules (index-ordered costs,
+// time-ordered launch/stop stamps, index-ordered completion stats).
+// Every quantity in the result is a function of per-workload
+// trajectories plus a canonical reduction, and each trajectory of a
+// per-workload stateless strategy is a pure function of (seed, global
+// index, market) — so for such a strategy the output is byte-identical
+// at any shard count and any worker count, and whichever blocks a
+// worker's arena ran before.
 //
 // For the stateless baseline arms, with the same per-workload streams
 // installed on Run's provider (cloud.SetWorkloadRand), every trajectory
 // equals Run's; the golden test pins that. The one intentional
 // difference from Run: the 15-minute open-request sweep is
-// self-scheduled on each shard engine rather than billed through
-// CloudWatch, because per-shard tick counts vary with the shard count
+// self-scheduled on each block engine rather than billed through
+// CloudWatch, because per-block tick counts vary with the shard count
 // and their billing would leak into ServiceCostUSD. Standard workloads
 // use no other billed service, so ServiceCostUSD is zero on this path.
 func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
@@ -217,7 +223,11 @@ func RunFleetSharded(seed int64, cfg FleetShardedConfig) (*FleetResult, error) {
 	outs, err := Gather(parts, func(k int) (*shardOut, error) {
 		lo, hi := workload.ShardBounds(n, parts, k)
 		return labeled("arm", cfg.ProfLabel, func() (*shardOut, error) {
-			return runFleetShard(seed, family, &cfg, cfg.Fleet.Shard(lo, hi))
+			a := blockArenas.Get().(*blockArena)
+			out, err := a.run(seed, family, &cfg, cfg.Fleet.Shard(lo, hi))
+			a.release()
+			blockArenas.Put(a)
+			return out, err
 		})
 	})
 	if err != nil {
@@ -261,11 +271,6 @@ type indexedCost struct {
 	usd float64
 }
 
-// costLogs recycles shard cost logs across the blocks a worker runs:
-// bucketCosts copies the costs out, so a log is free once a shard has
-// bucketed it.
-var costLogs = sync.Pool{New: func() any { return new([]indexedCost) }}
-
 // bucketCosts orders a shard's cost log, kept in termination order, by
 // workload index among n workloads: a stable counting sort, so each
 // workload's costs keep their termination order.
@@ -285,87 +290,165 @@ func bucketCosts(log []indexedCost, n int) []float64 {
 	return out
 }
 
-func runFleetShard(seed int64, family uint64, cfg *FleetShardedConfig, f *workload.FleetState) (*shardOut, error) {
-	env := NewEnv(seed)
+// blockArena is the block state one worker reuses from one fleet block
+// to the next: an engine, a provider and a driver, reset in place
+// instead of rebuilt, with the per-workload streams, the cost log, and
+// the owned horizon sentinel and sweep events. A reset restores what a
+// block can observe — the clock and sequence numbers, the provider's
+// streams, memo and subscribers, the driver's per-workload tables and
+// tally — to what a new arena holds, and keeps only storage: the event
+// queue, the record free lists, the fulfill-bucket pool, the emptied
+// maps, the driver's slot closures and stamp buffers. So a block's
+// output is the same on a warm arena as on a new one.
+type blockArena struct {
+	eng  *simclock.Engine
+	prov *cloud.Provider
+	d    driver
+
+	// tags resolves the block's instance tags and IDs, and rngs holds its
+	// per-workload draw streams.
+	tags shardTags
+	rngs []simclock.SplitMix64
+
+	// startNs is the block's start; costLog and interruptions collect
+	// what terminated instances cost and when the counted ones were
+	// interrupted.
+	startNs       int64
+	costLog       []indexedCost
+	interruptions []int
+
+	sentinel, sweep           simclock.Event
+	sentinelFired, sweepFired uint64
+
+	// The callbacks the block hands out, bound once per arena.
+	indexFn             func(tag string) (int, bool)
+	randFn              func(tag string) *simclock.SplitMix64
+	terminatedFn        func(inst *cloud.Instance, i int, interrupted bool)
+	sentinelFn, sweepFn func()
+}
+
+// blockArenas holds the arenas of idle workers.
+var blockArenas = sync.Pool{New: func() any { return newBlockArena() }}
+
+func newBlockArena() *blockArena {
+	a := &blockArena{}
+	a.indexFn = a.index
+	a.randFn = a.workloadRand
+	a.terminatedFn = a.terminated
+	a.sentinelFn = func() { a.sentinelFired++ }
+	a.sweepFn = a.runSweep
+	return a
+}
+
+// reset readies the arena's engine and provider for a block of the
+// given seed and returns the block's Env: the reused engine and
+// provider, a market view, and a fresh ledger and managed services.
+func (a *blockArena) reset(seed int64) *Env {
+	mkt := acquireMarket(seed, simclock.Epoch)
+	if a.eng == nil {
+		a.eng = simclock.NewEngineAt(simclock.Epoch)
+		a.prov = cloud.New(a.eng, mkt, seed)
+	} else {
+		a.eng.Reset(simclock.Epoch)
+		a.prov.Reset(mkt, seed)
+	}
+	a.sentinelFired, a.sweepFired = 0, 0
+	return newEnv(seed, a.eng, mkt, a.prov)
+}
+
+// run simulates one block: the workloads of f, under cfg, with the
+// per-workload streams of family.
+func (a *blockArena) run(seed int64, family uint64, cfg *FleetShardedConfig, f *workload.FleetState) (*shardOut, error) {
+	env := a.reset(seed)
 	eng := env.Engine
 	start := eng.Now()
-	horizon := start.Add(cfg.Horizon)
+	a.startNs = start.UnixNano()
 
-	// The sentinel is scheduled before anything else, so it holds the
+	// The sentinel is armed before anything else, so it holds the
 	// smallest sequence number of the run: any event landing exactly on
 	// the horizon loses the same-instant tie to it and never executes,
 	// at every shard count.
-	sentinelFired := uint64(0)
-	if _, serr := eng.ScheduleAt(horizon, "fleet-horizon", func() { sentinelFired++ }); serr != nil {
-		return nil, serr
-	}
+	eng.ArmAfter(&a.sentinel, cfg.Horizon, "fleet-horizon", a.sentinelFn)
 
 	prov := env.Provider
-	prov.SetEventHorizon(horizon)
+	prov.SetEventHorizon(start.Add(cfg.Horizon))
 
-	// Per-workload draw streams, resolved by tag; tags outside this shard
+	// Per-workload draw streams, resolved by tag; tags outside this block
 	// (there are none in practice) fall back to the provider's sequential
 	// stream.
 	n := f.Len()
-	index := shardTags{base: f.Base, n: n}.index
-	rngs := make([]simclock.SplitMix64, n)
-	for i := range rngs {
-		rngs[i] = simclock.SplitMixAt(family, f.Base+i)
+	a.tags = shardTags{base: f.Base, n: n}
+	a.rngs = resized(a.rngs, n)
+	for i := range a.rngs {
+		a.rngs[i] = simclock.SplitMixAt(family, f.Base+i)
 	}
-	prov.SetWorkloadRand(func(tag string) *simclock.SplitMix64 {
-		i, ok := index(tag)
-		if !ok {
-			return nil
-		}
-		return &rngs[i]
-	})
+	prov.SetWorkloadRand(a.randFn)
 
 	strat, err := cfg.NewStrategy(env)
 	if err != nil {
 		return nil, err
 	}
-	buckets := int(cfg.Horizon/DefaultFleetInterval) + 1
-	interruptions := make([]int, buckets)
-	logBuf := costLogs.Get().(*[]indexedCost)
-	costLog := (*logBuf)[:0]
-	d := newDriver(env, strat, cfg.InstanceType, f, index, func(inst *cloud.Instance, i int, interrupted bool) {
-		costLog = append(costLog, indexedCost{i: i, usd: inst.CostUSD})
-		if interrupted {
-			interruptions[intervalIndex(inst.TerminatedAt.Sub(start), buckets)]++
-		}
-	})
+	a.interruptions = make([]int, int(cfg.Horizon/DefaultFleetInterval)+1)
+	a.costLog = a.costLog[:0]
+	d := &a.d
+	d.reset(env, strat, cfg.InstanceType, f, a.indexFn, a.terminatedFn)
 
-	// The retry sweep runs straight on the shard engine. Going through
+	// The retry sweep runs straight on the block engine. Going through
 	// CloudWatch would bill per tick, and tick totals scale with the
-	// shard count — the one cost that is engine-shape, not simulation.
-	sweepFired := uint64(0)
-	ticker := eng.Every(DefaultSweepInterval, "harness-open-request-sweep", func(time.Time) {
-		prov.EvaluateOpenRequests()
-		sweepFired++
-	})
+	// block count — the one cost that is engine-shape, not simulation.
+	eng.ArmAfter(&a.sweep, DefaultSweepInterval, "harness-open-request-sweep", a.sweepFn)
 
 	if err := d.placeInitial(); err != nil {
 		return nil, err
 	}
 
-	for d.completed != n && sentinelFired == 0 && eng.Pending() > 0 {
+	for d.completed != n && a.sentinelFired == 0 && eng.Pending() > 0 {
 		eng.Step()
 	}
-	ticker.Stop()
 	d.terminateAll()
 
-	costs := bucketCosts(costLog, n)
-	*logBuf = costLog[:0]
-	costLogs.Put(logBuf)
 	return &shardOut{
-		tally:                    d.tally,
+		tally:                    d.tally.detached(),
 		strategyName:             strat.Name(),
-		startNs:                  start.UnixNano(),
-		interruptionsPerInterval: interruptions,
-		costs:                    costs,
-		firedAdj:                 eng.Fired() - sweepFired - sentinelFired - prov.BatchEventsFired(),
+		startNs:                  a.startNs,
+		interruptionsPerInterval: a.interruptions,
+		costs:                    bucketCosts(a.costLog, n),
+		firedAdj:                 eng.Fired() - a.sweepFired - a.sentinelFired - prov.BatchEventsFired(),
 		serviceCostUSD:           env.Ledger.Total(),
 	}, nil
+}
+
+// release drops the block's references to caller-owned state, so an
+// idle arena pins no fleet or strategy.
+func (a *blockArena) release() {
+	a.d.wl, a.d.strat, a.d.obs = nil, nil, nil
+}
+
+func (a *blockArena) index(tag string) (int, bool) { return a.tags.index(tag) }
+
+func (a *blockArena) workloadRand(tag string) *simclock.SplitMix64 {
+	i, ok := a.tags.index(tag)
+	if !ok {
+		return nil
+	}
+	return &a.rngs[i]
+}
+
+// terminated logs a terminated instance's cost and, when it is a
+// counted interruption, its histogram slot.
+func (a *blockArena) terminated(inst *cloud.Instance, i int, interrupted bool) {
+	a.costLog = append(a.costLog, indexedCost{i: i, usd: inst.CostUSD})
+	if interrupted {
+		a.interruptions[intervalIndex(time.Duration(inst.TerminatedAt.UnixNano()-a.startNs), len(a.interruptions))]++
+	}
+}
+
+// runSweep is one tick of the open-request sweep; like a ticker, it
+// re-arms itself after the sweep's own scheduling.
+func (a *blockArena) runSweep() {
+	a.prov.EvaluateOpenRequests()
+	a.sweepFired++
+	a.eng.ArmAfter(&a.sweep, DefaultSweepInterval, "harness-open-request-sweep", a.sweepFn)
 }
 
 // shardTags resolves fleet tags and IDs ("<prefix>-<globalIndex>",

@@ -111,6 +111,32 @@ func TestFarPushRefillAllocFree(t *testing.T) {
 	}
 }
 
+// TestResetReuseAllocFree: a reset keeps the heap's array and the far
+// tier's nodes, so a reused engine that files the same events into both
+// tiers again, with all of them still pending at the next reset, grows
+// nothing.
+func TestResetReuseAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc gates are meaningless under -race")
+	}
+	e := NewEngine()
+	evs := make([]Event, 64)
+	fn := func() {}
+	run := func() {
+		e.Reset(Epoch)
+		for i := range evs {
+			e.ArmAfter(&evs[i], time.Duration(i)*7*time.Hour, "owned", fn)
+		}
+		for range 8 {
+			e.Step()
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("a reset engine re-filling both tiers allocated %v per run, want 0", allocs)
+	}
+}
+
 // TestArmPendingPanics: an event has one live entry at most, so arming
 // one that is still pending is a caller bug.
 func TestArmPendingPanics(t *testing.T) {

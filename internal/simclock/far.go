@@ -54,6 +54,19 @@ func newFarTier() *farTier {
 	return &farTier{nodes: make([]farNode, 1, 16)}
 }
 
+// reset empties the tier, keeping its node storage. The events of live
+// entries are marked cancelled: they never fire, and their owners may
+// arm them again.
+func (f *farTier) reset() {
+	for _, n := range f.nodes {
+		if n.ev != nil && (heapEntry{seq: n.seq, ev: n.ev}).live() {
+			n.ev.state = eventCancelled
+		}
+	}
+	clear(f.nodes)
+	*f = farTier{nodes: f.nodes[:1]}
+}
+
 // link pushes node i onto the list headed by *head.
 func (f *farTier) link(head *int32, i int32) {
 	f.nodes[i].next = *head

@@ -409,23 +409,10 @@ func TestQueueRunHorizonOverFarEvents(t *testing.T) {
 	q.check("run 500 days")
 }
 
-// resetEngine returns e reset to a fresh engine's state at start:
-// nothing queued, no event fired, and every event that was pending
-// marked not pending, so its owner can arm it again.
+// resetEngine resets e to start and returns it.
 func resetEngine(e *Engine, start time.Time) *Engine {
-	for _, ent := range e.queue {
-		if ent.live() {
-			ent.ev.state = eventCancelled
-		}
-	}
-	if e.far != nil {
-		for _, n := range e.far.nodes {
-			if n.ev != nil && (heapEntry{seq: n.seq, ev: n.ev}).live() {
-				n.ev.state = eventCancelled
-			}
-		}
-	}
-	return NewEngineAt(start)
+	e.Reset(start)
+	return e
 }
 
 // resetScript arms the owned events and a mix of one-shots and a

@@ -20,9 +20,19 @@ func NewRNG(seed int64) *RNG {
 
 // Stream derives a child stream from a parent seed and a stable name.
 func Stream(seed int64, name string) *RNG {
+	return NewRNG(streamSeed(seed, name))
+}
+
+// ResetStream puts g in the state Stream(seed, name) starts in,
+// re-seeding its source in place instead of allocating one.
+func (g *RNG) ResetStream(seed int64, name string) {
+	g.r.Seed(streamSeed(seed, name))
+}
+
+func streamSeed(seed int64, name string) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	return NewRNG(seed ^ int64(h.Sum64()))
+	return seed ^ int64(h.Sum64())
 }
 
 // Float64 returns a uniform sample in [0, 1).

@@ -200,7 +200,31 @@ func NewEngine() *Engine {
 
 // NewEngineAt returns an engine whose clock starts at the given instant.
 func NewEngineAt(start time.Time) *Engine {
-	return &Engine{now: start, nearEnd: (bucketOf(start.UnixNano()) + 1) << bucketShift}
+	e := &Engine{}
+	e.Reset(start)
+	return e
+}
+
+// Reset returns the engine to the state NewEngineAt(start) builds: the
+// clock at start, nothing queued, no event fired, and sequence numbers
+// counting from the start again. The queue keeps its storage, so a
+// reused engine does not grow it a second time. Every event still
+// pending is marked cancelled and never fires; its owner may arm it
+// again on this engine. Any other engine state is caller-visible only
+// through events, so a reset engine orders and fires events exactly as
+// a fresh one.
+func (e *Engine) Reset(start time.Time) {
+	for _, ent := range e.queue {
+		if ent.live() {
+			ent.ev.state = eventCancelled
+		}
+	}
+	clear(e.queue)
+	e.queue = e.queue[:0]
+	if e.far != nil {
+		e.far.reset()
+	}
+	*e = Engine{now: start, queue: e.queue, nearEnd: (bucketOf(start.UnixNano()) + 1) << bucketShift, far: e.far}
 }
 
 // Now reports current simulated time.

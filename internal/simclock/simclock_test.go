@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -191,6 +192,25 @@ func TestRNGStreamsIndependent(t *testing.T) {
 	}
 	if same > 16 {
 		t.Fatalf("streams look identical: %d/64 collisions", same)
+	}
+}
+
+// TestRNGResetStreamMatchesFresh checks that a used stream reset to
+// (seed, name) draws exactly what a fresh Stream(seed, name) draws.
+func TestRNGResetStreamMatchesFresh(t *testing.T) {
+	draw := func(g *RNG) []float64 {
+		var out []float64
+		for i := 0; i < 50; i++ {
+			out = append(out, g.Float64(), float64(g.Intn(1000)), g.Exp(3), g.NormFloat64())
+		}
+		return out
+	}
+	want := draw(Stream(7, "cloud"))
+	g := Stream(42, "market")
+	draw(g)
+	g.ResetStream(7, "cloud")
+	if got := draw(g); !slices.Equal(got, want) {
+		t.Fatalf("reset stream draws %v..., fresh %v...", got[:4], want[:4])
 	}
 }
 

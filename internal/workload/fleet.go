@@ -54,8 +54,8 @@ func (f *FleetState) ID(i int) string {
 }
 
 // AppendID appends workload i's identifier to dst and returns the
-// extended slice. Per-shard drivers format IDs into reused buffers on
-// their hot loop; with capacity present this does not allocate.
+// extended slice. The fleet driver formats a block's IDs into one reused
+// buffer; with capacity present this does not allocate.
 //
 //spotverse:hotpath
 func (f *FleetState) AppendID(dst []byte, i int) []byte {
