@@ -9,5 +9,5 @@ func peakRSSKB() (int64, bool) {
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		return 0, false
 	}
-	return ru.Maxrss, true
+	return int64(ru.Maxrss), true
 }

@@ -277,7 +277,7 @@ func (q *queueHarness) liveTickers() int {
 // handle is no longer pending, owned events may be re-armed, and
 // tickers never fire again.
 func (q *queueHarness) reset() {
-	q.eng = resetEngine(q.eng, Epoch)
+	q.eng.Reset(Epoch)
 	for _, h := range q.handles {
 		h.pending = false
 		if h.kind == ticker {
@@ -409,12 +409,6 @@ func TestQueueRunHorizonOverFarEvents(t *testing.T) {
 	q.check("run 500 days")
 }
 
-// resetEngine resets e to start and returns it.
-func resetEngine(e *Engine, start time.Time) *Engine {
-	e.Reset(start)
-	return e
-}
-
 // resetScript arms the owned events and a mix of one-shots and a
 // ticker on both tiers and at shared instants, runs part of the way,
 // cancels some events and re-arms others, then drains. It records the
@@ -482,7 +476,7 @@ func TestResetEngineMatchesFresh(t *testing.T) {
 	if owned[len(owned)-1].Cancel() {
 		e.ArmAfter(owned[len(owned)-1], 400*24*time.Hour, "prior-far", func() {})
 	}
-	e = resetEngine(e, Epoch)
+	e.Reset(Epoch)
 	if e.Pending() != 0 || e.Fired() != 0 || !e.Now().Equal(Epoch) {
 		t.Fatalf("reset engine: pending %d, fired %d, now %v", e.Pending(), e.Fired(), e.Now())
 	}

@@ -17,10 +17,9 @@
 #      -parallel 2 under a 200 MB RSS ceiling (FLEET_100K_RSS_BUDGET_KB);
 #      its table must equal the -parallel 1 run's byte for byte.
 #
-# The peak RSS comes from /usr/bin/time -v where GNU time is installed,
-# and otherwise from the "peak RSS <n> kB" the sweep itself reports on
-# stderr (getrusage, Linux only); with neither, the ceilings are not
-# checked.
+# The peak RSS is the "peak RSS <n> kB" the sweep itself reports on
+# stderr (getrusage ru_maxrss, Linux only); where it reports none, the
+# ceilings are not checked.
 #
 # The 10k budgets are deliberately loose: they catch order-of-magnitude
 # regressions (an accidental O(n^2) sweep, a retained-per-workload
@@ -41,32 +40,22 @@ if command -v timeout >/dev/null 2>&1; then
     runner="timeout ${wall_budget}s"
 fi
 
-gnu_time=""
-if [ -x /usr/bin/time ] && /usr/bin/time -v true >/dev/null 2>&1; then
-    gnu_time=/usr/bin/time
-fi
-
 # measured BUDGET_KB OUT CMD... runs CMD with stdout in OUT and fails
 # unless its peak RSS stays within BUDGET_KB.
 measured() {
     budget_kb=$1
     out=$2
     shift 2
-    if [ -n "$gnu_time" ]; then
-        $runner "$gnu_time" -v -o "$tmp/time.txt" "$@" > "$out"
-        rss_kb=$(sed -n 's/.*Maximum resident set size (kbytes): \([0-9]*\)/\1/p' "$tmp/time.txt")
-        rss_from="/usr/bin/time -v"
-    else
-        $runner "$@" > "$out" 2> "$tmp/stderr.txt"
-        cat "$tmp/stderr.txt" >&2
-        rss_kb=$(sed -n 's/.*peak RSS \([0-9]*\) kB.*/\1/p' "$tmp/stderr.txt")
-        rss_from="the sweep's own report"
-        if [ -z "$rss_kb" ]; then
-            echo "fleet smoke: no /usr/bin/time -v and no peak RSS reported; RSS ceiling not checked"
-            return
-        fi
+    st=0
+    $runner "$@" > "$out" 2> "$tmp/stderr.txt" || st=$?
+    cat "$tmp/stderr.txt" >&2
+    [ "$st" -eq 0 ] || exit "$st"
+    rss_kb=$(sed -n 's/.*peak RSS \([0-9]*\) kB.*/\1/p' "$tmp/stderr.txt")
+    if [ -z "$rss_kb" ]; then
+        echo "fleet smoke: no peak RSS reported; RSS ceiling not checked"
+        return
     fi
-    echo "fleet smoke: max RSS ${rss_kb} kB from ${rss_from} (ceiling ${budget_kb} kB)"
+    echo "fleet smoke: max RSS ${rss_kb} kB (ceiling ${budget_kb} kB)"
     [ "$rss_kb" -le "$budget_kb" ] || {
         echo "fleet smoke: RSS ${rss_kb} kB exceeds ceiling ${budget_kb} kB" >&2
         exit 1
